@@ -7,8 +7,8 @@ from .geo import Bbox, GeoPoint, GridSpec, bin_location, bin_time, haversine_km
 from .nn import Mlp, TrainConfig, copy_weights
 from .trips import OutlierRules, TripRecord, TripStore, ingest_csv
 from .eta import (ConstantSpeedEta, EtaEstimate, EtaMetrics, EtaQuery,
-                  HistoricalMeanEta, JointEtaModel, compute_metrics, evaluate,
-                  train_joint_eta, train_linear_time, train_time_only)
+                  JointEtaModel, compute_metrics, evaluate, train_joint_eta,
+                  train_linear_time, train_time_only)
 from .simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
                         ExtraTravelTimes, Transition, extra_travel_times)
 from .agents import (DqnAgent, EpsilonSchedule, FixedPolicy, QTable,

@@ -12,6 +12,7 @@ magnitudes would stall plain SGD.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field
 from typing import Callable
@@ -20,7 +21,7 @@ import numpy as np
 
 from .geo import Bbox, GridSpec, SECONDS_PER_DAY, bin_location, bin_time
 from .nn import Mlp, TrainConfig, copy_weights
-from .simulator import Action, CarpoolEnv, DriverState, Transition
+from .simulator import Action, CarpoolEnv, DriverState, Transition, _as_rng
 
 Policy = Callable[[DriverState], Action]
 
@@ -158,10 +159,8 @@ class DqnAgent:
         if not 0 <= gamma < 1:
             raise ValueError("gamma must lie in [0, 1)")
         rng = np.random.default_rng(cfg.seed)
-        self.online = Mlp([3, *hidden, N_ACTIONS], rng=rng,
-                          init_scale=cfg.weight_init_scale)
-        self.target = Mlp([3, *hidden, N_ACTIONS], rng=rng)
-        copy_weights(self.online, self.target)
+        self.online = Mlp([3, *hidden, N_ACTIONS], rng=rng)
+        self.target = copy.deepcopy(self.online)
         self.cfg = cfg
         self.gamma = gamma
         self.region = region
@@ -228,22 +227,19 @@ class DqnAgent:
         self.steps_since_sync = 0
 
 
-def fixed_policy_action(env: CarpoolEnv, state: DriverState) -> Action:
+class FixedPolicy:
     """Always carpool when both assignments would succeed, else take a single
     trip when one is reachable, else wait."""
-    if not env.can_take_one(state):
-        return Action.WAIT
-    if env.can_take_two(state):
-        return Action.TAKE_TWO
-    return Action.TAKE_ONE
 
-
-class FixedPolicy:
     def __init__(self, env: CarpoolEnv):
         self.env = env
 
     def __call__(self, state: DriverState) -> Action:
-        return fixed_policy_action(self.env, state)
+        if not self.env.can_take_one(state):
+            return Action.WAIT
+        if self.env.can_take_two(state):
+            return Action.TAKE_TWO
+        return Action.TAKE_ONE
 
 
 def wait_policy(state: DriverState) -> Action:
@@ -335,16 +331,6 @@ def train_dqn(env: CarpoolEnv, agent: DqnAgent, episodes: int,
     return DqnTrainResult(agent, mean_q, losses, rewards)
 
 
-def save_learning_curves(result: "DqnTrainResult", path) -> None:
-    """Flat per-episode training record: episode, mean_q, loss, cumulative_reward."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["episode", "mean_q", "loss", "cumulative_reward"])
-        for ep, (q, loss, r) in enumerate(zip(result.mean_q, result.loss,
-                                              result.episode_rewards)):
-            w.writerow([ep, repr(q), repr(loss), repr(r)])
-
-
 @dataclass
 class TabularTrainResult:
     table: QTable
@@ -385,9 +371,3 @@ def evaluate_policy(env: CarpoolEnv, policy: Policy, episodes: int,
         rng = np.random.default_rng([seed, ep])
         totals.append(run_episode(env, policy, rng).cumulative_reward)
     return float(np.mean(totals)), totals
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)

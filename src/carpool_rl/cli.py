@@ -13,19 +13,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .agents import (DqnAgent, EpsilonSchedule, FixedPolicy, QTable,
-                     evaluate_policy, save_learning_curves, save_qtable,
-                     train_dqn, train_tabular)
+from .agents import FixedPolicy, evaluate_policy, save_qtable
 from .config import (ExperimentConfig, apply_overrides, load_config,
                      parse_region)
-from .eta import EtaQuery, JointEtaModel, evaluate, train_joint_eta, EtaArch
-from .experiments import (build_env, build_eta_source, emit_curves,
-                          prepare_data, run_eta_experiment,
-                          run_policy_experiment, EvalReport)
+from .eta import EtaQuery, JointEtaModel, evaluate
+from .experiments import (build_env, build_eta_source, emit_curves, fit_dqn,
+                          fit_joint_eta, fit_tabq, prepare_data,
+                          run_eta_experiment, run_policy_experiment,
+                          EvalReport)
 from .geo import GeoPoint
-from .nn import TrainConfig
 from .synth import PRESETS, generate_synthetic
 from .trips import ingest_csv
 
@@ -49,10 +45,7 @@ def _cmd_data_ingest(args) -> int:
 
 
 def _cmd_data_synth(args) -> int:
-    preset = PRESETS[args.preset]
-    spec = (preset(n_days=args.days, noisy=args.noisy, day_type=args.day or "weekday")
-            if args.preset == "dense"
-            else preset(n_days=args.days, day_type=args.day or "weekday"))
+    spec = PRESETS[args.preset](args.days, args.noisy, args.day or "weekday")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"synthetic_{args.preset}.csv")
@@ -66,12 +59,7 @@ def _cmd_eta_train(args) -> int:
     data = prepare_data(cfg)
     train, test = data.store.train_test_split(cfg.eta.split_ratio,
                                               cfg.eta.split_seed)
-    model = train_joint_eta(
-        train, data.grid,
-        TrainConfig(learning_rate=cfg.eta.learning_rate,
-                    batch_size=cfg.eta.batch_size, epochs=cfg.eta.epochs,
-                    seed=cfg.seeds[0]),
-        EtaArch(tuple(cfg.eta.dist_hidden), tuple(cfg.eta.time_hidden)))
+    model = fit_joint_eta(cfg, train, data.grid, cfg.seeds[0])
     model_dir = os.path.join(cfg.out_dir, "eta_model")
     model.save(model_dir)
     metrics = evaluate(lambda q: model.predict(q).travel_time, test)
@@ -112,43 +100,17 @@ def _cmd_train(args) -> int:
         # Nothing to learn; evaluates the baseline and records its rewards.
         mean, totals = evaluate_policy(env, FixedPolicy(env),
                                        cfg.eval_episodes, seed=seed)
-        emit_curves({f"fixed_reward_{day_type}_seed{seed}": totals},
-                    os.path.join(cfg.out_dir, "curves"))
+        curves = {f"fixed_reward_{day_type}_seed{seed}": totals}
         out["mean_cumulative_reward"] = mean
     elif args.policy == "tabq":
-        table = QTable(alpha=cfg.tabq.alpha, gamma=cfg.tabq.gamma,
-                       alpha_decay=cfg.tabq.alpha_decay)
-        res = train_tabular(env, table, data.grid, cfg.tabq.train_episodes,
-                            seed=np.random.default_rng([seed, 1]),
-                            epsilon=EpsilonSchedule(cfg.tabq.eps_start,
-                                                    cfg.tabq.eps_end,
-                                                    cfg.tabq.eps_decay_steps))
-        save_qtable(table, os.path.join(cfg.out_dir, "qtable.csv"))
-        emit_curves({f"tabq_mean_q_{day_type}_seed{seed}": res.mean_q,
-                     f"tabq_reward_{day_type}_seed{seed}": res.episode_rewards},
-                    os.path.join(cfg.out_dir, "curves"))
+        table, curves = fit_tabq(cfg, env, seed)
         out["qtable"] = os.path.join(cfg.out_dir, "qtable.csv")
+        save_qtable(table, out["qtable"])
     else:  # dqn
-        agent = DqnAgent(data.region,
-                         TrainConfig(learning_rate=cfg.dqn.learning_rate,
-                                     batch_size=cfg.dqn.batch_size,
-                                     epochs=1, seed=seed),
-                         hidden=tuple(cfg.dqn.hidden), gamma=cfg.dqn.gamma,
-                         replay_capacity=cfg.dqn.replay_capacity,
-                         epsilon=EpsilonSchedule(cfg.dqn.eps_start,
-                                                 cfg.dqn.eps_end,
-                                                 cfg.dqn.eps_decay_steps),
-                         sync_period=cfg.dqn.sync_period)
-        res = train_dqn(env, agent, cfg.dqn.train_episodes,
-                        seed=np.random.default_rng([seed, 2]))
-        net_path = os.path.join(cfg.out_dir, "dqn_online.json")
-        agent.online.save(net_path)
-        emit_curves({f"dqn_mean_q_{day_type}_seed{seed}": res.mean_q,
-                     f"dqn_loss_{day_type}_seed{seed}": res.loss,
-                     f"dqn_reward_{day_type}_seed{seed}": res.episode_rewards},
-                    os.path.join(cfg.out_dir, "curves"))
-        save_learning_curves(res, os.path.join(cfg.out_dir, "dqn_training.csv"))
-        out["network"] = net_path
+        agent, curves = fit_dqn(cfg, env, seed)
+        out["network"] = os.path.join(cfg.out_dir, "dqn_online.json")
+        agent.online.save(out["network"])
+    emit_curves(curves, os.path.join(cfg.out_dir, "curves"))
     print(json.dumps(out))
     return 0
 

@@ -8,7 +8,7 @@ whole-experiment reruns bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .geo import Bbox, GeoPoint, GridSpec
@@ -37,14 +37,35 @@ def parse_region(text: str) -> Bbox:
                       f"(expected {sorted(REGION_PRESETS)} or bbox=...)")
 
 
-def _check_keys(d: dict, allowed, where: str) -> None:
-    extra = set(d) - set(allowed)
-    if extra:
-        raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
+class ConfigSection:
+    """Base of every config section: one loader for the JSON object form.
+
+    A field whose ``default_factory`` is itself a section is read as a
+    nested section. ``section`` names the section in error messages.
+    """
+
+    section = "config"
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.section} must be a JSON object, "
+                              f"not {type(d).__name__}")
+        extra = set(d) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ConfigError(f"unknown keys in {cls.section}: {sorted(extra)}")
+        d = dict(d)
+        for f in fields(cls):
+            sub = f.default_factory
+            if (f.name in d and isinstance(sub, type)
+                    and issubclass(sub, ConfigSection)):
+                d[f.name] = sub.from_dict(d[f.name])
+        return cls(**d)
 
 
 @dataclass
-class DataConfig:
+class DataConfig(ConfigSection):
+    section = "data"
     kind: str = "synthetic"          # "synthetic" | "csv"
     preset: str = "dense"            # synthetic only
     noisy: bool = False
@@ -53,28 +74,20 @@ class DataConfig:
     csv_path: Optional[str] = None   # csv only
     region: Optional[list] = None    # csv mask: preset name or 4 floats
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataConfig":
-        _check_keys(d, cls.__dataclass_fields__, "data")
-        cfg = cls(**d)
-        if cfg.kind not in ("synthetic", "csv"):
-            raise ConfigError(f"data.kind must be synthetic or csv: {cfg.kind!r}")
-        if cfg.kind == "csv" and not cfg.csv_path:
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "csv"):
+            raise ConfigError(f"data.kind must be synthetic or csv: {self.kind!r}")
+        if self.kind == "csv" and not self.csv_path:
             raise ConfigError("data.kind=csv requires data.csv_path")
-        return cfg
 
 
 @dataclass
-class GridConfig:
+class GridConfig(ConfigSection):
+    section = "grid"
     cell_lat: float = 0.002
     cell_lon: float = 0.002
     time_bin: float = 600.0
     weekend_offset: float = 86400.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridConfig":
-        _check_keys(d, cls.__dataclass_fields__, "grid")
-        return cls(**d)
 
     def build(self, origin: GeoPoint) -> GridSpec:
         return GridSpec(origin_corner=origin, cell_lat=self.cell_lat,
@@ -83,19 +96,16 @@ class GridConfig:
 
 
 @dataclass
-class EnvParamsConfig:
+class EnvParamsConfig(ConfigSection):
+    section = "env"
     search_window: float = 600.0
     carpool_fraction: float = 0.5
     wait_delay: float = 600.0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnvParamsConfig":
-        _check_keys(d, cls.__dataclass_fields__, "env")
-        return cls(**d)
-
 
 @dataclass
-class EtaConfig:
+class EtaConfig(ConfigSection):
+    section = "eta"
     kind: str = "speed"              # "speed" | "joint"
     speed_mph: float = 12.0
     learning_rate: float = 0.03
@@ -106,17 +116,14 @@ class EtaConfig:
     split_ratio: float = 0.8
     split_seed: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EtaConfig":
-        _check_keys(d, cls.__dataclass_fields__, "eta")
-        cfg = cls(**d)
-        if cfg.kind not in ("speed", "joint"):
-            raise ConfigError(f"eta.kind must be speed or joint: {cfg.kind!r}")
-        return cfg
+    def __post_init__(self):
+        if self.kind not in ("speed", "joint"):
+            raise ConfigError(f"eta.kind must be speed or joint: {self.kind!r}")
 
 
 @dataclass
-class DqnConfig:
+class DqnConfig(ConfigSection):
+    section = "dqn"
     hidden: list = field(default_factory=lambda: [64, 64])
     gamma: float = 0.95
     learning_rate: float = 0.05
@@ -128,14 +135,10 @@ class DqnConfig:
     sync_period: int = 1000
     train_episodes: int = 150
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DqnConfig":
-        _check_keys(d, cls.__dataclass_fields__, "dqn")
-        return cls(**d)
-
 
 @dataclass
-class TabQConfig:
+class TabQConfig(ConfigSection):
+    section = "tabq"
     alpha: float = 0.1
     gamma: float = 0.95
     alpha_decay: bool = False
@@ -144,14 +147,9 @@ class TabQConfig:
     eps_decay_steps: int = 10_000
     train_episodes: int = 150
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TabQConfig":
-        _check_keys(d, cls.__dataclass_fields__, "tabq")
-        return cls(**d)
-
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(ConfigSection):
     out_dir: str = "runs/experiment"
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     eval_episodes: int = 20
@@ -163,22 +161,12 @@ class ExperimentConfig:
     dqn: DqnConfig = field(default_factory=DqnConfig)
     tabq: TabQConfig = field(default_factory=TabQConfig)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(d, cls.__dataclass_fields__, "config")
-        d = dict(d)
-        for key, sub in (("data", DataConfig), ("grid", GridConfig),
-                         ("env", EnvParamsConfig), ("eta", EtaConfig),
-                         ("dqn", DqnConfig), ("tabq", TabQConfig)):
-            if key in d:
-                d[key] = sub.from_dict(d[key])
-        cfg = cls(**d)
-        if not cfg.seeds:
+    def __post_init__(self):
+        if not self.seeds:
             raise ConfigError("config.seeds must list at least one seed")
-        if not cfg.day_types or any(d not in ("weekday", "weekend")
-                                    for d in cfg.day_types):
-            raise ConfigError(f"bad day_types: {cfg.day_types}")
-        return cfg
+        if not self.day_types or any(d not in ("weekday", "weekend")
+                                     for d in self.day_types):
+            raise ConfigError(f"bad day_types: {self.day_types}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -7,9 +7,9 @@ that consumes the trunk's last hidden activations concatenated with the
 half-MSE loss, so time-head gradients flow back through the shared trunk.
 The distance output is architecturally independent of time-of-day.
 
-Baselines: an ordinary-least-squares linear regressor on raw coordinates, a
-time-only MLP fed the binned endpoints plus time, and a historical mean over
-trips sharing all origin/destination/time bins.
+Baselines: an ordinary-least-squares linear regressor on raw coordinates and
+a time-only MLP fed the binned endpoints plus time. Every MLP uses ReLU on
+its hidden layers.
 """
 
 from __future__ import annotations
@@ -243,11 +243,9 @@ def train_joint_eta(train, grid: GridSpec, cfg: TrainConfig,
     yd = y_dist_stats.transform(y_dist[:, None])
 
     rng = np.random.default_rng(cfg.seed)
-    trunk = Mlp([4, *arch.dist_hidden], rng=rng, init_scale=cfg.weight_init_scale)
-    dist_head = Mlp([arch.dist_hidden[-1], 1], rng=rng,
-                    init_scale=cfg.weight_init_scale)
-    time_net = Mlp([arch.dist_hidden[-1] + 1, *arch.time_hidden, 1], rng=rng,
-                   init_scale=cfg.weight_init_scale)
+    trunk = Mlp([4, *arch.dist_hidden], rng=rng)
+    dist_head = Mlp([arch.dist_hidden[-1], 1], rng=rng)
+    time_net = Mlp([arch.dist_hidden[-1] + 1, *arch.time_hidden, 1], rng=rng)
     model = JointEtaModel(trunk, dist_head, time_net, grid,
                           loc_stats, t_stats, y_time_stats, y_dist_stats)
 
@@ -313,7 +311,7 @@ def train_time_only(train, grid: GridSpec, cfg: TrainConfig,
     ys = y_stats.transform(y_time[:, None])
 
     rng = np.random.default_rng(cfg.seed)
-    net = Mlp([5, *hidden, 1], rng=rng, init_scale=cfg.weight_init_scale)
+    net = Mlp([5, *hidden, 1], rng=rng)
     n = len(records)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -372,31 +370,6 @@ def train_linear_time(train) -> LinearTimeModel:
         lam = 1e-8 * np.trace(xtx) / xtx.shape[0]
         coef = np.linalg.solve(xtx + lam * np.eye(xtx.shape[0]), xty)
     return LinearTimeModel(x_stats, coef)
-
-
-class HistoricalMeanEta:
-    """Mean duration/distance over trips sharing all three bins with a query."""
-
-    def __init__(self, store, grid: GridSpec):
-        self.grid = grid
-        self._index: dict[tuple, tuple[float, float, int]] = {}
-        for r in _records(store):
-            key = self._key(query_from_trip(r))
-            st, sd, n = self._index.get(key, (0.0, 0.0, 0))
-            self._index[key] = (st + r.duration, sd + r.distance, n + 1)
-
-    def _key(self, q: EtaQuery) -> tuple:
-        oi, oj, _ = bin_location(q.origin, self.grid)
-        di, dj, _ = bin_location(q.destination, self.grid)
-        tb = bin_time(q.seconds_of_day, q.is_weekend, self.grid)
-        return (oi, oj, di, dj, tb)
-
-    def estimate(self, q: EtaQuery) -> Optional[EtaEstimate]:
-        hit = self._index.get(self._key(q))
-        if hit is None:
-            return None
-        st, sd, n = hit
-        return EtaEstimate(st / n, sd / n)
 
 
 def compute_metrics(y_true, y_pred) -> EtaMetrics:
@@ -459,12 +432,11 @@ class ConstantSpeedEta:
 
 
 class ModelEta:
-    """Adapter exposing a trained estimator as a TravelTimeSource."""
+    """Adapter exposing a trained joint model as a TravelTimeSource."""
 
-    def __init__(self, model):
+    def __init__(self, model: JointEtaModel):
         self.model = model
 
     def travel_time(self, origin, destination, seconds_of_day, is_weekend) -> float:
         q = EtaQuery(origin, destination, seconds_of_day, is_weekend)
-        pred = self.model.predict(q)
-        return pred.travel_time if isinstance(pred, EtaEstimate) else float(pred)
+        return self.model.predict(q).travel_time

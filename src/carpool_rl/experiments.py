@@ -18,8 +18,9 @@ from .agents import (DqnAgent, EpsilonSchedule, FixedPolicy, GreedyDqnPolicy,
                      GreedyTabularPolicy, QTable, evaluate_policy, train_dqn,
                      train_tabular, wait_policy)
 from .config import ExperimentConfig, parse_region
-from .eta import (ConstantSpeedEta, EtaArch, ModelEta, evaluate,
-                  train_joint_eta, train_linear_time, train_time_only)
+from .eta import (ConstantSpeedEta, EtaArch, JointEtaModel, ModelEta,
+                  evaluate, train_joint_eta, train_linear_time,
+                  train_time_only)
 from .geo import Bbox, GridSpec
 from .nn import TrainConfig
 from .simulator import CarpoolEnv, EnvConfig
@@ -29,6 +30,7 @@ from .trips import ConfigError, TripStore, ingest_csv
 ETA_METHODS = ("linear", "time_only", "joint")
 METRIC_NAMES = ("mae", "mre", "medae", "medre", "r2")
 POLICY_NAMES = ("wait", "fixed", "tabq", "dqn")
+CURVE_METRICS = ("mean_q", "loss", "reward")
 
 
 @dataclass
@@ -38,13 +40,6 @@ class PreparedData:
     grid: GridSpec
     csv_path: str
     rejections: dict
-
-
-def _build_preset(cfg: ExperimentConfig, day_type: str):
-    if cfg.data.preset == "sparse":
-        return PRESETS["sparse"](n_days=cfg.data.n_days, day_type=day_type)
-    return PRESETS[cfg.data.preset](n_days=cfg.data.n_days,
-                                    noisy=cfg.data.noisy, day_type=day_type)
 
 
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
@@ -61,7 +56,8 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
         rejections: dict = {}
         paths = []
         for idx, day_type in enumerate(cfg.day_types):
-            spec = _build_preset(cfg, day_type)
+            spec = PRESETS[cfg.data.preset](cfg.data.n_days, cfg.data.noisy,
+                                            day_type)
             path = os.path.join(cfg.out_dir, f"synthetic_{day_type}.csv")
             generate_synthetic(spec, cfg.data.seed + idx, path)
             store, _, rej = ingest_csv(path)
@@ -82,16 +78,25 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     return PreparedData(store, region, grid, cfg.data.csv_path, rejections)
 
 
+def eta_train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
+    """SGD settings of the learned travel-time estimators."""
+    return TrainConfig(learning_rate=cfg.eta.learning_rate,
+                       batch_size=cfg.eta.batch_size, epochs=cfg.eta.epochs,
+                       seed=seed)
+
+
+def fit_joint_eta(cfg: ExperimentConfig, train, grid: GridSpec,
+                  seed: int) -> JointEtaModel:
+    """Train the joint travel time/distance model the config describes."""
+    return train_joint_eta(train, grid, eta_train_config(cfg, seed),
+                           EtaArch(tuple(cfg.eta.dist_hidden),
+                                   tuple(cfg.eta.time_hidden)))
+
+
 def build_eta_source(cfg: ExperimentConfig, data: PreparedData, seed: int):
     if cfg.eta.kind == "speed":
         return ConstantSpeedEta(cfg.eta.speed_mph)
-    model = train_joint_eta(
-        data.store, data.grid,
-        TrainConfig(learning_rate=cfg.eta.learning_rate,
-                    batch_size=cfg.eta.batch_size, epochs=cfg.eta.epochs,
-                    seed=seed),
-        EtaArch(tuple(cfg.eta.dist_hidden), tuple(cfg.eta.time_hidden)))
-    return ModelEta(model)
+    return ModelEta(fit_joint_eta(cfg, data.store, data.grid, seed))
 
 
 def build_env(cfg: ExperimentConfig, data: PreparedData, eta_source,
@@ -101,6 +106,45 @@ def build_env(cfg: ExperimentConfig, data: PreparedData, eta_source,
         search_window=cfg.env.search_window,
         carpool_fraction=cfg.env.carpool_fraction,
         wait_delay=cfg.env.wait_delay, day_type=day_type))
+
+
+def fit_tabq(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
+    """Train the config's tabular Q-learner for one seed on ``env``.
+
+    Returns the table and its learning curves, keyed by curve name.
+    """
+    table = QTable(alpha=cfg.tabq.alpha, gamma=cfg.tabq.gamma,
+                   alpha_decay=cfg.tabq.alpha_decay)
+    res = train_tabular(
+        env, table, env.config.grid, cfg.tabq.train_episodes,
+        seed=np.random.default_rng([seed, 1]),
+        epsilon=EpsilonSchedule(cfg.tabq.eps_start, cfg.tabq.eps_end,
+                                cfg.tabq.eps_decay_steps))
+    tag = f"{env.config.day_type}_seed{seed}"
+    return table, {f"tabq_mean_q_{tag}": res.mean_q,
+                   f"tabq_reward_{tag}": res.episode_rewards}
+
+
+def fit_dqn(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
+    """Train the config's Double-DQN for one seed on ``env``.
+
+    Returns the agent and its learning curves, keyed by curve name.
+    """
+    agent = DqnAgent(
+        env.config.region,
+        TrainConfig(learning_rate=cfg.dqn.learning_rate,
+                    batch_size=cfg.dqn.batch_size, epochs=1, seed=seed),
+        hidden=tuple(cfg.dqn.hidden), gamma=cfg.dqn.gamma,
+        replay_capacity=cfg.dqn.replay_capacity,
+        epsilon=EpsilonSchedule(cfg.dqn.eps_start, cfg.dqn.eps_end,
+                                cfg.dqn.eps_decay_steps),
+        sync_period=cfg.dqn.sync_period)
+    res = train_dqn(env, agent, cfg.dqn.train_episodes,
+                    seed=np.random.default_rng([seed, 2]))
+    tag = f"{env.config.day_type}_seed{seed}"
+    return agent, {f"dqn_mean_q_{tag}": res.mean_q,
+                   f"dqn_loss_{tag}": res.loss,
+                   f"dqn_reward_{tag}": res.episode_rewards}
 
 
 # -- estimator comparison ------------------------------------------------------
@@ -113,14 +157,10 @@ def run_eta_experiment(cfg: ExperimentConfig) -> dict:
                                               cfg.eta.split_seed)
     results: dict = {m: {"per_seed": []} for m in ETA_METHODS}
     for seed in cfg.seeds:
-        tc = TrainConfig(learning_rate=cfg.eta.learning_rate,
-                         batch_size=cfg.eta.batch_size, epochs=cfg.eta.epochs,
-                         seed=seed)
         linear = train_linear_time(train)
-        time_only = train_time_only(train, data.grid, tc)
-        joint = train_joint_eta(train, data.grid, tc,
-                                EtaArch(tuple(cfg.eta.dist_hidden),
-                                        tuple(cfg.eta.time_hidden)))
+        time_only = train_time_only(train, data.grid,
+                                    eta_train_config(cfg, seed))
+        joint = fit_joint_eta(cfg, train, data.grid, seed)
         for name, fn in (("linear", linear.predict),
                          ("time_only", time_only.predict),
                          ("joint", lambda q: joint.predict(q).travel_time)):
@@ -174,22 +214,19 @@ class EvalReport:
                    eta=d.get("eta"), config=d.get("config", {}))
 
 
-def emit_curves(curves: dict[str, list[float]], out_dir,
-                value_column: str = "mean_q") -> dict[str, str]:
+def emit_curves(curves: dict[str, list[float]], out_dir) -> dict[str, str]:
     """Write plot-ready CSVs, one (step, value) row per recorded point.
 
     ``curves`` maps a curve name to its values; the column name after
-    ``step`` comes from the suffix of the curve name when recognized
-    (mean_q / loss / reward), else ``value_column``.
+    ``step`` is the metric the curve name contains (mean_q / loss / reward).
+    A name containing none of them raises ``ValueError``.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for name, values in sorted(curves.items()):
-        col = value_column
-        for known in ("mean_q", "loss", "reward"):
-            if known in name:
-                col = known
-                break
+        col = next((m for m in CURVE_METRICS if m in name), None)
+        if col is None:
+            raise ValueError(f"curve {name!r} names none of {CURVE_METRICS}")
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", newline="") as fh:
             fh.write(f"# {name}: one row per recorded point; "
@@ -248,31 +285,10 @@ def run_policy_experiment(cfg: ExperimentConfig) -> EvalReport:
         per_policy: dict[str, list[float]] = {p: [] for p in POLICY_NAMES}
 
         for seed in cfg.seeds:
-            table = QTable(alpha=cfg.tabq.alpha, gamma=cfg.tabq.gamma,
-                           alpha_decay=cfg.tabq.alpha_decay)
-            tab_res = train_tabular(
-                env, table, data.grid, cfg.tabq.train_episodes,
-                seed=np.random.default_rng([seed, 1]),
-                epsilon=EpsilonSchedule(cfg.tabq.eps_start, cfg.tabq.eps_end,
-                                        cfg.tabq.eps_decay_steps))
-            agent = DqnAgent(
-                data.region,
-                TrainConfig(learning_rate=cfg.dqn.learning_rate,
-                            batch_size=cfg.dqn.batch_size, epochs=1, seed=seed),
-                hidden=tuple(cfg.dqn.hidden), gamma=cfg.dqn.gamma,
-                replay_capacity=cfg.dqn.replay_capacity,
-                epsilon=EpsilonSchedule(cfg.dqn.eps_start, cfg.dqn.eps_end,
-                                        cfg.dqn.eps_decay_steps),
-                sync_period=cfg.dqn.sync_period)
-            dqn_res = train_dqn(env, agent, cfg.dqn.train_episodes,
-                                seed=np.random.default_rng([seed, 2]))
-
-            tag = f"{day_type}_seed{seed}"
-            curve_data[f"dqn_mean_q_{tag}"] = dqn_res.mean_q
-            curve_data[f"dqn_loss_{tag}"] = dqn_res.loss
-            curve_data[f"dqn_reward_{tag}"] = dqn_res.episode_rewards
-            curve_data[f"tabq_mean_q_{tag}"] = tab_res.mean_q
-            curve_data[f"tabq_reward_{tag}"] = tab_res.episode_rewards
+            table, tab_curves = fit_tabq(cfg, env, seed)
+            agent, dqn_curves = fit_dqn(cfg, env, seed)
+            curve_data.update(tab_curves)
+            curve_data.update(dqn_curves)
 
             policies = {
                 "wait": wait_policy,

@@ -2,15 +2,16 @@
 
 Parameters are plain numpy arrays: layer ``k`` holds a weight matrix shaped
 ``(fan_out, fan_in)`` and a bias vector shaped ``(fan_out,)``. Hidden layers
-apply the configured activation; the output layer is always linear.
+apply ReLU; the output layer is always linear.
 
 The loss convention used by :meth:`Mlp.sgd_step` and
 :meth:`Mlp.gradient_check` is half mean squared error over the batch,
 ``L = sum_i ||pred_i - target_i||^2 / (2N)``.
 
 Checkpoint format (version ``mlp/1``): a JSON object with keys ``format``,
-``layer_sizes``, ``activation``, ``weights`` (list of row-major 2-D arrays,
-one per layer, each row one output unit) and ``biases``.
+``layer_sizes``, ``activation`` (always ``"relu"``), ``weights`` (list of
+row-major 2-D arrays, one per layer, each row one output unit) and
+``biases``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_ACTIVATIONS = ("relu", "tanh", "identity")
 CHECKPOINT_FORMAT = "mlp/1"
+ACTIVATION = "relu"
 
 
 @dataclass(frozen=True)
@@ -32,32 +33,12 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 20
     seed: int = 0
-    weight_init_scale: float = 1.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("batch_size must be positive, epochs non-negative")
-        if self.weight_init_scale <= 0:
-            raise ValueError("weight_init_scale must be positive")
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
 
 
 class Mlp:
@@ -65,25 +46,20 @@ class Mlp:
 
     ``layer_sizes`` lists the input width followed by every layer's output
     width; weights are drawn uniformly from ``[-s, s]`` with
-    ``s = scale * sqrt(6 / (fan_in + fan_out))`` and biases start at zero.
+    ``s = sqrt(6 / (fan_in + fan_out))`` and biases start at zero.
     """
 
-    def __init__(self, layer_sizes, activation: str = "relu",
-                 rng: np.random.Generator | None = None,
-                 init_scale: float = 1.0):
+    def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         layer_sizes = [int(n) for n in layer_sizes]
         if len(layer_sizes) < 2 or any(n <= 0 for n in layer_sizes):
             raise ValueError(f"bad layer sizes: {layer_sizes}")
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         self.layer_sizes = layer_sizes
-        self.activation = activation
         if rng is None:
             rng = np.random.default_rng(0)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            s = init_scale * np.sqrt(6.0 / (fan_in + fan_out))
+            s = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
             self.biases.append(np.zeros(fan_out))
 
@@ -118,7 +94,7 @@ class Mlp:
         for k in range(self.n_layers):
             z = a @ self.weights[k].T + self.biases[k]
             zs.append(z)
-            a = _act(self.activation, z) if k < self.n_layers - 1 else z
+            a = np.maximum(z, 0.0) if k < self.n_layers - 1 else z
             if k < self.n_layers - 1:
                 inputs.append(a)
         cache = {"inputs": inputs, "zs": zs, "squeeze": squeeze}
@@ -137,7 +113,7 @@ class Mlp:
         grads = [None] * self.n_layers
         for k in range(self.n_layers - 1, -1, -1):
             if k < self.n_layers - 1:
-                g = g * _act_grad(self.activation, cache["zs"][k])
+                g = g * (cache["zs"][k] > 0.0)
             a_in = cache["inputs"][k]
             dw = g.T @ a_in
             db = g.sum(axis=0)
@@ -217,7 +193,7 @@ class Mlp:
         payload = {
             "format": CHECKPOINT_FORMAT,
             "layer_sizes": self.layer_sizes,
-            "activation": self.activation,
+            "activation": ACTIVATION,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -230,7 +206,9 @@ class Mlp:
             payload = json.load(fh)
         if payload.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format: {payload.get('format')!r}")
-        net = cls(payload["layer_sizes"], activation=payload["activation"])
+        if payload.get("activation") != ACTIVATION:
+            raise ValueError(f"unsupported activation: {payload.get('activation')!r}")
+        net = cls(payload["layer_sizes"])
         net.weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
         net.biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
         return net
@@ -238,9 +216,8 @@ class Mlp:
 
 def copy_weights(src: Mlp, dst: Mlp) -> None:
     """Copy all parameters from ``src`` into ``dst`` (architectures must match)."""
-    if src.layer_sizes != dst.layer_sizes or src.activation != dst.activation:
+    if src.layer_sizes != dst.layer_sizes:
         raise ValueError(
-            f"architecture mismatch: {src.layer_sizes}/{src.activation} vs "
-            f"{dst.layer_sizes}/{dst.activation}")
+            f"architecture mismatch: {src.layer_sizes} vs {dst.layer_sizes}")
     dst.weights = [w.copy() for w in src.weights]
     dst.biases = [b.copy() for b in src.biases]

@@ -196,7 +196,8 @@ SPARSE_OUTBOUND_HOURS = (7, 8, 15, 16)
 _SPARSE_DECAY_MILES = 0.55
 
 
-def sparse_preset(n_days: int = 1, day_type: str = WEEKDAY) -> SyntheticDemandSpec:
+def sparse_preset(n_days: int = 1, noisy: bool = False,
+                  day_type: str = WEEKDAY) -> SyntheticDemandSpec:
     """Quiet larger box, ~8 trips/hour, demand decaying away from a corner hub.
 
     Trips are short hops except during the outbound hours, when they become
@@ -204,7 +205,11 @@ def sparse_preset(n_days: int = 1, day_type: str = WEEKDAY) -> SyntheticDemandSp
     its pickups and into near-dead territory. Serving (and especially
     carpooling) that demand looks locally attractive but costs hours of
     stranded recovery; the steady income is the hub's short-trip churn.
+
+    There is no noisy variant; ``noisy=True`` raises ``ValueError``.
     """
+    if noisy:
+        raise ValueError("the sparse preset has no noisy variant")
     grid = GridSpec(origin_corner=SPARSE_REGION.lower_left)
     n = 20
     hub = SPARSE_HUB_CELLS

@@ -167,9 +167,6 @@ class TripStore:
     def records(self) -> tuple[TripRecord, ...]:
         return self._by_day[WEEKDAY] + self._by_day[WEEKEND]
 
-    def day_records(self, day_type: str) -> tuple[TripRecord, ...]:
-        return self._by_day[day_type]
-
     def query_window(self, t0: float, t1: float, day_type: str) -> list[TripRecord]:
         """Trips of the given day type with pickup seconds in [t0, t1],
         ascending by pickup time."""

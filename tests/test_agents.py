@@ -400,17 +400,3 @@ class TestTrainingLoops:
         result = train_tabular(env, table, GRID, 3, seed=0)
         assert len(result.mean_q) == 3
         assert len(table.values) > 0
-
-    def test_learning_curve_export(self, tmp_path):
-        import csv as csv_mod
-        from carpool_rl.agents import save_learning_curves
-        env = make_env(self._demand(np.random.default_rng(4)))
-        agent = make_agent()
-        result = train_dqn(env, agent, 2, seed=0)
-        path = tmp_path / "curves.csv"
-        save_learning_curves(result, path)
-        with open(path, newline="") as fh:
-            rows = list(csv_mod.reader(fh))
-        assert rows[0] == ["episode", "mean_q", "loss", "cumulative_reward"]
-        assert len(rows) == 3
-        assert float(rows[1][3]) == result.episode_rewards[0]

@@ -45,6 +45,13 @@ class TestDataCommands:
         assert payload["rejected"] == 0
         assert payload["kept"] > 0
 
+    def test_synth_sparse_noisy_fails(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "data", "synth", "--preset", "sparse",
+                                 "--noisy", "--out", str(tmp_path))
+        assert code != 0 and out == ""
+        assert "noisy" in json.loads(err)["message"]
+        assert not os.listdir(tmp_path)
+
     def test_failure_emits_error_json(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "data", "ingest", "--csv",
                                  str(tmp_path / "missing.csv"))
@@ -72,6 +79,23 @@ class TestTrainAndEval:
         code, out, _ = run_cli(capsys, "train", "fixed", "--config", str(cfg))
         assert code == 0
         assert "mean_cumulative_reward" in json.loads(out)
+
+    def test_train_curves_match_eval_curves(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
+        for policy in ("tabq", "dqn"):
+            code, _, _ = run_cli(capsys, "train", policy, "--config", str(cfg),
+                                 "--out", str(train_dir))
+            assert code == 0
+        code, _, _ = run_cli(capsys, "eval", "--config", str(cfg),
+                             "--out", str(eval_dir))
+        assert code == 0
+        names = sorted(os.listdir(train_dir / "curves"))
+        assert names == sorted(os.listdir(eval_dir / "curves"))
+        assert len(names) == 5
+        for name in names:
+            assert ((train_dir / "curves" / name).read_bytes()
+                    == (eval_dir / "curves" / name).read_bytes()), name
 
     def test_eval_then_report(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from carpool_rl.eta import (ConstantSpeedEta, EtaArch, EtaEstimate, EtaQuery,
-                            HistoricalMeanEta, JointEtaModel, ModelEta,
-                            compute_metrics, evaluate, query_from_trip,
-                            train_joint_eta, train_linear_time,
-                            train_time_only)
+                            JointEtaModel, ModelEta, compute_metrics,
+                            evaluate, query_from_trip, train_joint_eta,
+                            train_linear_time, train_time_only)
 from carpool_rl.geo import GeoPoint, GridSpec, OutOfGridError, haversine_miles
 from carpool_rl.nn import TrainConfig
 from carpool_rl.trips import TripRecord, TripStore
@@ -225,27 +224,6 @@ class TestTimeOnlyBaseline:
         b = train_time_only(store, GRID, cfg, hidden=(8,))
         q = query_from_trip(store.records[0])
         assert a.predict(q) == b.predict(q)
-
-
-class TestHistoricalMean:
-    def test_single_match(self):
-        trip = make_trip((40.71, -74.0), (40.73, -73.98), 500, 600.0, 1.5)
-        hist = HistoricalMeanEta(TripStore([trip]), GRID)
-        est = hist.estimate(query_from_trip(trip))
-        assert est == EtaEstimate(600.0, 1.5)
-
-    def test_two_matches_average(self):
-        t1 = make_trip((40.71, -74.0), (40.73, -73.98), 500, 600.0, 1.0)
-        t2 = make_trip((40.71, -74.0), (40.73, -73.98), 550, 800.0, 2.0)
-        hist = HistoricalMeanEta(TripStore([t1, t2]), GRID)
-        est = hist.estimate(query_from_trip(t1))
-        assert est == EtaEstimate(700.0, 1.5)
-
-    def test_no_match_returns_none(self):
-        trip = make_trip((40.71, -74.0), (40.73, -73.98), 500, 600.0)
-        hist = HistoricalMeanEta(TripStore([trip]), GRID)
-        q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 50000.0)
-        assert hist.estimate(q) is None
 
 
 class TestEvaluate:

@@ -74,6 +74,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_non_object_section_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dqn": 5}))
+        with pytest.raises(ConfigError, match="dqn"):
+            load_config(path)
+        path.write_text(json.dumps([1, 2]))
+        with pytest.raises(ConfigError, match="config"):
+            load_config(path)
+
     def test_csv_kind_requires_path(self):
         with pytest.raises(ConfigError):
             DataConfig.from_dict({"kind": "csv"})
@@ -93,6 +102,12 @@ class TestPrepareData:
         with pytest.raises(ConfigError):
             prepare_data(cfg)
 
+    def test_sparse_noisy_rejected(self, tmp_path):
+        cfg = tiny_policy_config(tmp_path, preset="sparse")
+        cfg.data.noisy = True
+        with pytest.raises(ValueError, match="noisy"):
+            prepare_data(cfg)
+
 
 class TestEmitCurves:
     def test_schema_and_idempotence(self, tmp_path):
@@ -107,6 +122,10 @@ class TestEmitCurves:
         assert validate_curve_csv(paths["dqn_mean_q_weekday_seed0"]) == 3
         again = emit_curves(curves, tmp_path)
         assert open(again["dqn_mean_q_weekday_seed0"]).read() == text
+
+    def test_unknown_curve_name_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="epsilon_weekday"):
+            emit_curves({"epsilon_weekday": [1.0]}, tmp_path)
 
     def test_validation_catches_garbage(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,13 +129,6 @@ class TestGradientCheck:
             w[:] = 0.0
         assert net.gradient_check([[0.0, 0.0]], [[0.0]]) < 1e-7
 
-    def test_tanh_net(self):
-        rng = np.random.default_rng(102)
-        net = Mlp([3, 5, 1], activation="tanh", rng=rng)
-        x = rng.normal(size=(2, 3))
-        y = rng.normal(size=(2, 1))
-        assert net.gradient_check(x, y) < 1e-4
-
 
 class TestCopyWeights:
     def test_forward_agreement_after_copy(self):
@@ -204,6 +199,16 @@ class TestDeterminismAndSerialization:
         with pytest.raises(ValueError):
             Mlp.load(path)
 
+    def test_load_rejects_non_relu_activation(self, tmp_path):
+        path = tmp_path / "net.json"
+        Mlp([2, 3, 1]).save(path)
+        payload = json.loads(path.read_text())
+        assert payload["activation"] == "relu"
+        payload["activation"] = "tanh"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="activation"):
+            Mlp.load(path)
+
 
 class TestTrainConfig:
     def test_validation(self):
@@ -211,5 +216,3 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(weight_init_scale=0.0)

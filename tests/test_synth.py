@@ -96,6 +96,10 @@ class TestSpecValidation:
         assert spec.intensity[:10, :10].sum() > 0.6 * 8.0
         assert spec.intensity[-1, -1] < spec.intensity[2, 2] / 50
 
+    def test_sparse_has_no_noisy_variant(self):
+        with pytest.raises(ValueError, match="noisy"):
+            sparse_preset(noisy=True)
+
     def test_sparse_outbound_hours_long_trips(self):
         spec = sparse_preset()
         assert spec.hourly_length_multiplier[7] == 4.0
