@@ -21,7 +21,7 @@ import numpy as np
 
 from .geo import Bbox, GridSpec, SECONDS_PER_DAY, bin_location, bin_time
 from .nn import Mlp, TrainConfig, copy_weights
-from .simulator import Action, CarpoolEnv, DriverState, Transition, _as_rng
+from .simulator import Action, CarpoolEnv, DriverState, Transition, as_rng
 
 Policy = Callable[[DriverState], Action]
 
@@ -302,7 +302,7 @@ def train_dqn(env: CarpoolEnv, agent: DqnAgent, episodes: int,
     """Epsilon-greedy rollouts feeding the replay, one train step per
     environment step once the replay holds a full batch, with periodic
     target sync."""
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     mean_q, losses, rewards = [], [], []
     for _ in range(episodes):
         state = env.reset(rng)
@@ -342,7 +342,7 @@ def train_tabular(env: CarpoolEnv, table: QTable, grid: GridSpec,
                   episodes: int, seed=None,
                   epsilon: EpsilonSchedule = EpsilonSchedule()) -> TabularTrainResult:
     """Epsilon-greedy tabular Q-learning over grid cells."""
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     mean_q, rewards = [], []
     step = 0
     for _ in range(episodes):

@@ -15,6 +15,7 @@ its hidden layers.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -355,8 +356,9 @@ def train_linear_time(train) -> LinearTimeModel:
     records = _records(train)
     if not records:
         raise ValueError("empty training set")
-    x_stats = Standardizer.fit(_raw_features([query_from_trip(r) for r in records]))
-    x = x_stats.transform(_raw_features([query_from_trip(r) for r in records]))
+    raw = _raw_features([query_from_trip(r) for r in records])
+    x_stats = Standardizer.fit(raw)
+    x = x_stats.transform(raw)
     design = np.concatenate([np.ones((len(records), 1)), x], axis=1)
     y = np.array([r.duration for r in records], dtype=float)
     xtx = design.T @ design
@@ -432,11 +434,33 @@ class ConstantSpeedEta:
 
 
 class ModelEta:
-    """Adapter exposing a trained joint model as a TravelTimeSource."""
+    """Adapter exposing a trained joint model as a TravelTimeSource.
+
+    The joint model sees a leg only through its binned endpoints and its
+    time bin (weekend offset included), so the travel time is a pure
+    function of the key ``(oi, oj, di, dj, time_bin)``. Each key is
+    predicted once, with the one-row ``model.predict``, and the float is
+    memoized for the adapter's life, so repeat legs return bit-identical
+    values. The key is binned on every call, so out-of-grid points and
+    seconds-of-day outside [0, 86400) still raise. A non-finite prediction
+    raises ``ValueError`` naming its key.
+    """
 
     def __init__(self, model: JointEtaModel):
         self.model = model
+        self._memo: dict[tuple[int, int, int, int, int], float] = {}
 
     def travel_time(self, origin, destination, seconds_of_day, is_weekend) -> float:
-        q = EtaQuery(origin, destination, seconds_of_day, is_weekend)
-        return self.model.predict(q).travel_time
+        grid = self.model.grid
+        oi, oj, _ = bin_location(origin, grid)
+        di, dj, _ = bin_location(destination, grid)
+        key = (oi, oj, di, dj, bin_time(seconds_of_day, is_weekend, grid))
+        t = self._memo.get(key)
+        if t is None:
+            q = EtaQuery(origin, destination, seconds_of_day, is_weekend)
+            t = self.model.predict(q).travel_time
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite travel time {t} for cell key "
+                                 f"(oi, oj, di, dj, time_bin) = {key}")
+            self._memo[key] = t
+        return t

@@ -279,8 +279,10 @@ def run_policy_experiment(cfg: ExperimentConfig) -> EvalReport:
     report = EvalReport(config=cfg.to_dict())
     curve_data: dict[str, list[float]] = {}
 
+    # One travel-time source for every day type: the time bin carries the
+    # weekend offset, so weekday and weekend legs never share a memo key.
+    eta_source = build_eta_source(cfg, data, cfg.seeds[0])
     for day_type in cfg.day_types:
-        eta_source = build_eta_source(cfg, data, cfg.seeds[0])
         env = build_env(cfg, data, eta_source, day_type)
         per_policy: dict[str, list[float]] = {p: [] for p in POLICY_NAMES}
 

@@ -142,7 +142,8 @@ def extra_travel_times(leg_time: Callable[[GeoPoint, GeoPoint], float],
                             total_one, total_two, chosen)
 
 
-def _as_rng(seed) -> np.random.Generator:
+def as_rng(seed) -> np.random.Generator:
+    """``seed`` itself when it is a Generator, else a new one seeded by it."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -165,12 +166,17 @@ class CarpoolEnv:
         self._n_lon = int(np.floor(span_lon / config.grid.cell_lon + 1e-9))
         if self._n_lat < 1 or self._n_lon < 1:
             raise ValueError("region smaller than one grid cell")
+        # The searches made for the last state asked about; see
+        # _first_assignment. The second-trip candidates stay None until used.
+        self._searched: Optional[DriverState] = None
+        self._trip1: Optional[TripRecord] = None
+        self._candidates: Optional[list[TripRecord]] = None
 
     # -- episode control ---------------------------------------------------
 
     def reset(self, seed=None) -> DriverState:
         """Start a new day: time 0, location uniform over the region's cells."""
-        rng = _as_rng(seed)
+        rng = as_rng(seed)
         i = int(rng.integers(self._n_lat))
         j = int(rng.integers(self._n_lon))
         origin = self.config.grid.origin_corner
@@ -210,14 +216,13 @@ class CarpoolEnv:
         return self._finish(state, Action.TAKE_ONE, trip.distance, nxt, info)
 
     def take_two(self, state: DriverState) -> Transition:
-        trip1 = self._first_assignment(state)
-        if trip1 is None:
-            return self._fallback(state, Action.TAKE_TWO)
-        candidates = self._second_candidates(state, trip1)
+        candidates = self._second_candidates(state)
         if not candidates:
-            # Literal rollback: a failed second assignment yields nothing.
+            # Literal rollback: a failed second assignment yields nothing,
+            # as does a missing first trip.
             return self._fallback(state, Action.TAKE_TWO)
 
+        trip1 = self._first_assignment(state)
         t_o1 = trip1.pickup_seconds
         best_trip, best_ett = None, None
         for cand in candidates:  # ascending pickup time; first minimum wins
@@ -254,14 +259,35 @@ class CarpoolEnv:
         return self._first_assignment(state) is not None
 
     def can_take_two(self, state: DriverState) -> bool:
-        trip1 = self._first_assignment(state)
-        if trip1 is None:
-            return False
-        return bool(self._second_candidates(state, trip1))
+        return bool(self._second_candidates(state))
 
     # -- internals -----------------------------------------------------------
 
     def _first_assignment(self, state: DriverState) -> Optional[TripRecord]:
+        """The state's first trip, searched at most once per state.
+
+        The searches for the last state asked about are kept, so a probe
+        followed by ``step`` on the same state searches once. States are
+        frozen and the store and ETA source are fixed for the env's life, so
+        a kept search equals a fresh one.
+        """
+        if state is not self._searched:
+            self._searched = state
+            self._trip1 = self._search_first(state)
+            self._candidates = None
+        return self._trip1
+
+    def _second_candidates(self, state: DriverState) -> list[TripRecord]:
+        """Second-trip candidates for the state's first trip (empty when
+        there is none), searched at most once per state."""
+        trip1 = self._first_assignment(state)
+        if trip1 is None:
+            return []
+        if self._candidates is None:
+            self._candidates = self._search_second(state, trip1)
+        return self._candidates
+
+    def _search_first(self, state: DriverState) -> Optional[TripRecord]:
         """Earliest-pickup trip in the search window the taxi can reach in time."""
         t0 = state.time_of_day
         window = self.store.query_window(t0, t0 + self.config.search_window,
@@ -273,8 +299,8 @@ class CarpoolEnv:
                 return trip
         return None
 
-    def _second_candidates(self, state: DriverState,
-                           trip1: TripRecord) -> list[TripRecord]:
+    def _search_second(self, state: DriverState,
+                       trip1: TripRecord) -> list[TripRecord]:
         """Trips reachable from the first pickup within the carpool window."""
         t_o1 = trip1.pickup_seconds
         horizon = t_o1 + self.config.carpool_fraction * trip1.duration

@@ -253,6 +253,87 @@ class TestTravelTimeSources:
         assert src.travel_time(a, b, 800.0, False) == model.predict(q).travel_time
 
 
+def counting_predictions(model, monkeypatch):
+    """Record the queries of the model's one-row predictions in a list."""
+    calls = []
+    predict = model.predict
+
+    def counted(q):
+        calls.append(q)
+        return predict(q)
+
+    monkeypatch.setattr(model, "predict", counted)
+    return calls
+
+
+class TestModelEtaMemo:
+    model = None
+
+    @classmethod
+    def setup_class(cls):
+        cls.model = TestJointModel._small_model()
+
+    def test_points_in_one_cell_share_a_value(self, monkeypatch):
+        src = ModelEta(self.model)
+        calls = counting_predictions(self.model, monkeypatch)
+        b = GeoPoint(40.73, -73.98)
+        # both points bin to cell (5, 10) of GRID
+        first = src.travel_time(GeoPoint(40.7101, -74.0), b, 800.0, False)
+        second = src.travel_time(GeoPoint(40.7109, -73.9991), b, 800.0, False)
+        assert len(calls) == 1
+        assert np.float64(first).tobytes() == np.float64(second).tobytes()
+        q = EtaQuery(GeoPoint(40.7109, -73.9991), b, 800.0, False)
+        assert second == self.model.predict(q).travel_time
+
+    def test_weekday_and_weekend_use_different_keys(self, monkeypatch):
+        src = ModelEta(self.model)
+        calls = counting_predictions(self.model, monkeypatch)
+        a, b = GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98)
+        weekday = src.travel_time(a, b, 800.0, False)
+        weekend = src.travel_time(a, b, 800.0, True)
+        assert [q.is_weekend for q in calls] == [False, True]
+        assert weekday == self.model.predict(EtaQuery(a, b, 800.0, False)).travel_time
+        assert weekend == self.model.predict(EtaQuery(a, b, 800.0, True)).travel_time
+
+    def test_repeated_calls_equal_predict(self):
+        src = ModelEta(self.model)
+        rng = np.random.default_rng(3)
+        queries = [EtaQuery(GeoPoint(float(rng.uniform(40.70, 40.75)),
+                                     float(rng.uniform(-74.02, -73.96))),
+                            GeoPoint(float(rng.uniform(40.70, 40.75)),
+                                     float(rng.uniform(-74.02, -73.96))),
+                            float(rng.uniform(0, 86400)), bool(rng.integers(2)))
+                   for _ in range(30)]
+        for _ in range(3):
+            for q in queries:
+                got = src.travel_time(q.origin, q.destination,
+                                      q.seconds_of_day, q.is_weekend)
+                assert got == self.model.predict(q).travel_time
+
+    def test_bad_inputs_raise_after_caching(self):
+        src = ModelEta(self.model)
+        a, b = GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98)
+        for t in (0.0, 800.0, 86399.0):
+            src.travel_time(a, b, t, False)
+        with pytest.raises(OutOfGridError):
+            src.travel_time(GeoPoint(40.60, -74.0), b, 800.0, False)
+        with pytest.raises(OutOfGridError):
+            src.travel_time(a, GeoPoint(40.73, -74.10), 800.0, False)
+        for t in (-1.0, 86400.0, 90000.0):
+            with pytest.raises(ValueError, match="seconds_of_day"):
+                src.travel_time(a, b, t, False)
+
+    def test_non_finite_prediction_rejected(self):
+        store = synthetic_store(60, seed=7)
+        model = train_joint_eta(store, GRID, TrainConfig(epochs=1, seed=3),
+                                EtaArch((4,), (4,)))
+        model.time_net.weights[-1][0, 0] = np.nan
+        src = ModelEta(model)
+        with pytest.raises(ValueError, match=r"non-finite .*\(5, 10, 15, 20, 1\)"):
+            src.travel_time(GeoPoint(40.7101, -74.0), GeoPoint(40.7301, -73.98),
+                            800.0, False)
+
+
 def corrupt_durations(store, fraction, factor, seed):
     """Re-inject meter-glitch style outliers: a small share of rows gets a
     wildly wrong duration."""

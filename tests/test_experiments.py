@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from carpool_rl import experiments
 from carpool_rl.config import (DataConfig, DqnConfig, EtaConfig,
                                ExperimentConfig, TabQConfig, load_config,
                                parse_region, apply_overrides)
@@ -201,3 +202,32 @@ class TestPolicyExperiment:
         cfg.eta = EtaConfig(kind="joint", epochs=2)
         report = run_policy_experiment(cfg)
         assert report.policies["fixed"]["weekday"]["mean"] >= 0
+
+    def test_joint_eta_trained_once_for_both_day_types(self, tmp_path,
+                                                       monkeypatch):
+        fits = []
+        train, build_env = experiments.train_joint_eta, experiments.build_env
+
+        def counted_train(*args, **kwargs):
+            fits.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_joint_eta", counted_train)
+        cfg = tiny_policy_config(tmp_path / "shared")
+        cfg.day_types = ["weekday", "weekend"]
+        cfg.eta = EtaConfig(kind="joint", epochs=2)
+        shared = run_policy_experiment(cfg)
+        assert len(fits) == 1
+
+        # The same run with a model trained afresh for each day type.
+        def env_with_own_model(cfg, data, eta_source, day_type):
+            own = experiments.build_eta_source(cfg, data, cfg.seeds[0])
+            return build_env(cfg, data, own, day_type)
+
+        monkeypatch.setattr(experiments, "build_env", env_with_own_model)
+        cfg.out_dir = str(tmp_path / "own")
+        own = run_policy_experiment(cfg)
+        assert len(fits) == 4
+        assert shared.policies == own.policies
+        for name, path in shared.curves.items():
+            assert open(path).read() == open(own.curves[name]).read()

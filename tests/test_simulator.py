@@ -4,12 +4,16 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from carpool_rl.eta import ConstantSpeedEta
+from carpool_rl.agents import FixedPolicy, evaluate_policy, run_episode
+from carpool_rl.eta import (ConstantSpeedEta, EtaArch, EtaQuery, ModelEta,
+                            train_joint_eta)
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
+from carpool_rl.nn import TrainConfig
 from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
                                   EpisodeOver, PATH_ONE, PATH_TWO,
                                   extra_travel_times, write_trace_jsonl)
-from carpool_rl.trips import TripRecord, TripStore
+from carpool_rl.synth import dense_preset, generate_synthetic
+from carpool_rl.trips import TripRecord, TripStore, ingest_csv
 
 REGION = Bbox(40.715, 40.735, -74.0094, -73.9894)
 GRID = GridSpec(origin_corner=REGION.lower_left)
@@ -367,6 +371,81 @@ class TestInvariants:
             if tr.done:
                 break
         assert steps <= 86400 / min(env.config.wait_delay, 1.0)
+
+
+class CountingEta:
+    """Constant-speed legs, counting each query."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def travel_time(self, origin, destination, seconds_of_day, is_weekend):
+        self.calls += 1
+        return SPEED.travel_time(origin, destination, seconds_of_day, is_weekend)
+
+
+class TestSearchReuse:
+    def test_probes_then_step_search_once(self):
+        trip1, trip2 = TestTakeTwo().trips_for_carpool()
+        s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
+        cfg = EnvConfig(region=REGION, grid=GRID)
+        for action in (Action.TAKE_ONE, Action.TAKE_TWO):
+            fresh_eta, probed_eta = CountingEta(), CountingEta()
+            fresh = CarpoolEnv(TripStore([trip1, trip2]), fresh_eta, cfg)
+            probed = CarpoolEnv(TripStore([trip1, trip2]), probed_eta, cfg)
+            expected = fresh.step(s, action)
+            assert probed.can_take_one(s) and probed.can_take_two(s)
+            assert probed.step(s, action) == expected
+            assert probed_eta.calls == fresh_eta.calls + (
+                1 if action == Action.TAKE_ONE else 0)  # the unused second search
+
+    def test_new_state_searches_again(self):
+        trip1, trip2 = TestTakeTwo().trips_for_carpool()
+        env = make_env([trip1, trip2])
+        early = DriverState(GeoPoint(40.72, -74.0), 1000.0)
+        late = DriverState(GeoPoint(40.72, -74.0), 1300.0)  # trip1 is gone
+        assert env.can_take_two(early)
+        assert not env.can_take_two(late)
+        assert env.step(late, Action.TAKE_ONE).info.trips == (trip2,)
+        assert env.step(early, Action.TAKE_TWO).reward == 5.0
+
+
+class UnmemoizedEta:
+    """The joint model's one-row prediction for every leg, with no memo."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def travel_time(self, origin, destination, seconds_of_day, is_weekend):
+        q = EtaQuery(origin, destination, seconds_of_day, is_weekend)
+        return self.model.predict(q).travel_time
+
+
+class TestLearnedEta:
+    def test_memoized_episodes_match_unmemoized(self, tmp_path):
+        spec = dense_preset(n_days=1, noisy=True)
+        path = tmp_path / "trips.csv"
+        generate_synthetic(spec, 3, path)
+        store, _, _ = ingest_csv(path)
+        model = train_joint_eta(store, spec.grid,
+                                TrainConfig(batch_size=64, epochs=2, seed=0),
+                                EtaArch((16, 16), (16,)))
+        cfg = EnvConfig(region=spec.region, grid=spec.grid)
+        memo_env = CarpoolEnv(store, ModelEta(model), cfg)
+        plain_env = CarpoolEnv(store, UnmemoizedEta(model), cfg)
+        memo_mean, memo_totals = evaluate_policy(
+            memo_env, FixedPolicy(memo_env), 2, seed=4)
+        plain_mean, plain_totals = evaluate_policy(
+            plain_env, FixedPolicy(plain_env), 2, seed=4)
+        assert memo_totals == plain_totals and memo_mean == plain_mean
+        assert memo_mean > 0
+        for ep in range(2):
+            memo = run_episode(memo_env, FixedPolicy(memo_env),
+                               np.random.default_rng([4, ep]))
+            plain = run_episode(plain_env, FixedPolicy(plain_env),
+                                np.random.default_rng([4, ep]))
+            assert memo.transitions == plain.transitions
+            assert memo.cumulative_reward == memo_totals[ep]
 
 
 class TestTraceExport:
