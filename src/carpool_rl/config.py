@@ -8,6 +8,7 @@ whole-experiment reruns bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -119,6 +120,8 @@ class EtaConfig(ConfigSection):
     def __post_init__(self):
         if self.kind not in ("speed", "joint"):
             raise ConfigError(f"eta.kind must be speed or joint: {self.kind!r}")
+        if not 0 < self.speed_mph < math.inf:  # false for nan as well
+            raise ConfigError(f"eta.speed_mph must be finite and positive: {self.speed_mph}")
 
 
 @dataclass
@@ -162,8 +165,16 @@ class ExperimentConfig(ConfigSection):
     tabq: TabQConfig = field(default_factory=TabQConfig)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("config.seeds must list at least one seed")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(type(s) is int for s in self.seeds)):
+            raise ConfigError(f"config.seeds must be a non-empty list of ints: {self.seeds!r}")
+        if self.eval_episodes < 1:
+            raise ConfigError(f"config.eval_episodes must be at least 1: {self.eval_episodes}")
+        for sec in (self.dqn, self.tabq):
+            if sec.train_episodes < 0:
+                raise ConfigError(f"{sec.section}.train_episodes must be non-negative")
+        if self.dqn.batch_size > self.dqn.replay_capacity:  # else it never trains
+            raise ConfigError("dqn.batch_size must not exceed dqn.replay_capacity")
         if not self.day_types or any(d not in ("weekday", "weekend")
                                      for d in self.day_types):
             raise ConfigError(f"bad day_types: {self.day_types}")

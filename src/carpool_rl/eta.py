@@ -366,9 +366,8 @@ def train_linear_time(train) -> LinearTimeModel:
     try:
         coef = np.linalg.solve(xtx, xty)
     except np.linalg.LinAlgError:
-        lam = 1e-8 * np.trace(xtx) / xtx.shape[0]
-        coef = np.linalg.solve(xtx + lam * np.eye(xtx.shape[0]), xty)
-    if not np.all(np.isfinite(coef)):
+        coef = None
+    if coef is None or not np.all(np.isfinite(coef)):
         lam = 1e-8 * np.trace(xtx) / xtx.shape[0]
         coef = np.linalg.solve(xtx + lam * np.eye(xtx.shape[0]), xty)
     return LinearTimeModel(x_stats, coef)
@@ -425,8 +424,8 @@ class ConstantSpeedEta:
     deterministic simulator backend."""
 
     def __init__(self, speed_mph: float):
-        if speed_mph <= 0:
-            raise ValueError("speed must be positive")
+        if not 0 < speed_mph < math.inf:  # false for nan as well
+            raise ValueError(f"speed must be finite and positive: {speed_mph!r}")
         self.speed_mph = speed_mph
 
     def travel_time(self, origin, destination, seconds_of_day, is_weekend) -> float:

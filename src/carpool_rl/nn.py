@@ -50,15 +50,12 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
-        layer_sizes = [int(n) for n in layer_sizes]
-        if len(layer_sizes) < 2 or any(n <= 0 for n in layer_sizes):
-            raise ValueError(f"bad layer sizes: {layer_sizes}")
-        self.layer_sizes = layer_sizes
+        self.layer_sizes = _checked_sizes(layer_sizes)
         if rng is None:
             rng = np.random.default_rng(0)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             s = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
             self.biases.append(np.zeros(fan_out))
@@ -208,10 +205,26 @@ class Mlp:
             raise ValueError(f"unsupported checkpoint format: {payload.get('format')!r}")
         if payload.get("activation") != ACTIVATION:
             raise ValueError(f"unsupported activation: {payload.get('activation')!r}")
-        net = cls(payload["layer_sizes"])
+        net = cls.__new__(cls)  # no random init: every array comes from the file
+        net.layer_sizes = _checked_sizes(payload["layer_sizes"])
         net.weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
         net.biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
+        n = len(net.layer_sizes) - 1
+        if len(net.weights) != n or len(net.biases) != n:
+            raise ValueError(f"checkpoint needs {n} weight and {n} bias arrays")
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            want = (net.layer_sizes[k + 1], net.layer_sizes[k])
+            if w.shape != want or b.shape != want[:1]:
+                raise ValueError(f"layer {k} weights {w.shape} and biases "
+                                 f"{b.shape} do not match {want} and {want[:1]}")
         return net
+
+
+def _checked_sizes(layer_sizes) -> list[int]:
+    sizes = [int(n) for n in layer_sizes]
+    if len(sizes) < 2 or any(n <= 0 for n in sizes):
+        raise ValueError(f"bad layer sizes: {sizes}")
+    return sizes
 
 
 def copy_weights(src: Mlp, dst: Mlp) -> None:

@@ -8,10 +8,13 @@ environment: the first trip is the earliest reachable pickup inside the
 search window, and the carpool's second trip minimizes the passengers' total
 extra travel time over the two possible dropoff orderings.
 
-Leg travel times come from the historical record when the leg is an actual
-recorded trip ((O1, D1) or (O2, D2)) and from the configured travel-time
-source otherwise. Rewards are effective distance: the sum of the served
-trips' recorded distances, in miles; zero whenever nothing was served.
+Each carpool leg time is taken by its role in the route: each passenger's
+solo leg (O1 -> D1, O2 -> D2) is that trip's recorded duration, and the
+four connecting legs are estimated by the configured travel-time source at
+the first pickup time. No leg is looked up by its coordinates, so two trips
+with equal endpoints keep their own durations. Rewards are effective
+distance: the sum of the served trips' recorded distances, in miles; zero
+whenever nothing was served.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .geo import Bbox, GeoPoint, GridSpec
+from .geo import Bbox, GeoPoint, GridSpec, SECONDS_PER_DAY
 from .trips import DAY_TYPES, TripRecord, TripStore, WEEKDAY, WEEKEND
 
 PATH_ONE = "I"    # drop the first passenger first: O1 -> O2 -> D1 -> D2
@@ -67,7 +70,6 @@ class EnvConfig:
     search_window: float = 600.0     # pickup-time window for the first trip
     carpool_fraction: float = 0.5    # second window as a fraction of trip 1's duration
     wait_delay: float = 600.0        # clock advance when waiting / nothing found
-    episode_end: float = 86400.0
     day_type: str = WEEKDAY
 
     def __post_init__(self):
@@ -117,22 +119,17 @@ class ExtraTravelTimes:
     chosen: str  # PATH_ONE iff total_one < total_two, else PATH_TWO
 
 
-def extra_travel_times(leg_time: Callable[[GeoPoint, GeoPoint], float],
-                       o1: GeoPoint, d1: GeoPoint,
-                       o2: GeoPoint, d2: GeoPoint) -> ExtraTravelTimes:
-    """Evaluate both carpool dropoff orderings for the two passenger trips.
+def extra_travel_times(t_o1_d1: float, t_o2_d2: float, t_o1_o2: float,
+                       t_o2_d1: float, t_d1_d2: float,
+                       t_d2_d1: float) -> ExtraTravelTimes:
+    """Evaluate both carpool dropoff orderings from the six leg times.
 
-    ``leg_time`` must return the recorded duration for the two actual trips
-    (o1, d1) and (o2, d2) and an estimate for every other leg.
+    ``t_o1_d1`` and ``t_o2_d2`` are the passengers' solo times; the other
+    four are the connecting legs, named by their endpoints.
     """
-    t_o1_d1 = leg_time(o1, d1)
-    t_o2_d2 = leg_time(o2, d2)
-    t_o1_o2 = leg_time(o1, o2)
-    t_o2_d1 = leg_time(o2, d1)
-
     ext1_p1 = t_o1_o2 + t_o2_d1 - t_o1_d1
-    ext1_p2 = t_o2_d1 + leg_time(d1, d2) - t_o2_d2
-    ext2_p1 = t_o1_o2 + t_o2_d2 + leg_time(d2, d1) - t_o1_d1
+    ext1_p2 = t_o2_d1 + t_d1_d2 - t_o2_d2
+    ext2_p1 = t_o1_o2 + t_o2_d2 + t_d2_d1 - t_o1_d1
     ext2_p2 = 0.0
 
     total_one = ext1_p1 + ext1_p2
@@ -185,7 +182,7 @@ class CarpoolEnv:
         return DriverState(loc, 0.0, self.config.day_type)
 
     def step(self, state: DriverState, action: Action) -> Transition:
-        if state.time_of_day >= self.config.episode_end:
+        if state.time_of_day >= SECONDS_PER_DAY:
             raise EpisodeOver(
                 f"episode already over at t={state.time_of_day}")
         if action == Action.WAIT:
@@ -199,15 +196,12 @@ class CarpoolEnv:
     # -- actions -----------------------------------------------------------
 
     def wait(self, state: DriverState) -> Transition:
-        nxt = DriverState(state.location,
-                          state.time_of_day + self.config.wait_delay,
-                          state.day_type)
-        return self._finish(state, Action.WAIT, 0.0, nxt, TransitionInfo())
+        return self._idle(state, Action.WAIT)
 
     def take_one(self, state: DriverState) -> Transition:
         trip = self._first_assignment(state)
         if trip is None:
-            return self._fallback(state, Action.TAKE_ONE)
+            return self._idle(state, Action.TAKE_ONE)
         nxt = DriverState(trip.destination,
                           max(trip.dropoff_seconds,
                               state.time_of_day + _MIN_PROGRESS),
@@ -220,37 +214,37 @@ class CarpoolEnv:
         if not candidates:
             # Literal rollback: a failed second assignment yields nothing,
             # as does a missing first trip.
-            return self._fallback(state, Action.TAKE_TWO)
+            return self._idle(state, Action.TAKE_TWO)
 
         trip1 = self._first_assignment(state)
         t_o1 = trip1.pickup_seconds
-        best_trip, best_ett = None, None
-        for cand in candidates:  # ascending pickup time; first minimum wins
-            ett = extra_travel_times(self._leg_fn(state, trip1, cand),
-                                     trip1.origin, trip1.destination,
-                                     cand.origin, cand.destination)
-            if best_ett is None or (ett.total_one + ett.total_two
-                                    < best_ett.total_one + best_ett.total_two):
-                best_trip, best_ett = cand, ett
+        o1, d1 = trip1.origin, trip1.destination
 
-        leg = self._leg_fn(state, trip1, best_trip)
-        if best_ett.chosen == PATH_ONE:
-            last_drop = best_trip.destination
-            travel = (leg(trip1.origin, best_trip.origin)
-                      + leg(best_trip.origin, trip1.destination)
-                      + leg(trip1.destination, best_trip.destination))
+        def est(a: GeoPoint, b: GeoPoint) -> float:
+            return self.eta.travel_time(a, b, t_o1, state.is_weekend)
+
+        best = None
+        for cand in candidates:  # ascending pickup time; first minimum wins
+            o2, d2 = cand.origin, cand.destination
+            legs = (trip1.duration, cand.duration, est(o1, o2), est(o2, d1),
+                    est(d1, d2), est(d2, d1))
+            ett = extra_travel_times(*legs)
+            total = ett.total_one + ett.total_two
+            if best is None or total < best[0]:
+                best = (total, cand, ett, legs)
+
+        _, trip2, ett, (_, t_o2_d2, t_o1_o2, t_o2_d1, t_d1_d2, t_d2_d1) = best
+        if ett.chosen == PATH_ONE:
+            last_drop, travel = trip2.destination, t_o1_o2 + t_o2_d1 + t_d1_d2
         else:
-            last_drop = trip1.destination
-            travel = (leg(trip1.origin, best_trip.origin)
-                      + leg(best_trip.origin, best_trip.destination)
-                      + leg(best_trip.destination, trip1.destination))
+            last_drop, travel = d1, t_o1_o2 + t_o2_d2 + t_d2_d1
         nxt = DriverState(last_drop,
                           max(t_o1 + travel, state.time_of_day + _MIN_PROGRESS),
                           state.day_type)
-        info = TransitionInfo(trips=(trip1, best_trip), path=best_ett.chosen,
-                              total_extra_one=best_ett.total_one,
-                              total_extra_two=best_ett.total_two)
-        reward = trip1.distance + best_trip.distance
+        info = TransitionInfo(trips=(trip1, trip2), path=ett.chosen,
+                              total_extra_one=ett.total_one,
+                              total_extra_two=ett.total_two)
+        reward = trip1.distance + trip2.distance
         return self._finish(state, Action.TAKE_TWO, reward, nxt, info)
 
     # -- feasibility probes (read-only) -------------------------------------
@@ -264,7 +258,7 @@ class CarpoolEnv:
     # -- internals -----------------------------------------------------------
 
     def _first_assignment(self, state: DriverState) -> Optional[TripRecord]:
-        """The state's first trip, searched at most once per state.
+        """The earliest reachable pickup in the search window.
 
         The searches for the last state asked about are kept, so a probe
         followed by ``step`` on the same state searches once. States are
@@ -273,74 +267,50 @@ class CarpoolEnv:
         """
         if state is not self._searched:
             self._searched = state
-            self._trip1 = self._search_first(state)
+            t0 = state.time_of_day
+            self._trip1 = next(self._reachable(
+                state, state.location, t0, t0 + self.config.search_window),
+                None)
             self._candidates = None
         return self._trip1
 
     def _second_candidates(self, state: DriverState) -> list[TripRecord]:
-        """Second-trip candidates for the state's first trip (empty when
-        there is none), searched at most once per state."""
+        """Trips reachable from the first pickup within the carpool window
+        (empty when there is no first trip), searched at most once per state."""
         trip1 = self._first_assignment(state)
         if trip1 is None:
             return []
         if self._candidates is None:
-            self._candidates = self._search_second(state, trip1)
+            t_o1 = trip1.pickup_seconds
+            horizon = t_o1 + self.config.carpool_fraction * trip1.duration
+            self._candidates = list(self._reachable(
+                state, trip1.origin, t_o1, horizon, skip=trip1))
         return self._candidates
 
-    def _search_first(self, state: DriverState) -> Optional[TripRecord]:
-        """Earliest-pickup trip in the search window the taxi can reach in time."""
-        t0 = state.time_of_day
-        window = self.store.query_window(t0, t0 + self.config.search_window,
-                                         state.day_type)
-        for trip in window:
-            approach = self.eta.travel_time(state.location, trip.origin,
-                                            t0, state.is_weekend)
-            if approach <= trip.pickup_seconds - t0:
-                return trip
-        return None
-
-    def _search_second(self, state: DriverState,
-                       trip1: TripRecord) -> list[TripRecord]:
-        """Trips reachable from the first pickup within the carpool window."""
-        t_o1 = trip1.pickup_seconds
-        horizon = t_o1 + self.config.carpool_fraction * trip1.duration
-        window = self.store.query_window(t_o1, horizon, state.day_type)
-        out = []
-        for trip in window:
-            if trip is trip1:
+    def _reachable(self, state: DriverState, start: GeoPoint, t0: float,
+                   horizon: float,
+                   skip: Optional[TripRecord] = None) -> Iterator[TripRecord]:
+        """Trips picked up in ``[t0, horizon]`` that a taxi leaving ``start``
+        at ``t0`` reaches in time, in ascending pickup order; ``skip`` is
+        passed over before any travel-time query."""
+        for trip in self.store.query_window(t0, horizon, state.day_type):
+            if trip is skip:
                 continue
-            approach = self.eta.travel_time(trip1.origin, trip.origin,
-                                            t_o1, state.is_weekend)
-            if approach <= trip.pickup_seconds - t_o1:
-                out.append(trip)
-        return out
+            approach = self.eta.travel_time(start, trip.origin, t0,
+                                            state.is_weekend)
+            if approach <= trip.pickup_seconds - t0:
+                yield trip
 
-    def _leg_fn(self, state: DriverState, trip1: TripRecord,
-                trip2: TripRecord) -> Callable[[GeoPoint, GeoPoint], float]:
-        """Recorded durations for the two assigned trips, estimates elsewhere.
-
-        Estimated legs are queried at the first pickup time.
-        """
-        t_query = trip1.pickup_seconds
-        weekend = state.is_weekend
-
-        def leg(a: GeoPoint, b: GeoPoint) -> float:
-            if a == trip1.origin and b == trip1.destination:
-                return trip1.duration
-            if a == trip2.origin and b == trip2.destination:
-                return trip2.duration
-            return self.eta.travel_time(a, b, t_query, weekend)
-
-        return leg
-
-    def _fallback(self, state: DriverState, action: Action) -> Transition:
+    def _idle(self, state: DriverState, action: Action) -> Transition:
+        """Stay in place for ``wait_delay`` with no reward: a wait, or a take
+        action that found nothing to serve."""
         nxt = DriverState(state.location,
                           state.time_of_day + self.config.wait_delay,
                           state.day_type)
         return self._finish(state, action, 0.0, nxt, TransitionInfo())
 
     def _finish(self, state, action, reward, nxt, info) -> Transition:
-        done = nxt.time_of_day >= self.config.episode_end
+        done = nxt.time_of_day >= SECONDS_PER_DAY
         return Transition(state, action, reward, nxt, done, info)
 
 

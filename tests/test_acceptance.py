@@ -182,36 +182,24 @@ def test_criterion_4_gradient_correctness():
 
 def test_criterion_5_detour_formula_suite():
     # hand-worked example, exact
-    legs = {("O1", "O2"): 100.0, ("O2", "D1"): 300.0, ("O1", "D1"): 350.0,
-            ("D1", "D2"): 200.0, ("O2", "D2"): 450.0, ("D2", "D1"): 250.0}
-    pts = {"O1": GeoPoint(0, 0), "D1": GeoPoint(0, 1),
-           "O2": GeoPoint(1, 0), "D2": GeoPoint(1, 1)}
-    rev = {v: k for k, v in pts.items()}
-    ett = extra_travel_times(lambda a, b: legs[(rev[a], rev[b])],
-                             pts["O1"], pts["D1"], pts["O2"], pts["D2"])
+    ett = extra_travel_times(t_o1_d1=350.0, t_o2_d2=450.0, t_o1_o2=100.0,
+                             t_o2_d1=300.0, t_d1_d2=200.0, t_d2_d1=250.0)
     exact = (ett.path_one == (50.0, 50.0) and ett.total_one == 100.0
              and ett.path_two == (450.0, 0.0) and ett.total_two == 450.0
              and ett.chosen == PATH_ONE)
 
     rng = np.random.default_rng(55)
-    coords = [GeoPoint(float(i), 0.0) for i in range(4)]
     zero_ok = True
     path_ok = True
     for _ in range(1000):
-        table = {}
-
-        def leg(a, b):
-            key = (a.lat, b.lat)
-            if key not in table:
-                table[key] = float(rng.uniform(0.0, 1000.0))
-            return table[key]
-
-        o1, d1, o2, d2 = coords
-        e = extra_travel_times(leg, o1, d1, o2, d2)
+        # six draws in argument order: O1-D1, O2-D2, O1-O2, O2-D1, D1-D2, D2-D1
+        legs = [float(rng.uniform(0.0, 1000.0)) for _ in range(6)]
+        t_o1_d1, t_o2_d2, t_o1_o2, t_o2_d1, t_d1_d2, t_d2_d1 = legs
+        e = extra_travel_times(*legs)
         zero_ok = zero_ok and e.path_two[1] == 0.0
-        total_one = ((leg(o1, o2) + leg(o2, d1) - leg(o1, d1))
-                     + (leg(o2, d1) + leg(d1, d2) - leg(o2, d2)))
-        total_two = leg(o1, o2) + leg(o2, d2) + leg(d2, d1) - leg(o1, d1)
+        total_one = ((t_o1_o2 + t_o2_d1 - t_o1_d1)
+                     + (t_o2_d1 + t_d1_d2 - t_o2_d2))
+        total_two = t_o1_o2 + t_o2_d2 + t_d2_d1 - t_o1_d1
         want = PATH_ONE if total_one < total_two else PATH_TWO
         path_ok = path_ok and e.chosen == want
     ok = exact and zero_ok and path_ok

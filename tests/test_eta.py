@@ -245,6 +245,11 @@ class TestTravelTimeSources:
         expected = haversine_miles(a, b) / 12.0 * 3600.0
         assert src.travel_time(a, b, 0.0, False) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf")])
+    def test_constant_speed_must_be_finite(self, speed):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ConstantSpeedEta(speed)
+
     def test_model_adapter_matches_predict(self):
         model = TestJointModel._small_model()
         src = ModelEta(model)

@@ -84,6 +84,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config"):
             load_config(path)
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"eval_episodes": 0}, "config.eval_episodes"),
+        ({"dqn": {"batch_size": 64, "replay_capacity": 32}}, "dqn.batch_size"),
+        ({"dqn": {"train_episodes": -3}}, "dqn.train_episodes"),
+        ({"tabq": {"train_episodes": -1}}, "tabq.train_episodes"),
+        ({"seeds": 5}, "config.seeds"),
+        ({"seeds": [0, "1"]}, "config.seeds"),
+    ])
+    def test_silently_failing_values_rejected(self, tmp_path, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), 0.0])
+    def test_eta_speed_must_be_finite_and_positive(self, speed):
+        with pytest.raises(ConfigError, match="eta.speed_mph"):
+            EtaConfig.from_dict({"speed_mph": speed})
+
     def test_csv_kind_requires_path(self):
         with pytest.raises(ConfigError):
             DataConfig.from_dict({"kind": "csv"})

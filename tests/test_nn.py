@@ -210,6 +210,15 @@ class TestDeterminismAndSerialization:
             Mlp.load(path)
 
 
+    def test_load_rejects_transposed_weights(self, tmp_path):
+        path = tmp_path / "net.json"
+        Mlp([3, 5, 2]).save(path)
+        payload = json.loads(path.read_text())
+        payload["weights"][1] = np.array(payload["weights"][1]).T.tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="layer 1 weights"):
+            Mlp.load(path)
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -35,22 +35,16 @@ def make_env(trips=(), **overrides):
     return CarpoolEnv(TripStore(trips), SPEED, cfg)
 
 
+def random_legs(rng):
+    """Six leg times in ``extra_travel_times`` argument order."""
+    return [float(rng.uniform(0, 1000)) for _ in range(6)]
+
+
 class TestExtraTravelTimes:
     def test_worked_example(self):
         # leg times chosen so both orderings can be computed by hand
-        legs = {
-            ("O1", "O2"): 100.0, ("O2", "D1"): 300.0, ("O1", "D1"): 350.0,
-            ("D1", "D2"): 200.0, ("O2", "D2"): 450.0, ("D2", "D1"): 250.0,
-        }
-        names = {"O1": GeoPoint(0, 0), "D1": GeoPoint(0, 1),
-                 "O2": GeoPoint(1, 0), "D2": GeoPoint(1, 1)}
-        rev = {v: k for k, v in names.items()}
-
-        def leg(a, b):
-            return legs[(rev[a], rev[b])]
-
-        ett = extra_travel_times(leg, names["O1"], names["D1"],
-                                 names["O2"], names["D2"])
+        ett = extra_travel_times(t_o1_d1=350.0, t_o2_d2=450.0, t_o1_o2=100.0,
+                                 t_o2_d1=300.0, t_d1_d2=200.0, t_d2_d1=250.0)
         assert ett.path_one == (50.0, 50.0)
         assert ett.total_one == 100.0
         assert ett.path_two[0] == 450.0
@@ -60,63 +54,34 @@ class TestExtraTravelTimes:
 
     def test_passenger_two_never_pays_on_path_two(self):
         rng = np.random.default_rng(0)
-        pts = [GeoPoint(float(i), 0.0) for i in range(4)]
         for _ in range(1000):
-            table = {}
-
-            def leg(a, b, table=table, rng=rng):
-                key = (a.lat, b.lat)
-                if key not in table:
-                    table[key] = float(rng.uniform(0, 1000))
-                return table[key]
-
-            ett = extra_travel_times(leg, *pts)
+            ett = extra_travel_times(*random_legs(rng))
             assert ett.path_two[1] == 0.0
 
     def test_path_choice_matches_brute_force(self):
         rng = np.random.default_rng(1)
-        pts = [GeoPoint(float(i), 0.0) for i in range(4)]
         for _ in range(1000):
-            table = {}
-
-            def leg(a, b, table=table, rng=rng):
-                key = (a.lat, b.lat)
-                if key not in table:
-                    table[key] = float(rng.uniform(0, 1000))
-                return table[key]
-
-            o1, d1, o2, d2 = pts
-            ett = extra_travel_times(leg, o1, d1, o2, d2)
+            legs = random_legs(rng)
+            t_o1_d1, t_o2_d2, t_o1_o2, t_o2_d1, t_d1_d2, t_d2_d1 = legs
+            ett = extra_travel_times(*legs)
             # direct restatement of the per-passenger detour formulas
-            total_one = ((leg(o1, o2) + leg(o2, d1) - leg(o1, d1))
-                         + (leg(o2, d1) + leg(d1, d2) - leg(o2, d2)))
-            total_two = leg(o1, o2) + leg(o2, d2) + leg(d2, d1) - leg(o1, d1)
+            total_one = ((t_o1_o2 + t_o2_d1 - t_o1_d1)
+                         + (t_o2_d1 + t_d1_d2 - t_o2_d2))
+            total_two = t_o1_o2 + t_o2_d2 + t_d2_d1 - t_o1_d1
             assert ett.total_one == pytest.approx(total_one, abs=1e-12)
             assert ett.total_two == pytest.approx(total_two, abs=1e-12)
             assert ett.chosen == (PATH_ONE if total_one < total_two else PATH_TWO)
 
     def test_collapsed_leg(self):
         # O2 = D1 with a zero connecting leg: passenger 1's extra time
-        # reduces to t(O1,O2) - t(O1,D1)
-        o1, shared, d2 = GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 1)
-        legs = {(0.0, 0.0, 0.0, 1.0): 120.0,   # O1 -> D1 (= O2)
-                (0.0, 1.0, 0.0, 1.0): 0.0,     # O2 -> D1 degenerate
-                (0.0, 1.0, 1.0, 1.0): 300.0,   # O2 -> D2 and D1 -> D2
-                (1.0, 1.0, 0.0, 1.0): 280.0}   # D2 -> D1
-
-        def leg(a, b):
-            return legs[(a.lat, a.lon, b.lat, b.lon)]
-
-        ett = extra_travel_times(leg, o1, shared, shared, d2)
-        assert ett.path_one[0] == pytest.approx(leg(o1, shared) - leg(o1, shared) + 0.0)
+        # reduces to t(O1,O2) - t(O1,D1), and O1 -> O2 is O1 -> D1
+        ett = extra_travel_times(t_o1_d1=120.0, t_o2_d2=300.0, t_o1_o2=120.0,
+                                 t_o2_d1=0.0, t_d1_d2=300.0, t_d2_d1=280.0)
+        assert ett.path_one[0] == pytest.approx(120.0 - 120.0 + 0.0)
         assert ett.path_one[0] == pytest.approx(0.0)
 
     def test_tie_goes_to_path_two(self):
-        def leg(a, b):
-            return 100.0
-
-        ett = extra_travel_times(leg, GeoPoint(0, 0), GeoPoint(0, 1),
-                                 GeoPoint(1, 0), GeoPoint(1, 1))
+        ett = extra_travel_times(*[100.0] * 6)
         assert ett.total_one == ett.total_two
         assert ett.chosen == PATH_TWO
 
@@ -272,6 +237,29 @@ class TestTakeTwo:
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
         tr = env.take_two(s)
         assert tr.info.trips[1] is near
+
+
+class TestLegsByRole:
+    def test_equal_endpoint_trips_keep_their_own_durations(self):
+        # two trips A -> B in one carpool window, recorded at 600 s and 900 s
+        a, b = (40.716, -74.008), (40.731, -73.996)
+        trip1 = make_trip(a, b, pickup_s=1200, duration=600.0, distance=1.0)
+        trip2 = make_trip(a, b, pickup_s=1250, duration=900.0, distance=1.5)
+        eta = ConstantSpeedEta(6.0)
+        env = CarpoolEnv(TripStore([trip1, trip2]), eta,
+                         EnvConfig(region=REGION, grid=GRID))
+        s = DriverState(GeoPoint(*a), 1000.0)
+        tr = env.take_two(s)
+        assert tr.info.trips == (trip1, trip2)
+
+        x = eta.travel_time(trip1.origin, trip1.destination, 1200.0, False)
+        assert 600.0 < x < 900.0
+        # O1 = O2 and D1 = D2: the connecting legs O1-O2, D1-D2, D2-D1 are 0
+        assert tr.info.total_extra_one == pytest.approx((x - 600.0) + (x - 900.0))
+        assert tr.info.total_extra_two == pytest.approx(900.0 - 600.0)
+        assert tr.info.path == PATH_ONE
+        assert tr.next_state.location == trip2.destination
+        assert tr.next_state.time_of_day == pytest.approx(1200.0 + x)
 
 
 class TestStepAndReset:
