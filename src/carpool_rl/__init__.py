@@ -12,8 +12,8 @@ from .eta import (ConstantSpeedEta, EtaEstimate, EtaMetrics, EtaQuery,
 from .simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
                         ExtraTravelTimes, Transition, extra_travel_times)
 from .agents import (DqnAgent, EpsilonSchedule, FixedPolicy, QTable,
-                     ReplayMemory, run_episode, select_action, tabular_update,
-                     train_dqn, train_tabular)
+                     ReplayMemory, greedy, rollout, select_action,
+                     tabular_update, train_dqn, train_tabular)
 from .synth import SyntheticDemandSpec, dense_preset, generate_synthetic, sparse_preset
 from .experiments import (EvalReport, run_eta_experiment,
                           run_policy_experiment)

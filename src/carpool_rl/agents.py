@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import csv
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .nn import Mlp, TrainConfig, copy_weights
 from .simulator import Action, CarpoolEnv, DriverState, Transition, as_rng
 
 Policy = Callable[[DriverState], Action]
+Curves = dict[str, list[float]]  # per-episode values keyed by curve metric
 
 N_ACTIONS = len(Action)
 
@@ -35,15 +36,19 @@ def state_cell(state: DriverState, grid: GridSpec) -> tuple[int, int, int]:
     return (i, j, tb)
 
 
+def tabular_q_values(table: "QTable", grid: GridSpec,
+                     state: DriverState) -> np.ndarray:
+    """The table's action values at the grid cell of ``state``."""
+    return table.q_values(state_cell(state, grid))
+
+
 @dataclass
 class QTable:
     """Sparse state-action value table; missing entries read as zero."""
 
     alpha: float = 0.1
     gamma: float = 0.95
-    alpha_decay: bool = False  # use 1/visit-count step sizes instead of alpha
     values: dict = field(default_factory=dict)
-    visits: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
@@ -66,14 +71,8 @@ def tabular_update(table: QTable, tr: Transition, grid: GridSpec) -> float:
     cell = state_cell(tr.state, grid)
     key = (cell, int(tr.action))
     q = table.values.get(key, 0.0)
-    boot = 0.0 if tr.done else float(np.max(table.q_values(state_cell(tr.next_state, grid))))
-    if table.alpha_decay:
-        n = table.visits.get(key, 0) + 1
-        table.visits[key] = n
-        step = 1.0 / n
-    else:
-        step = table.alpha
-    new = q + step * (tr.reward + table.gamma * boot - q)
+    boot = 0.0 if tr.done else float(np.max(tabular_q_values(table, grid, tr.next_state)))
+    new = q + table.alpha * (tr.reward + table.gamma * boot - q)
     table.values[key] = new
     return new
 
@@ -246,71 +245,44 @@ def wait_policy(state: DriverState) -> Action:
     return Action.WAIT
 
 
-class GreedyTabularPolicy:
-    def __init__(self, table: QTable, grid: GridSpec):
-        self.table = table
-        self.grid = grid
-
-    def __call__(self, state: DriverState) -> Action:
-        return Action(int(np.argmax(self.table.q_values(state_cell(state, self.grid)))))
+def greedy(q_values: Callable[[DriverState], np.ndarray]) -> Policy:
+    """The policy taking the highest-valued action under ``q_values``; ties
+    break toward the lowest action index."""
+    return lambda state: Action(int(np.argmax(q_values(state))))
 
 
-class GreedyDqnPolicy:
-    def __init__(self, agent: DqnAgent):
-        self.agent = agent
-
-    def __call__(self, state: DriverState) -> Action:
-        return Action(int(np.argmax(self.agent.q_values(state))))
-
-
-@dataclass
-class EpisodeResult:
-    cumulative_reward: float
-    step_count: int
-    action_counts: dict
-    transitions: list[Transition]
-
-
-def run_episode(env: CarpoolEnv, policy: Policy, rng=None) -> EpisodeResult:
-    """Roll one full day under the given policy."""
+def rollout(env: CarpoolEnv, policy: Policy, rng=None) -> Iterator[Transition]:
+    """Reset the env with ``rng`` and yield each transition of the day under
+    ``policy``, ending with the one that closes it. The policy acts before
+    each step; a caller's work on a yielded transition runs after it."""
     state = env.reset(rng)
-    total = 0.0
-    counts = {a: 0 for a in Action}
-    transitions: list[Transition] = []
     while True:
-        action = policy(state)
-        tr = env.step(state, action)
-        total += tr.reward
-        counts[action] += 1
-        transitions.append(tr)
-        state = tr.next_state
+        tr = env.step(state, policy(state))
+        yield tr
         if tr.done:
-            break
-    return EpisodeResult(total, len(transitions), counts, transitions)
+            return
+        state = tr.next_state
 
 
-@dataclass
-class DqnTrainResult:
-    agent: DqnAgent
-    mean_q: list[float]          # per episode, averaged over its minibatches
-    loss: list[float]            # per episode mean
-    episode_rewards: list[float]
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else float("nan")
 
 
 def train_dqn(env: CarpoolEnv, agent: DqnAgent, episodes: int,
-              seed=None) -> DqnTrainResult:
+              seed=None) -> Curves:
     """Epsilon-greedy rollouts feeding the replay, one train step per
     environment step once the replay holds a full batch, with periodic
-    target sync."""
+    target sync. Curves: ``mean_q`` and ``loss`` averaged over the episode's
+    train steps (nan before the first), and the episode ``reward``."""
     rng = as_rng(seed)
-    mean_q, losses, rewards = [], [], []
+
+    def policy(state: DriverState) -> Action:
+        return agent.act(state, agent.epsilon.value(agent.env_steps), rng)
+
+    curves = {"mean_q": [], "loss": [], "reward": []}
     for _ in range(episodes):
-        state = env.reset(rng)
         ep_q, ep_loss, ep_reward = [], [], 0.0
-        while True:
-            eps = agent.epsilon.value(agent.env_steps)
-            action = agent.act(state, eps, rng)
-            tr = env.step(state, action)
+        for tr in rollout(env, policy, rng):
             agent.replay.push(tr)
             agent.env_steps += 1
             if len(agent.replay) >= agent.cfg.batch_size:
@@ -322,45 +294,35 @@ def train_dqn(env: CarpoolEnv, agent: DqnAgent, episodes: int,
                 if agent.steps_since_sync >= agent.sync_period:
                     agent.sync_target()
             ep_reward += tr.reward
-            state = tr.next_state
-            if tr.done:
-                break
-        mean_q.append(float(np.mean(ep_q)) if ep_q else float("nan"))
-        losses.append(float(np.mean(ep_loss)) if ep_loss else float("nan"))
-        rewards.append(ep_reward)
-    return DqnTrainResult(agent, mean_q, losses, rewards)
-
-
-@dataclass
-class TabularTrainResult:
-    table: QTable
-    mean_q: list[float]          # per episode, over that episode's backups
-    episode_rewards: list[float]
+        curves["mean_q"].append(_mean(ep_q))
+        curves["loss"].append(_mean(ep_loss))
+        curves["reward"].append(ep_reward)
+    return curves
 
 
 def train_tabular(env: CarpoolEnv, table: QTable, grid: GridSpec,
                   episodes: int, seed=None,
-                  epsilon: EpsilonSchedule = EpsilonSchedule()) -> TabularTrainResult:
-    """Epsilon-greedy tabular Q-learning over grid cells."""
+                  epsilon: EpsilonSchedule = EpsilonSchedule()) -> Curves:
+    """Epsilon-greedy tabular Q-learning over grid cells. Curves: ``mean_q``
+    averaged over the episode's backed-up values, and the episode
+    ``reward``."""
     rng = as_rng(seed)
-    mean_q, rewards = [], []
     step = 0
+
+    def policy(state: DriverState) -> Action:
+        return select_action(tabular_q_values(table, grid, state),
+                             epsilon.value(step), rng)
+
+    curves = {"mean_q": [], "reward": []}
     for _ in range(episodes):
-        state = env.reset(rng)
         ep_values, ep_reward = [], 0.0
-        while True:
-            cell = state_cell(state, grid)
-            action = select_action(table.q_values(cell), epsilon.value(step), rng)
-            tr = env.step(state, action)
+        for tr in rollout(env, policy, rng):
             ep_values.append(tabular_update(table, tr, grid))
             step += 1
             ep_reward += tr.reward
-            state = tr.next_state
-            if tr.done:
-                break
-        mean_q.append(float(np.mean(ep_values)) if ep_values else float("nan"))
-        rewards.append(ep_reward)
-    return TabularTrainResult(table, mean_q, rewards)
+        curves["mean_q"].append(_mean(ep_values))
+        curves["reward"].append(ep_reward)
+    return curves
 
 
 def evaluate_policy(env: CarpoolEnv, policy: Policy, episodes: int,
@@ -368,6 +330,8 @@ def evaluate_policy(env: CarpoolEnv, policy: Policy, episodes: int,
     """Mean cumulative reward over seeded evaluation episodes."""
     totals = []
     for ep in range(episodes):
-        rng = np.random.default_rng([seed, ep])
-        totals.append(run_episode(env, policy, rng).cumulative_reward)
+        total = 0.0
+        for tr in rollout(env, policy, np.random.default_rng([seed, ep])):
+            total += tr.reward
+        totals.append(total)
     return float(np.mean(totals)), totals

@@ -17,8 +17,8 @@ from .agents import FixedPolicy, evaluate_policy, save_qtable
 from .config import (ExperimentConfig, apply_overrides, load_config,
                      parse_region)
 from .eta import EtaQuery, JointEtaModel, evaluate
-from .experiments import (build_env, build_eta_source, emit_curves, fit_dqn,
-                          fit_joint_eta, fit_tabq, prepare_data,
+from .experiments import (build_env, build_eta_source, curve_set, emit_curves,
+                          fit_dqn, fit_joint_eta, fit_tabq, prepare_data,
                           run_eta_experiment, run_policy_experiment,
                           EvalReport)
 from .geo import GeoPoint
@@ -100,7 +100,7 @@ def _cmd_train(args) -> int:
         # Nothing to learn; evaluates the baseline and records its rewards.
         mean, totals = evaluate_policy(env, FixedPolicy(env),
                                        cfg.eval_episodes, seed=seed)
-        curves = {f"fixed_reward_{day_type}_seed{seed}": totals}
+        curves = curve_set("fixed", env, seed, {"reward": totals})
         out["mean_cumulative_reward"] = mean
     elif args.policy == "tabq":
         table, curves = fit_tabq(cfg, env, seed)
@@ -135,7 +135,8 @@ def _cmd_report(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--seed", type=int, help="override all seeds")
-    p.add_argument("--region", help="uptown | downtown | bbox=lat0,lat1,lon0,lon1")
+    p.add_argument("--region", help="uptown | downtown | bbox=lat0,lat1,lon0,lon1 "
+                   "(csv data only)")
     p.add_argument("--day", choices=["weekday", "weekend"])
     p.add_argument("--out", help="output directory")
 

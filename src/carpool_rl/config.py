@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 from .geo import Bbox, GeoPoint, GridSpec
@@ -38,14 +38,28 @@ def parse_region(text: str) -> Bbox:
                       f"(expected {sorted(REGION_PRESETS)} or bbox=...)")
 
 
+# Range rules of numeric fields: (what the value must be, a test that is
+# false for nan).
+POSITIVE = ("positive", lambda v: v > 0)
+NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+DISCOUNT = ("in [0, 1)", lambda v: 0 <= v < 1)
+STEP_SIZE = ("in (0, 1]", lambda v: 0 < v <= 1)
+PROBABILITY = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 class ConfigSection:
     """Base of every config section: one loader for the JSON object form.
 
-    A field whose ``default_factory`` is itself a section is read as a
-    nested section. ``section`` names the section in error messages.
+    A field whose ``default_factory`` is a section is read as a nested
+    section; any other value must have its default's JSON type (a float
+    also takes an int, never a bool; a ``None`` default is checked by its
+    section) and pass its rule in ``ranges``. ``section`` names the section
+    in error messages.
     """
 
     section = "config"
+    ranges: dict = {}  # field name -> range rule
 
     @classmethod
     def from_dict(cls, d):
@@ -57,10 +71,22 @@ class ConfigSection:
             raise ConfigError(f"unknown keys in {cls.section}: {sorted(extra)}")
         d = dict(d)
         for f in fields(cls):
-            sub = f.default_factory
-            if (f.name in d and isinstance(sub, type)
-                    and issubclass(sub, ConfigSection)):
-                d[f.name] = sub.from_dict(d[f.name])
+            if f.name not in d:
+                continue
+            value, sub = d[f.name], f.default_factory
+            if isinstance(sub, type) and issubclass(sub, ConfigSection):
+                d[f.name] = sub.from_dict(value)
+                continue
+            key = f"{cls.section}.{f.name}"
+            kind = type(sub() if f.default is MISSING else f.default)
+            if kind is not type(None) and not (
+                    type(value) is kind or (kind is float and type(value) is int)):
+                want = "number" if kind is float else kind.__name__
+                raise ConfigError(f"{key} must be a JSON {want}, "
+                                  f"not {type(value).__name__}: {value!r}")
+            what, ok = cls.ranges.get(f.name, (None, None))
+            if ok is not None and not ok(value):
+                raise ConfigError(f"{key} must be {what}: {value!r}")
         return cls(**d)
 
 
@@ -85,6 +111,7 @@ class DataConfig(ConfigSection):
 @dataclass
 class GridConfig(ConfigSection):
     section = "grid"
+    ranges = {"cell_lat": POSITIVE, "cell_lon": POSITIVE, "time_bin": POSITIVE}
     cell_lat: float = 0.002
     cell_lon: float = 0.002
     time_bin: float = 600.0
@@ -99,6 +126,8 @@ class GridConfig(ConfigSection):
 @dataclass
 class EnvParamsConfig(ConfigSection):
     section = "env"
+    ranges = {"search_window": POSITIVE, "carpool_fraction": OPEN_UNIT,
+              "wait_delay": POSITIVE}
     search_window: float = 600.0
     carpool_fraction: float = 0.5
     wait_delay: float = 600.0
@@ -127,6 +156,9 @@ class EtaConfig(ConfigSection):
 @dataclass
 class DqnConfig(ConfigSection):
     section = "dqn"
+    ranges = {"gamma": DISCOUNT, "batch_size": POSITIVE,
+              "eps_start": PROBABILITY, "eps_end": PROBABILITY,
+              "train_episodes": NON_NEGATIVE}
     hidden: list = field(default_factory=lambda: [64, 64])
     gamma: float = 0.95
     learning_rate: float = 0.05
@@ -142,9 +174,11 @@ class DqnConfig(ConfigSection):
 @dataclass
 class TabQConfig(ConfigSection):
     section = "tabq"
+    ranges = {"alpha": STEP_SIZE, "gamma": DISCOUNT,
+              "eps_start": PROBABILITY, "eps_end": PROBABILITY,
+              "train_episodes": NON_NEGATIVE}
     alpha: float = 0.1
     gamma: float = 0.95
-    alpha_decay: bool = False
     eps_start: float = 1.0
     eps_end: float = 0.05
     eps_decay_steps: int = 10_000
@@ -153,6 +187,7 @@ class TabQConfig(ConfigSection):
 
 @dataclass
 class ExperimentConfig(ConfigSection):
+    ranges = {"eval_episodes": POSITIVE}
     out_dir: str = "runs/experiment"
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     eval_episodes: int = 20
@@ -168,11 +203,6 @@ class ExperimentConfig(ConfigSection):
         if not (isinstance(self.seeds, list) and self.seeds
                 and all(type(s) is int for s in self.seeds)):
             raise ConfigError(f"config.seeds must be a non-empty list of ints: {self.seeds!r}")
-        if self.eval_episodes < 1:
-            raise ConfigError(f"config.eval_episodes must be at least 1: {self.eval_episodes}")
-        for sec in (self.dqn, self.tabq):
-            if sec.train_episodes < 0:
-                raise ConfigError(f"{sec.section}.train_episodes must be non-negative")
         if self.dqn.batch_size > self.dqn.replay_capacity:  # else it never trains
             raise ConfigError("dqn.batch_size must not exceed dqn.replay_capacity")
         if not self.day_types or any(d not in ("weekday", "weekend")

@@ -11,11 +11,12 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .agents import (DqnAgent, EpsilonSchedule, FixedPolicy, GreedyDqnPolicy,
-                     GreedyTabularPolicy, QTable, evaluate_policy, train_dqn,
+from .agents import (Curves, DqnAgent, EpsilonSchedule, FixedPolicy, QTable,
+                     evaluate_policy, greedy, tabular_q_values, train_dqn,
                      train_tabular, wait_policy)
 from .config import ExperimentConfig, parse_region
 from .eta import (ConstantSpeedEta, EtaArch, JointEtaModel, ModelEta,
@@ -52,6 +53,9 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     if cfg.data.kind == "synthetic":
         if cfg.data.preset not in PRESETS:
             raise ConfigError(f"unknown synthetic preset {cfg.data.preset!r}")
+        if cfg.data.region is not None:
+            raise ConfigError("data.region applies to csv data only; a "
+                              "synthetic preset has its own region")
         records = []
         rejections: dict = {}
         paths = []
@@ -65,17 +69,17 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
             for key, count in rej.items():
                 rejections[key] = rejections.get(key, 0) + count
             paths.append(path)
-        return PreparedData(TripStore(records), spec.region, spec.grid,
-                            paths[0], rejections)
-
-    if cfg.data.region is None:
-        raise ConfigError("data.kind=csv requires data.region")
-    region = (parse_region(cfg.data.region) if isinstance(cfg.data.region, str)
-              else Bbox(*cfg.data.region))
-    store, _, rejections = ingest_csv(cfg.data.csv_path)
-    store = store.mask_region(region)
-    grid = cfg.grid.build(region.lower_left)
-    return PreparedData(store, region, grid, cfg.data.csv_path, rejections)
+        store, region, csv_path = TripStore(records), spec.region, paths[0]
+    else:
+        if cfg.data.region is None:
+            raise ConfigError("data.kind=csv requires data.region")
+        region = (parse_region(cfg.data.region)
+                  if isinstance(cfg.data.region, str)
+                  else Bbox(*cfg.data.region))
+        store, _, rejections = ingest_csv(cfg.data.csv_path)
+        store, csv_path = store.mask_region(region), cfg.data.csv_path
+    return PreparedData(store, region, cfg.grid.build(region.lower_left),
+                        csv_path, rejections)
 
 
 def eta_train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
@@ -108,27 +112,30 @@ def build_env(cfg: ExperimentConfig, data: PreparedData, eta_source,
         wait_delay=cfg.env.wait_delay, day_type=day_type))
 
 
+def curve_set(policy: str, env: CarpoolEnv, seed: int, curves: Curves) -> Curves:
+    """Name each curve ``<policy>_<metric>_<day type>_seed<seed>``."""
+    tag = f"{env.config.day_type}_seed{seed}"
+    return {f"{policy}_{metric}_{tag}": v for metric, v in curves.items()}
+
+
 def fit_tabq(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
     """Train the config's tabular Q-learner for one seed on ``env``.
 
-    Returns the table and its learning curves, keyed by curve name.
+    Returns the table and its named learning curves.
     """
-    table = QTable(alpha=cfg.tabq.alpha, gamma=cfg.tabq.gamma,
-                   alpha_decay=cfg.tabq.alpha_decay)
-    res = train_tabular(
+    table = QTable(alpha=cfg.tabq.alpha, gamma=cfg.tabq.gamma)
+    curves = train_tabular(
         env, table, env.config.grid, cfg.tabq.train_episodes,
         seed=np.random.default_rng([seed, 1]),
         epsilon=EpsilonSchedule(cfg.tabq.eps_start, cfg.tabq.eps_end,
                                 cfg.tabq.eps_decay_steps))
-    tag = f"{env.config.day_type}_seed{seed}"
-    return table, {f"tabq_mean_q_{tag}": res.mean_q,
-                   f"tabq_reward_{tag}": res.episode_rewards}
+    return table, curve_set("tabq", env, seed, curves)
 
 
 def fit_dqn(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
     """Train the config's Double-DQN for one seed on ``env``.
 
-    Returns the agent and its learning curves, keyed by curve name.
+    Returns the agent and its named learning curves.
     """
     agent = DqnAgent(
         env.config.region,
@@ -139,12 +146,9 @@ def fit_dqn(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
         epsilon=EpsilonSchedule(cfg.dqn.eps_start, cfg.dqn.eps_end,
                                 cfg.dqn.eps_decay_steps),
         sync_period=cfg.dqn.sync_period)
-    res = train_dqn(env, agent, cfg.dqn.train_episodes,
-                    seed=np.random.default_rng([seed, 2]))
-    tag = f"{env.config.day_type}_seed{seed}"
-    return agent, {f"dqn_mean_q_{tag}": res.mean_q,
-                   f"dqn_loss_{tag}": res.loss,
-                   f"dqn_reward_{tag}": res.episode_rewards}
+    curves = train_dqn(env, agent, cfg.dqn.train_episodes,
+                       seed=np.random.default_rng([seed, 2]))
+    return agent, curve_set("dqn", env, seed, curves)
 
 
 # -- estimator comparison ------------------------------------------------------
@@ -156,8 +160,8 @@ def run_eta_experiment(cfg: ExperimentConfig) -> dict:
     train, test = data.store.train_test_split(cfg.eta.split_ratio,
                                               cfg.eta.split_seed)
     results: dict = {m: {"per_seed": []} for m in ETA_METHODS}
+    linear = train_linear_time(train)  # closed form: the same for every seed
     for seed in cfg.seeds:
-        linear = train_linear_time(train)
         time_only = train_time_only(train, data.grid,
                                     eta_train_config(cfg, seed))
         joint = fit_joint_eta(cfg, train, data.grid, seed)
@@ -295,8 +299,8 @@ def run_policy_experiment(cfg: ExperimentConfig) -> EvalReport:
             policies = {
                 "wait": wait_policy,
                 "fixed": FixedPolicy(env),
-                "tabq": GreedyTabularPolicy(table, data.grid),
-                "dqn": GreedyDqnPolicy(agent),
+                "tabq": greedy(partial(tabular_q_values, table, data.grid)),
+                "dqn": greedy(agent.q_values),
             }
             for name, policy in policies.items():
                 mean, _ = evaluate_policy(env, policy, cfg.eval_episodes,

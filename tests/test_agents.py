@@ -1,13 +1,15 @@
 from datetime import datetime, timedelta
+from functools import partial
 
 import numpy as np
 import pytest
 
 from carpool_rl.agents import (DqnAgent, EpsilonSchedule, FixedPolicy, QTable,
-                               ReplayMemory, GreedyTabularPolicy, load_qtable,
-                               run_episode, save_qtable, select_action,
-                               state_cell, tabular_update, train_dqn,
-                               train_tabular, wait_policy)
+                               ReplayMemory, evaluate_policy, greedy,
+                               load_qtable, rollout, save_qtable,
+                               select_action, state_cell, tabular_q_values,
+                               tabular_update, train_dqn, train_tabular,
+                               wait_policy)
 from carpool_rl.eta import ConstantSpeedEta
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
 from carpool_rl.nn import TrainConfig
@@ -127,7 +129,7 @@ class TestTabularUpdate:
                 for c in cells for a in Action
             }
 
-        table = QTable(alpha=1.0, gamma=gamma, alpha_decay=False)
+        table = QTable(alpha=1.0, gamma=gamma)
         for _ in range(2000):
             for c in cells:
                 for a, tr in transitions_for(c).items():
@@ -137,14 +139,6 @@ class TestTabularUpdate:
             for a in Action:
                 got = table.get(state_cell(cell_state(*c), GRID), a)
                 assert got == pytest.approx(q[(c, a)], abs=1e-3)
-
-    def test_alpha_decay_visits(self):
-        table = QTable(alpha=1.0, gamma=0.9, alpha_decay=True)
-        s, ns = cell_state(0, 0), cell_state(1, 1, 700.0)
-        tr = make_transition(s, Action.WAIT, 4.0, ns)
-        tabular_update(table, tr, GRID)   # step 1: alpha 1 -> Q = 4
-        tabular_update(table, tr, GRID)   # step 2: alpha 1/2 -> stays 4
-        assert table.get(state_cell(s, GRID), Action.WAIT) == pytest.approx(4.0)
 
     def test_csv_roundtrip(self, tmp_path):
         table = QTable()
@@ -326,29 +320,34 @@ class TestPolicies:
 
     def test_wait_only_episode_reward_zero(self):
         env = make_env([make_trip((40.72, -74.0), (40.73, -73.99), 1200)])
-        result = run_episode(env, wait_policy, np.random.default_rng(0))
-        assert result.cumulative_reward == 0.0
-        assert result.step_count == 144  # 86400 / 600
-        assert result.action_counts[Action.WAIT] == 144
+        transitions = list(rollout(env, wait_policy, np.random.default_rng(0)))
+        assert sum(tr.reward for tr in transitions) == 0.0
+        assert len(transitions) == 144  # 86400 / 600
+        assert [tr.action for tr in transitions] == [Action.WAIT] * 144
+        assert transitions[-1].done and not any(tr.done for tr in transitions[:-1])
 
     def test_single_trip_take_one_greedy(self):
         trip = make_trip((40.72, -74.0), (40.73, -73.99), pickup_s=30000,
                          duration=500.0, distance=2.75)
         env = make_env([trip])
-        result = run_episode(env, lambda s: Action.TAKE_ONE,
-                             np.random.default_rng(1))
-        assert result.cumulative_reward == 2.75
+        transitions = list(rollout(env, lambda s: Action.TAKE_ONE,
+                                   np.random.default_rng(1)))
+        assert sum(tr.reward for tr in transitions) == 2.75
 
     def test_episode_step_bound(self):
         env = make_env()
-        result = run_episode(env, wait_policy, np.random.default_rng(2))
-        assert result.step_count <= 86400 / min(env.config.wait_delay, 1.0)
+        transitions = list(rollout(env, wait_policy, np.random.default_rng(2)))
+        assert len(transitions) <= 86400 / min(env.config.wait_delay, 1.0)
 
     def test_greedy_tabular_matches_argmax(self):
         table = QTable()
         s = cell_state(2, 3, 1200.0)
         table.values[(state_cell(s, GRID), int(Action.TAKE_TWO))] = 1.0
-        assert GreedyTabularPolicy(table, GRID)(s) == Action.TAKE_TWO
+        assert greedy(partial(tabular_q_values, table, GRID))(s) == Action.TAKE_TWO
+
+    def test_greedy_ties_break_toward_lower_action(self):
+        assert greedy(lambda s: np.array([1.0, 1.0, 0.5]))(None) == Action.WAIT
+        assert greedy(lambda s: np.array([0.0, 2.0, 2.0]))(None) == Action.TAKE_ONE
 
 
 class TestTrainingLoops:
@@ -370,25 +369,24 @@ class TestTrainingLoops:
         env = make_env(self._demand(np.random.default_rng(0)))
         agent = make_agent()
         before = [w.copy() for w in agent.online.weights]
-        result = train_dqn(env, agent, 0, seed=0)
-        assert result.mean_q == [] and result.loss == []
+        curves = train_dqn(env, agent, 0, seed=0)
+        assert curves == {"mean_q": [], "loss": [], "reward": []}
         for w, b in zip(agent.online.weights, before):
             assert np.array_equal(w, b)
 
     def test_curves_have_one_entry_per_episode(self):
         env = make_env(self._demand(np.random.default_rng(1)))
         agent = make_agent()
-        result = train_dqn(env, agent, 3, seed=0)
-        assert len(result.mean_q) == 3
-        assert len(result.loss) == 3
-        assert len(result.episode_rewards) == 3
+        curves = train_dqn(env, agent, 3, seed=0)
+        assert sorted(curves) == ["loss", "mean_q", "reward"]
+        assert all(len(v) == 3 for v in curves.values())
 
     def test_train_dqn_deterministic(self):
         def run():
             env = make_env(self._demand(np.random.default_rng(2)))
             agent = make_agent(seed=5)
-            res = train_dqn(env, agent, 2, seed=9)
-            return res.mean_q, agent.online.weights[0].copy()
+            curves = train_dqn(env, agent, 2, seed=9)
+            return curves["mean_q"], agent.online.weights[0].copy()
 
         (q1, w1), (q2, w2) = run(), run()
         assert q1 == q2
@@ -397,6 +395,48 @@ class TestTrainingLoops:
     def test_train_tabular_runs_and_records(self):
         env = make_env(self._demand(np.random.default_rng(3)))
         table = QTable(alpha=0.2)
-        result = train_tabular(env, table, GRID, 3, seed=0)
-        assert len(result.mean_q) == 3
+        curves = train_tabular(env, table, GRID, 3, seed=0)
+        assert sorted(curves) == ["mean_q", "reward"]
+        assert all(len(v) == 3 for v in curves.values())
         assert len(table.values) > 0
+
+    def test_rollout_ends_with_the_transition_that_closes_the_day(self):
+        env = make_env(self._demand(np.random.default_rng(4)))
+        transitions = list(rollout(env, FixedPolicy(env),
+                                   np.random.default_rng(0)))
+        assert [tr.done for tr in transitions] == (
+            [False] * (len(transitions) - 1) + [True])
+        for prev, tr in zip(transitions, transitions[1:]):
+            assert tr.state == prev.next_state
+
+    def test_seeded_curves_and_totals_are_pinned(self):
+        # Recorded before the training and evaluation loops shared one
+        # rollout; a change in RNG draw order or in how rewards are summed
+        # moves these digits.
+        env = make_env(self._demand(np.random.default_rng(3), 300))
+        sched = EpsilonSchedule(1.0, 0.05, 100)
+        table = QTable(alpha=0.5)
+        tab = train_tabular(env, table, GRID, 6, seed=11, epsilon=sched)
+        agent = make_agent(seed=5, epsilon=sched, sync_period=50)
+        dqn = train_dqn(env, agent, 2, seed=12)
+        assert repr(tab) == (
+            "{'mean_q': [0.03131916401707506, 0.0021480566231308023, "
+            "0.0034198642397571745, 0.003767630769101513, "
+            "0.0017485963474918377, 0.0003526028463087755], "
+            "'reward': [9.019919236917618, 0.6229364207079326, "
+            "0.9917606295295807, 1.0926129230394388, 0.5070929407726329, "
+            "0.1022548254295449]}")
+        assert repr(dqn) == (
+            "{'mean_q': [0.173108625838616, 1.0147254909312469], "
+            "'loss': [0.08267825548730462, 0.1543920562931012], "
+            "'reward': [55.42654224569508, 74.74760486748403]}")
+        assert agent.env_steps == 313 and len(table.values) == 869
+        fixed = evaluate_policy(env, FixedPolicy(env), 3, seed=3)
+        tabq = evaluate_policy(
+            env, greedy(partial(tabular_q_values, table, GRID)), 3, seed=3)
+        dqn_eval = evaluate_policy(env, greedy(agent.q_values), 3, seed=3)
+        assert repr(fixed) == ("(75.46529326909601, [75.46529326909601, "
+                               "75.46529326909601, 75.46529326909601])")
+        assert repr(tabq) == "(0.0, [0.0, 0.0, 0.0])"
+        assert repr(dqn_eval) == ("(74.27908952087664, [74.27908952087664, "
+                                  "74.27908952087664, 74.27908952087664])")

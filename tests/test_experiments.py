@@ -1,13 +1,17 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from carpool_rl import experiments
-from carpool_rl.config import (DataConfig, DqnConfig, EtaConfig,
-                               ExperimentConfig, TabQConfig, load_config,
-                               parse_region, apply_overrides)
+from carpool_rl.config import (ConfigSection, DataConfig, DqnConfig,
+                               EtaConfig, ExperimentConfig, GridConfig,
+                               TabQConfig, load_config, parse_region,
+                               apply_overrides)
+from carpool_rl.synth import dense_preset
 from carpool_rl.experiments import (emit_curves, prepare_data,
                                     run_eta_experiment, run_policy_experiment,
                                     validate_curve_csv, validate_report,
@@ -91,6 +95,25 @@ class TestConfig:
         ({"tabq": {"train_episodes": -1}}, "tabq.train_episodes"),
         ({"seeds": 5}, "config.seeds"),
         ({"seeds": [0, "1"]}, "config.seeds"),
+        ({"eval_episodes": "3"}, "config.eval_episodes"),
+        ({"eval_episodes": True}, "config.eval_episodes"),
+        ({"eta": {"speed_mph": "12"}}, "eta.speed_mph"),
+        ({"data": {"noisy": 1}}, "data.noisy"),
+        ({"data": {"preset": ["dense"]}}, "data.preset"),
+        ({"env": {"search_window": -1}}, "env.search_window"),
+        ({"env": {"wait_delay": 0}}, "env.wait_delay"),
+        ({"env": {"carpool_fraction": 1.0}}, "env.carpool_fraction"),
+        ({"grid": {"cell_lat": "x"}}, "grid.cell_lat"),
+        ({"grid": {"cell_lon": 0}}, "grid.cell_lon"),
+        ({"grid": {"time_bin": -600}}, "grid.time_bin"),
+        ({"dqn": {"batch_size": 0}}, "dqn.batch_size"),
+        ({"dqn": {"batch_size": 32.0}}, "dqn.batch_size"),
+        ({"dqn": {"eps_start": 5}}, "dqn.eps_start"),
+        ({"dqn": {"eps_end": -0.1}}, "dqn.eps_end"),
+        ({"dqn": {"gamma": 1.5}}, "dqn.gamma"),
+        ({"tabq": {"gamma": 1}}, "tabq.gamma"),
+        ({"tabq": {"alpha": 0}}, "tabq.alpha"),
+        ({"tabq": {"eps_start": 2}}, "tabq.eps_start"),
     ])
     def test_silently_failing_values_rejected(self, tmp_path, doc, key):
         path = tmp_path / "cfg.json"
@@ -107,6 +130,39 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DataConfig.from_dict({"kind": "csv"})
 
+    def test_float_fields_take_ints(self):
+        cfg = ExperimentConfig.from_dict({"env": {"wait_delay": 300},
+                                          "tabq": {"alpha": 1}})
+        assert cfg.env.wait_delay == 300 and cfg.tabq.alpha == 1
+
+
+def _config_keys(cls=ExperimentConfig, path=()):
+    """Every key a config file may set, as a path of section names."""
+    for f in fields(cls):
+        sub = f.default_factory
+        if isinstance(sub, type) and issubclass(sub, ConfigSection):
+            yield from _config_keys(sub, path + (f.name,))
+        yield path + (f.name,)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8)
+
+
+@given(st.sampled_from(sorted(_config_keys())), JSON_VALUES)
+def test_any_json_value_at_any_key_loads_or_is_a_config_error(key, value):
+    doc = value
+    for name in reversed(key):
+        doc = {name: doc}
+    try:
+        ExperimentConfig.from_dict(doc)
+    except ConfigError:
+        pass
+
 
 class TestPrepareData:
     def test_synthetic_roundtrip(self, tmp_path):
@@ -120,6 +176,18 @@ class TestPrepareData:
         cfg = tiny_policy_config(tmp_path)
         cfg.data.preset = "mega"
         with pytest.raises(ConfigError):
+            prepare_data(cfg)
+
+    def test_grid_section_applies_to_synthetic_data(self, tmp_path):
+        cfg = tiny_policy_config(tmp_path)
+        assert prepare_data(cfg).grid == dense_preset().grid
+        cfg.grid = GridConfig.from_dict({"cell_lat": 0.004, "time_bin": 1200})
+        grid = prepare_data(cfg).grid
+        assert (grid.cell_lat, grid.cell_lon, grid.time_bin) == (0.004, 0.002, 1200)
+
+    def test_region_is_for_csv_data_only(self, tmp_path):
+        cfg = apply_overrides(tiny_policy_config(tmp_path), region="uptown")
+        with pytest.raises(ConfigError, match="data.region"):
             prepare_data(cfg)
 
     def test_sparse_noisy_rejected(self, tmp_path):
@@ -186,6 +254,30 @@ class TestEtaExperiment:
         assert os.path.exists(results["csv_path"])
         header = open(results["csv_path"]).readline().strip().split(",")
         assert header == ["method", "seed", "mae", "mre", "medae", "medre", "r2"]
+
+    def test_linear_baseline_fitted_once_for_all_seeds(self, tmp_path,
+                                                       monkeypatch):
+        fits = []
+        train = experiments.train_linear_time
+
+        def counted_train(*args, **kwargs):
+            fits.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_linear_time", counted_train)
+
+        def seed_rows(seeds, out):
+            cfg = tiny_eta_config(tmp_path / out)
+            cfg.seeds = seeds
+            path = run_eta_experiment(cfg)["csv_path"]
+            with open(path) as fh:
+                return [r for r in fh.read().splitlines()
+                        if r.split(",")[1] != "mean"]
+
+        both = seed_rows([0, 1], "both")
+        assert len(fits) == 1
+        alone = seed_rows([0], "zero") + seed_rows([1], "one")
+        assert sorted(both) == sorted(set(alone))
 
 
 class TestPolicyExperiment:

@@ -4,7 +4,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from carpool_rl.agents import FixedPolicy, evaluate_policy, run_episode
+from carpool_rl.agents import FixedPolicy, evaluate_policy, rollout
 from carpool_rl.eta import (ConstantSpeedEta, EtaArch, EtaQuery, ModelEta,
                             train_joint_eta)
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
@@ -428,12 +428,15 @@ class TestLearnedEta:
         assert memo_totals == plain_totals and memo_mean == plain_mean
         assert memo_mean > 0
         for ep in range(2):
-            memo = run_episode(memo_env, FixedPolicy(memo_env),
-                               np.random.default_rng([4, ep]))
-            plain = run_episode(plain_env, FixedPolicy(plain_env),
-                                np.random.default_rng([4, ep]))
-            assert memo.transitions == plain.transitions
-            assert memo.cumulative_reward == memo_totals[ep]
+            memo = list(rollout(memo_env, FixedPolicy(memo_env),
+                                np.random.default_rng([4, ep])))
+            plain = list(rollout(plain_env, FixedPolicy(plain_env),
+                                 np.random.default_rng([4, ep])))
+            assert memo == plain
+            total = 0.0
+            for tr in memo:
+                total += tr.reward
+            assert total == memo_totals[ep]
 
 
 class TestTraceExport:
