@@ -19,8 +19,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .config import DqnConfig, TabQConfig
 from .geo import Bbox, GridSpec, SECONDS_PER_DAY, bin_location, bin_time
-from .nn import Mlp, TrainConfig, copy_weights
+from .nn import Mlp, copy_weights
 from .simulator import Action, CarpoolEnv, DriverState, Transition, as_rng
 
 Policy = Callable[[DriverState], Action]
@@ -86,15 +87,6 @@ def save_qtable(table: QTable, path) -> None:
                         repr(value)])
 
 
-def load_qtable(path, alpha: float = 0.1, gamma: float = 0.95) -> QTable:
-    table = QTable(alpha=alpha, gamma=gamma)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            cell = (int(row["lat_bin"]), int(row["lon_bin"]), int(row["time_bin"]))
-            table.values[(cell, int(Action[row["action"]]))] = float(row["value"])
-    return table
-
-
 def select_action(q_values, epsilon: float, rng: np.random.Generator) -> Action:
     """Epsilon-greedy choice; greedy ties break toward the lowest action index
     (WAIT < TAKE_ONE < TAKE_TWO)."""
@@ -109,8 +101,6 @@ class ReplayMemory:
     """Bounded FIFO of transitions with uniform sampling."""
 
     def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._items: list[Transition] = []
         self._next = 0  # ring-buffer write position once full
@@ -132,51 +122,36 @@ class ReplayMemory:
         return [self._items[i] for i in idx]
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Linear decay from start to end over the first decay_steps steps."""
-
-    start: float = 1.0
-    end: float = 0.05
-    decay_steps: int = 20_000
-
-    def value(self, step: int) -> float:
-        if self.decay_steps <= 0 or step >= self.decay_steps:
-            return self.end
-        frac = step / self.decay_steps
-        return self.start + (self.end - self.start) * frac
+def epsilon(cfg: DqnConfig | TabQConfig, step: int) -> float:
+    """Exploration rate after ``step`` environment steps: linear from
+    ``cfg.eps_start`` to ``cfg.eps_end`` over the first
+    ``cfg.eps_decay_steps`` steps, then constant."""
+    if cfg.eps_decay_steps <= 0 or step >= cfg.eps_decay_steps:
+        return cfg.eps_end
+    frac = step / cfg.eps_decay_steps
+    return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * frac
 
 
 class DqnAgent:
-    """Double-DQN over (lat, lon, time-of-day) with one Q output per action."""
+    """Double-DQN over (lat, lon, time-of-day) with one Q output per action;
+    ``cfg`` holds every setting it and :func:`train_dqn` read."""
 
-    def __init__(self, region: Bbox, cfg: TrainConfig,
-                 hidden: tuple[int, ...] = (64, 64), gamma: float = 0.95,
-                 replay_capacity: int = 100_000,
-                 epsilon: EpsilonSchedule = EpsilonSchedule(),
-                 sync_period: int = 1000):
-        if not 0 <= gamma < 1:
-            raise ValueError("gamma must lie in [0, 1)")
-        rng = np.random.default_rng(cfg.seed)
-        self.online = Mlp([3, *hidden, N_ACTIONS], rng=rng)
+    def __init__(self, region: Bbox, cfg: DqnConfig, seed: int):
+        rng = np.random.default_rng(seed)
+        self.online = Mlp([3, *cfg.hidden, N_ACTIONS], rng=rng)
         self.target = copy.deepcopy(self.online)
         self.cfg = cfg
-        self.gamma = gamma
         self.region = region
-        self.replay = ReplayMemory(replay_capacity)
-        self.epsilon = epsilon
-        self.sync_period = sync_period
+        self.replay = ReplayMemory(cfg.replay_capacity)
         self.steps_since_sync = 0
         self.env_steps = 0
-        self._lat0 = region.lat_min
-        self._lon0 = region.lon_min
         self._lat_span = max(region.lat_max - region.lat_min, 1e-9)
         self._lon_span = max(region.lon_max - region.lon_min, 1e-9)
 
     def features(self, state: DriverState) -> np.ndarray:
         return np.array([
-            (state.location.lat - self._lat0) / self._lat_span,
-            (state.location.lon - self._lon0) / self._lon_span,
+            (state.location.lat - self.region.lat_min) / self._lat_span,
+            (state.location.lon - self.region.lon_min) / self._lon_span,
             state.time_of_day / SECONDS_PER_DAY,
         ])
 
@@ -200,7 +175,7 @@ class DqnAgent:
         boot = target_next[np.arange(len(batch)), best]
         rewards = np.array([tr.reward for tr in batch])
         live = np.array([0.0 if tr.done else 1.0 for tr in batch])
-        return rewards + self.gamma * boot * live
+        return rewards + self.cfg.gamma * boot * live
 
     def train_step(self, batch: list[Transition]) -> tuple[float, float]:
         """One SGD step of the bootstrapped regression; returns the
@@ -268,30 +243,30 @@ def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else float("nan")
 
 
-def train_dqn(env: CarpoolEnv, agent: DqnAgent, episodes: int,
-              seed=None) -> Curves:
-    """Epsilon-greedy rollouts feeding the replay, one train step per
-    environment step once the replay holds a full batch, with periodic
-    target sync. Curves: ``mean_q`` and ``loss`` averaged over the episode's
+def train_dqn(env: CarpoolEnv, agent: DqnAgent, seed=None) -> Curves:
+    """``agent.cfg.train_episodes`` epsilon-greedy rollouts feeding the
+    replay, one train step per environment step once the replay holds a
+    full batch, with a target sync every ``agent.cfg.sync_period`` train
+    steps. Curves: ``mean_q`` and ``loss`` averaged over the episode's
     train steps (nan before the first), and the episode ``reward``."""
-    rng = as_rng(seed)
+    rng, cfg = as_rng(seed), agent.cfg
 
     def policy(state: DriverState) -> Action:
-        return agent.act(state, agent.epsilon.value(agent.env_steps), rng)
+        return agent.act(state, epsilon(cfg, agent.env_steps), rng)
 
     curves = {"mean_q": [], "loss": [], "reward": []}
-    for _ in range(episodes):
+    for _ in range(cfg.train_episodes):
         ep_q, ep_loss, ep_reward = [], [], 0.0
         for tr in rollout(env, policy, rng):
             agent.replay.push(tr)
             agent.env_steps += 1
-            if len(agent.replay) >= agent.cfg.batch_size:
+            if len(agent.replay) >= cfg.batch_size:
                 loss, mq = agent.train_step(
-                    agent.replay.sample(agent.cfg.batch_size, rng))
+                    agent.replay.sample(cfg.batch_size, rng))
                 ep_q.append(mq)
                 ep_loss.append(loss)
                 agent.steps_since_sync += 1
-                if agent.steps_since_sync >= agent.sync_period:
+                if agent.steps_since_sync >= cfg.sync_period:
                     agent.sync_target()
             ep_reward += tr.reward
         curves["mean_q"].append(_mean(ep_q))
@@ -301,20 +276,20 @@ def train_dqn(env: CarpoolEnv, agent: DqnAgent, episodes: int,
 
 
 def train_tabular(env: CarpoolEnv, table: QTable, grid: GridSpec,
-                  episodes: int, seed=None,
-                  epsilon: EpsilonSchedule = EpsilonSchedule()) -> Curves:
-    """Epsilon-greedy tabular Q-learning over grid cells. Curves: ``mean_q``
-    averaged over the episode's backed-up values, and the episode
-    ``reward``."""
+                  cfg: TabQConfig, seed=None) -> Curves:
+    """``cfg.train_episodes`` episodes of epsilon-greedy tabular Q-learning
+    over grid cells; the step size and discount are the table's. Curves:
+    ``mean_q`` averaged over the episode's backed-up values, and the
+    episode ``reward``."""
     rng = as_rng(seed)
     step = 0
 
     def policy(state: DriverState) -> Action:
         return select_action(tabular_q_values(table, grid, state),
-                             epsilon.value(step), rng)
+                             epsilon(cfg, step), rng)
 
     curves = {"mean_q": [], "reward": []}
-    for _ in range(episodes):
+    for _ in range(cfg.train_episodes):
         ep_values, ep_reward = [], 0.0
         for tr in rollout(env, policy, rng):
             ep_values.append(tabular_update(table, tr, grid))

@@ -16,11 +16,10 @@ import sys
 from .agents import FixedPolicy, evaluate_policy, save_qtable
 from .config import (ExperimentConfig, apply_overrides, load_config,
                      parse_region)
-from .eta import EtaQuery, JointEtaModel, evaluate
+from .eta import EtaQuery, JointEtaModel, evaluate, train_joint_eta
 from .experiments import (build_env, build_eta_source, curve_set, emit_curves,
-                          fit_dqn, fit_joint_eta, fit_tabq, prepare_data,
-                          run_eta_experiment, run_policy_experiment,
-                          EvalReport)
+                          fit_dqn, fit_tabq, prepare_data, run_eta_experiment,
+                          run_policy_experiment, EvalReport)
 from .geo import GeoPoint
 from .synth import PRESETS, generate_synthetic
 from .trips import ingest_csv
@@ -59,7 +58,7 @@ def _cmd_eta_train(args) -> int:
     data = prepare_data(cfg)
     train, test = data.store.train_test_split(cfg.eta.split_ratio,
                                               cfg.eta.split_seed)
-    model = fit_joint_eta(cfg, train, data.grid, cfg.seeds[0])
+    model = train_joint_eta(train, data.grid, cfg.eta, cfg.seeds[0])
     model_dir = os.path.join(cfg.out_dir, "eta_model")
     model.save(model_dir)
     metrics = evaluate(lambda q: model.predict(q).travel_time, test)

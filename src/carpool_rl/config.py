@@ -24,28 +24,52 @@ REGION_PRESETS = {
 }
 
 
-def parse_region(text: str) -> Bbox:
-    """Accepts a preset name or ``bbox=lat_min,lat_max,lon_min,lon_max``."""
-    if text in REGION_PRESETS:
-        return REGION_PRESETS[text]
-    if text.startswith("bbox="):
-        parts = text[len("bbox="):].split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"bad bbox spec: {text!r}")
-        a, b, c, d = (float(p) for p in parts)
-        return Bbox(a, b, c, d)
-    raise ConfigError(f"unknown region {text!r} "
-                      f"(expected {sorted(REGION_PRESETS)} or bbox=...)")
+def parse_region(region, name: str = "region") -> Bbox:
+    """A preset name, ``bbox=lat_min,lat_max,lon_min,lon_max`` or the list
+    ``[lat_min, lat_max, lon_min, lon_max]`` as a box. Anything else, and a
+    box that is empty or has a corner off the globe, is a ``ConfigError``
+    naming ``name``."""
+    if isinstance(region, str) and region in REGION_PRESETS:
+        return REGION_PRESETS[region]
+    try:
+        if isinstance(region, str) and region.startswith("bbox="):
+            edges = [float(p) for p in region[len("bbox="):].split(",")]
+        elif isinstance(region, list) and all(type(v) in (int, float)
+                                              for v in region):
+            edges = region
+        else:
+            raise ValueError(f"expected one of {sorted(REGION_PRESETS)}, "
+                             "bbox=... or four numbers")
+        if len(edges) != 4:
+            raise ValueError(f"{len(edges)} edges, not 4")
+        box = Bbox(*edges)
+        GeoPoint(box.lat_min, box.lon_min)  # finite corners on the globe
+        GeoPoint(box.lat_max, box.lon_max)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} {region!r}: {exc}") from None
+    return box
 
 
-# Range rules of numeric fields: (what the value must be, a test that is
-# false for nan).
+# Range rules: (what the value must be, a test that is false for nan).
 POSITIVE = ("positive", lambda v: v > 0)
 NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+FINITE_POSITIVE = ("finite and positive", lambda v: 0 < v < math.inf)
 OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
 DISCOUNT = ("in [0, 1)", lambda v: 0 <= v < 1)
 STEP_SIZE = ("in (0, 1]", lambda v: 0 < v <= 1)
 PROBABILITY = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+
+def one_of(*choices):
+    return (" or ".join(choices), lambda v: v in choices)
+
+
+def list_of(what, ok):
+    return (f"a non-empty list of {what}", lambda v: isinstance(v, list)
+            and len(v) > 0 and all(ok(x) for x in v))
+
+
+WIDTHS = list_of("positive ints", lambda n: type(n) is int and n > 0)
 
 
 class ConfigSection:
@@ -54,12 +78,20 @@ class ConfigSection:
     A field whose ``default_factory`` is a section is read as a nested
     section; any other value must have its default's JSON type (a float
     also takes an int, never a bool; a ``None`` default is checked by its
-    section) and pass its rule in ``ranges``. ``section`` names the section
-    in error messages.
+    section). Every field must pass its rule in ``ranges`` however the
+    section is built: ``__post_init__`` checks them, and a subclass with its
+    own ``__post_init__`` calls this one first. ``section`` names the
+    section in error messages.
     """
 
     section = "config"
     ranges: dict = {}  # field name -> range rule
+
+    def __post_init__(self):
+        for name, (what, ok) in self.ranges.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{self.section}.{name} must be {what}: {value!r}")
 
     @classmethod
     def from_dict(cls, d):
@@ -77,35 +109,39 @@ class ConfigSection:
             if isinstance(sub, type) and issubclass(sub, ConfigSection):
                 d[f.name] = sub.from_dict(value)
                 continue
-            key = f"{cls.section}.{f.name}"
             kind = type(sub() if f.default is MISSING else f.default)
             if kind is not type(None) and not (
                     type(value) is kind or (kind is float and type(value) is int)):
                 want = "number" if kind is float else kind.__name__
-                raise ConfigError(f"{key} must be a JSON {want}, "
+                raise ConfigError(f"{cls.section}.{f.name} must be a JSON {want}, "
                                   f"not {type(value).__name__}: {value!r}")
-            what, ok = cls.ranges.get(f.name, (None, None))
-            if ok is not None and not ok(value):
-                raise ConfigError(f"{key} must be {what}: {value!r}")
         return cls(**d)
 
 
 @dataclass
 class DataConfig(ConfigSection):
     section = "data"
+    ranges = {"kind": one_of("synthetic", "csv"),
+              "csv_path": ("a string or null",
+                           lambda v: v is None or isinstance(v, str))}
     kind: str = "synthetic"          # "synthetic" | "csv"
     preset: str = "dense"            # synthetic only
     noisy: bool = False
     n_days: int = 1
     seed: int = 1234
     csv_path: Optional[str] = None   # csv only
-    region: Optional[list] = None    # csv mask: preset name or 4 floats
+    region: Optional[list] = None    # csv mask: see parse_region
 
     def __post_init__(self):
-        if self.kind not in ("synthetic", "csv"):
-            raise ConfigError(f"data.kind must be synthetic or csv: {self.kind!r}")
+        super().__post_init__()
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("data.kind=csv requires data.csv_path")
+        self.bbox()
+
+    def bbox(self) -> Optional[Bbox]:
+        """The box ``region`` names (see :func:`parse_region`), if set."""
+        return (None if self.region is None
+                else parse_region(self.region, "data.region"))
 
 
 @dataclass
@@ -115,12 +151,10 @@ class GridConfig(ConfigSection):
     cell_lat: float = 0.002
     cell_lon: float = 0.002
     time_bin: float = 600.0
-    weekend_offset: float = 86400.0
 
     def build(self, origin: GeoPoint) -> GridSpec:
         return GridSpec(origin_corner=origin, cell_lat=self.cell_lat,
-                        cell_lon=self.cell_lon, time_bin=self.time_bin,
-                        weekend_offset=self.weekend_offset)
+                        cell_lon=self.cell_lon, time_bin=self.time_bin)
 
 
 @dataclass
@@ -135,7 +169,13 @@ class EnvParamsConfig(ConfigSection):
 
 @dataclass
 class EtaConfig(ConfigSection):
+    """The travel-time source and everything its learned estimators read."""
+
     section = "eta"
+    ranges = {"kind": one_of("speed", "joint"), "speed_mph": FINITE_POSITIVE,
+              "learning_rate": POSITIVE, "batch_size": POSITIVE,
+              "epochs": NON_NEGATIVE, "dist_hidden": WIDTHS,
+              "time_hidden": WIDTHS, "split_ratio": OPEN_UNIT}
     kind: str = "speed"              # "speed" | "joint"
     speed_mph: float = 12.0
     learning_rate: float = 0.03
@@ -146,17 +186,14 @@ class EtaConfig(ConfigSection):
     split_ratio: float = 0.8
     split_seed: int = 0
 
-    def __post_init__(self):
-        if self.kind not in ("speed", "joint"):
-            raise ConfigError(f"eta.kind must be speed or joint: {self.kind!r}")
-        if not 0 < self.speed_mph < math.inf:  # false for nan as well
-            raise ConfigError(f"eta.speed_mph must be finite and positive: {self.speed_mph}")
-
 
 @dataclass
 class DqnConfig(ConfigSection):
+    """Everything a Double-DQN agent and its training loop read."""
+
     section = "dqn"
-    ranges = {"gamma": DISCOUNT, "batch_size": POSITIVE,
+    ranges = {"hidden": WIDTHS, "gamma": DISCOUNT, "learning_rate": POSITIVE,
+              "batch_size": POSITIVE, "replay_capacity": POSITIVE,
               "eps_start": PROBABILITY, "eps_end": PROBABILITY,
               "train_episodes": NON_NEGATIVE}
     hidden: list = field(default_factory=lambda: [64, 64])
@@ -187,7 +224,10 @@ class TabQConfig(ConfigSection):
 
 @dataclass
 class ExperimentConfig(ConfigSection):
-    ranges = {"eval_episodes": POSITIVE}
+    ranges = {"seeds": list_of("ints", lambda s: type(s) is int),
+              "eval_episodes": POSITIVE,
+              "day_types": list_of("weekday/weekend",
+                                   lambda d: d in ("weekday", "weekend"))}
     out_dir: str = "runs/experiment"
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     eval_episodes: int = 20
@@ -200,14 +240,9 @@ class ExperimentConfig(ConfigSection):
     tabq: TabQConfig = field(default_factory=TabQConfig)
 
     def __post_init__(self):
-        if not (isinstance(self.seeds, list) and self.seeds
-                and all(type(s) is int for s in self.seeds)):
-            raise ConfigError(f"config.seeds must be a non-empty list of ints: {self.seeds!r}")
+        super().__post_init__()
         if self.dqn.batch_size > self.dqn.replay_capacity:  # else it never trains
             raise ConfigError("dqn.batch_size must not exceed dqn.replay_capacity")
-        if not self.day_types or any(d not in ("weekday", "weekend")
-                                     for d in self.day_types):
-            raise ConfigError(f"bad day_types: {self.day_types}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -10,6 +10,10 @@ The distance output is architecturally independent of time-of-day.
 Baselines: an ordinary-least-squares linear regressor on raw coordinates and
 a time-only MLP fed the binned endpoints plus time. Every MLP uses ReLU on
 its hidden layers.
+
+The SGD trainers take an :class:`~carpool_rl.config.EtaConfig` (learning
+rate, batch size, epochs and the joint model's hidden widths) and a seed,
+which seeds both the network initialization and the minibatch order.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
+from .config import EtaConfig
 from .geo import (GeoPoint, GridSpec, SECONDS_PER_DAY, bin_location, bin_time,
                   haversine_miles)
-from .nn import Mlp, TrainConfig, CHECKPOINT_FORMAT
+from .nn import Mlp, CHECKPOINT_FORMAT
 from .trips import TripRecord, TripStore
 
 MODEL_FORMAT = "eta-joint/1"
@@ -116,18 +121,6 @@ class Standardizer:
                    np.asarray(d["std"], dtype=float))
 
 
-@dataclass(frozen=True)
-class EtaArch:
-    """Hidden widths of the joint model.
-
-    The time net's input width is the distance trunk's last hidden width
-    plus one (the time feature), so the coupling holds by construction.
-    """
-
-    dist_hidden: tuple[int, ...] = (64, 64, 32)
-    time_hidden: tuple[int, ...] = (64, 64)
-
-
 class JointEtaModel:
     """Joint travel time/distance estimator over binned endpoints."""
 
@@ -181,7 +174,6 @@ class JointEtaModel:
                 "cell_lat": self.grid.cell_lat,
                 "cell_lon": self.grid.cell_lon,
                 "time_bin": self.grid.time_bin,
-                "weekend_offset": self.grid.weekend_offset,
             },
             "loc_stats": self.loc_stats.to_dict(),
             "t_stats": self.t_stats.to_dict(),
@@ -197,10 +189,14 @@ class JointEtaModel:
             meta = json.load(fh)
         if meta.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {meta.get('format')!r}")
-        g = meta["grid"]
-        grid = GridSpec(GeoPoint(g["origin_lat"], g["origin_lon"]),
-                        cell_lat=g["cell_lat"], cell_lon=g["cell_lon"],
-                        time_bin=g["time_bin"], weekend_offset=g["weekend_offset"])
+        g = dict(meta["grid"])
+        grid = GridSpec(GeoPoint(g.pop("origin_lat"), g.pop("origin_lon")),
+                        cell_lat=g.pop("cell_lat"), cell_lon=g.pop("cell_lon"),
+                        time_bin=g.pop("time_bin"))
+        # Older checkpoints also record the (always one-day) weekend shift.
+        if len(g) > 1 or any(v != SECONDS_PER_DAY for v in g.values()):
+            raise ValueError(f"unsupported grid fields {g} (weekend times "
+                             f"always shift by {SECONDS_PER_DAY} s)")
         return cls(
             Mlp.load(os.path.join(directory, "trunk.json")),
             Mlp.load(os.path.join(directory, "dist_head.json")),
@@ -221,13 +217,16 @@ def _training_arrays(records, grid):
     return x_loc, x_t, y_time, y_dist
 
 
-def train_joint_eta(train, grid: GridSpec, cfg: TrainConfig,
-                    arch: EtaArch = EtaArch()) -> JointEtaModel:
+def train_joint_eta(train, grid: GridSpec, cfg: EtaConfig,
+                    seed: int) -> JointEtaModel:
     """Fit the joint time/distance model with minibatch SGD.
 
-    The loss is the sum of the two heads' half mean squared errors over
-    standardized targets; both heads' gradients reach the shared trunk.
-    Raises if the loss goes non-finite.
+    The distance trunk has hidden widths ``cfg.dist_hidden``; the time net
+    sees the trunk's last hidden layer plus the time feature, so the two
+    widths couple by construction, and has hidden widths
+    ``cfg.time_hidden``. The loss is the sum of the two heads' half mean
+    squared errors over standardized targets; both heads' gradients reach
+    the shared trunk. Raises if the loss goes non-finite.
     """
     records = _records(train)
     if not records:
@@ -243,10 +242,10 @@ def train_joint_eta(train, grid: GridSpec, cfg: TrainConfig,
     yt = y_time_stats.transform(y_time[:, None])
     yd = y_dist_stats.transform(y_dist[:, None])
 
-    rng = np.random.default_rng(cfg.seed)
-    trunk = Mlp([4, *arch.dist_hidden], rng=rng)
-    dist_head = Mlp([arch.dist_hidden[-1], 1], rng=rng)
-    time_net = Mlp([arch.dist_hidden[-1] + 1, *arch.time_hidden, 1], rng=rng)
+    rng = np.random.default_rng(seed)
+    trunk = Mlp([4, *cfg.dist_hidden], rng=rng)
+    dist_head = Mlp([cfg.dist_hidden[-1], 1], rng=rng)
+    time_net = Mlp([cfg.dist_hidden[-1] + 1, *cfg.time_hidden, 1], rng=rng)
     model = JointEtaModel(trunk, dist_head, time_net, grid,
                           loc_stats, t_stats, y_time_stats, y_dist_stats)
 
@@ -298,9 +297,10 @@ class TimeOnlyModel:
         return float(self.predict_batch([q])[0])
 
 
-def train_time_only(train, grid: GridSpec, cfg: TrainConfig,
+def train_time_only(train, grid: GridSpec, cfg: EtaConfig, seed: int,
                     hidden: tuple[int, ...] = (64, 64)) -> TimeOnlyModel:
-    """Fit the time-only MLP baseline (same loss machinery as the joint model)."""
+    """Fit the time-only MLP baseline (same loss machinery and SGD settings
+    as the joint model)."""
     records = _records(train)
     if not records:
         raise ValueError("empty training set")
@@ -311,7 +311,7 @@ def train_time_only(train, grid: GridSpec, cfg: TrainConfig,
     xs = x_stats.transform(x)
     ys = y_stats.transform(y_time[:, None])
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     net = Mlp([5, *hidden, 1], rng=rng)
     n = len(records)
     for _ in range(cfg.epochs):

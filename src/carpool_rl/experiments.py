@@ -15,15 +15,13 @@ from functools import partial
 
 import numpy as np
 
-from .agents import (Curves, DqnAgent, EpsilonSchedule, FixedPolicy, QTable,
-                     evaluate_policy, greedy, tabular_q_values, train_dqn,
-                     train_tabular, wait_policy)
-from .config import ExperimentConfig, parse_region
-from .eta import (ConstantSpeedEta, EtaArch, JointEtaModel, ModelEta,
-                  evaluate, train_joint_eta, train_linear_time,
-                  train_time_only)
+from .agents import (Curves, DqnAgent, FixedPolicy, QTable, evaluate_policy,
+                     greedy, tabular_q_values, train_dqn, train_tabular,
+                     wait_policy)
+from .config import ExperimentConfig
+from .eta import (ConstantSpeedEta, ModelEta, evaluate, train_joint_eta,
+                  train_linear_time, train_time_only)
 from .geo import Bbox, GridSpec
-from .nn import TrainConfig
 from .simulator import CarpoolEnv, EnvConfig
 from .synth import PRESETS, generate_synthetic
 from .trips import ConfigError, TripStore, ingest_csv
@@ -39,7 +37,6 @@ class PreparedData:
     store: TripStore
     region: Bbox
     grid: GridSpec
-    csv_path: str
     rejections: dict
 
 
@@ -58,7 +55,6 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
                               "synthetic preset has its own region")
         records = []
         rejections: dict = {}
-        paths = []
         for idx, day_type in enumerate(cfg.day_types):
             spec = PRESETS[cfg.data.preset](cfg.data.n_days, cfg.data.noisy,
                                             day_type)
@@ -68,39 +64,21 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
             records.extend(store.records)
             for key, count in rej.items():
                 rejections[key] = rejections.get(key, 0) + count
-            paths.append(path)
-        store, region, csv_path = TripStore(records), spec.region, paths[0]
+        store, region = TripStore(records), spec.region
     else:
-        if cfg.data.region is None:
+        region = cfg.data.bbox()
+        if region is None:
             raise ConfigError("data.kind=csv requires data.region")
-        region = (parse_region(cfg.data.region)
-                  if isinstance(cfg.data.region, str)
-                  else Bbox(*cfg.data.region))
         store, _, rejections = ingest_csv(cfg.data.csv_path)
-        store, csv_path = store.mask_region(region), cfg.data.csv_path
+        store = store.mask_region(region)
     return PreparedData(store, region, cfg.grid.build(region.lower_left),
-                        csv_path, rejections)
-
-
-def eta_train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    """SGD settings of the learned travel-time estimators."""
-    return TrainConfig(learning_rate=cfg.eta.learning_rate,
-                       batch_size=cfg.eta.batch_size, epochs=cfg.eta.epochs,
-                       seed=seed)
-
-
-def fit_joint_eta(cfg: ExperimentConfig, train, grid: GridSpec,
-                  seed: int) -> JointEtaModel:
-    """Train the joint travel time/distance model the config describes."""
-    return train_joint_eta(train, grid, eta_train_config(cfg, seed),
-                           EtaArch(tuple(cfg.eta.dist_hidden),
-                                   tuple(cfg.eta.time_hidden)))
+                        rejections)
 
 
 def build_eta_source(cfg: ExperimentConfig, data: PreparedData, seed: int):
     if cfg.eta.kind == "speed":
         return ConstantSpeedEta(cfg.eta.speed_mph)
-    return ModelEta(fit_joint_eta(cfg, data.store, data.grid, seed))
+    return ModelEta(train_joint_eta(data.store, data.grid, cfg.eta, seed))
 
 
 def build_env(cfg: ExperimentConfig, data: PreparedData, eta_source,
@@ -119,35 +97,19 @@ def curve_set(policy: str, env: CarpoolEnv, seed: int, curves: Curves) -> Curves
 
 
 def fit_tabq(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
-    """Train the config's tabular Q-learner for one seed on ``env``.
-
-    Returns the table and its named learning curves.
-    """
+    """Train the config's tabular Q-learner for one seed on ``env``;
+    returns the table and its named learning curves."""
     table = QTable(alpha=cfg.tabq.alpha, gamma=cfg.tabq.gamma)
-    curves = train_tabular(
-        env, table, env.config.grid, cfg.tabq.train_episodes,
-        seed=np.random.default_rng([seed, 1]),
-        epsilon=EpsilonSchedule(cfg.tabq.eps_start, cfg.tabq.eps_end,
-                                cfg.tabq.eps_decay_steps))
+    curves = train_tabular(env, table, env.config.grid, cfg.tabq,
+                           np.random.default_rng([seed, 1]))
     return table, curve_set("tabq", env, seed, curves)
 
 
 def fit_dqn(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
-    """Train the config's Double-DQN for one seed on ``env``.
-
-    Returns the agent and its named learning curves.
-    """
-    agent = DqnAgent(
-        env.config.region,
-        TrainConfig(learning_rate=cfg.dqn.learning_rate,
-                    batch_size=cfg.dqn.batch_size, epochs=1, seed=seed),
-        hidden=tuple(cfg.dqn.hidden), gamma=cfg.dqn.gamma,
-        replay_capacity=cfg.dqn.replay_capacity,
-        epsilon=EpsilonSchedule(cfg.dqn.eps_start, cfg.dqn.eps_end,
-                                cfg.dqn.eps_decay_steps),
-        sync_period=cfg.dqn.sync_period)
-    curves = train_dqn(env, agent, cfg.dqn.train_episodes,
-                       seed=np.random.default_rng([seed, 2]))
+    """Train the config's Double-DQN for one seed on ``env``; returns the
+    agent and its named learning curves."""
+    agent = DqnAgent(env.config.region, cfg.dqn, seed)
+    curves = train_dqn(env, agent, np.random.default_rng([seed, 2]))
     return agent, curve_set("dqn", env, seed, curves)
 
 
@@ -162,9 +124,8 @@ def run_eta_experiment(cfg: ExperimentConfig) -> dict:
     results: dict = {m: {"per_seed": []} for m in ETA_METHODS}
     linear = train_linear_time(train)  # closed form: the same for every seed
     for seed in cfg.seeds:
-        time_only = train_time_only(train, data.grid,
-                                    eta_train_config(cfg, seed))
-        joint = fit_joint_eta(cfg, train, data.grid, seed)
+        time_only = train_time_only(train, data.grid, cfg.eta, seed)
+        joint = train_joint_eta(train, data.grid, cfg.eta, seed)
         for name, fn in (("linear", linear.predict),
                          ("time_only", time_only.predict),
                          ("joint", lambda q: joint.predict(q).travel_time)):

@@ -74,27 +74,19 @@ class GridSpec:
     """Grid geometry: cell sizes in degrees, time bin width in seconds.
 
     The 0.002 deg default is about 222 m of latitude, matching a nominal
-    200 m square cell. ``weekend_offset`` is added to weekend timestamps
-    before time binning.
+    200 m square cell.
     """
 
     origin_corner: GeoPoint
     cell_lat: float = 0.002
     cell_lon: float = 0.002
     time_bin: float = 600.0
-    weekend_offset: float = 86400.0
 
     def __post_init__(self):
         if self.cell_lat <= 0 or self.cell_lon <= 0:
             raise ValueError("cell sizes must be positive")
         if self.time_bin <= 0:
             raise ValueError("time_bin must be positive")
-
-    @property
-    def total_time_bins(self) -> int:
-        """Number of distinct time bins over both day types."""
-        last_second = SECONDS_PER_DAY - 1 + self.weekend_offset
-        return int(math.floor(last_second / self.time_bin)) + 1
 
 
 def bin_location(p: GeoPoint, spec: GridSpec) -> tuple[int, int, GeoPoint]:
@@ -118,12 +110,12 @@ def bin_location(p: GeoPoint, spec: GridSpec) -> tuple[int, int, GeoPoint]:
 def bin_time(seconds_of_day: float, is_weekend: bool, spec: GridSpec) -> int:
     """Map a seconds-of-day timestamp to its time bin index.
 
-    Weekend timestamps are shifted by ``spec.weekend_offset`` first, so the
-    weekday and weekend images are disjoint.
+    Weekend timestamps are shifted by a full day first, so the weekday and
+    weekend images are disjoint.
     """
     if not 0 <= seconds_of_day < SECONDS_PER_DAY:
         raise ValueError(f"seconds_of_day out of [0, 86400): {seconds_of_day}")
-    effective = seconds_of_day + (spec.weekend_offset if is_weekend else 0.0)
+    effective = seconds_of_day + (SECONDS_PER_DAY if is_weekend else 0.0)
     return int(math.floor(effective / spec.time_bin + _BIN_EPS))
 
 

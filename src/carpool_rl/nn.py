@@ -12,33 +12,20 @@ Checkpoint format (version ``mlp/1``): a JSON object with keys ``format``,
 ``layer_sizes``, ``activation`` (always ``"relu"``), ``weights`` (list of
 row-major 2-D arrays, one per layer, each row one output unit) and
 ``biases``.
+
+The module holds no training settings: each trainer takes the learning
+rate, batch size and epochs from its config section (``EtaConfig`` for the
+travel-time estimators, ``DqnConfig`` for the Double-DQN).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 CHECKPOINT_FORMAT = "mlp/1"
 ACTIVATION = "relu"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Knobs shared by the SGD training loops."""
-
-    learning_rate: float = 0.01
-    batch_size: int = 32
-    epochs: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size <= 0 or self.epochs < 0:
-            raise ValueError("batch_size must be positive, epochs non-negative")
 
 
 class Mlp:

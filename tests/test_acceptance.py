@@ -18,7 +18,7 @@ from carpool_rl.eta import (compute_metrics, evaluate, train_joint_eta,
                             train_linear_time, train_time_only)
 from carpool_rl.experiments import run_eta_experiment, run_policy_experiment
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec
-from carpool_rl.nn import Mlp, TrainConfig
+from carpool_rl.nn import Mlp
 from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
                                   PATH_ONE, PATH_TWO, Transition,
                                   TransitionInfo, extra_travel_times)
@@ -47,11 +47,10 @@ def eta_run(tmp_path_factory):
     out = {"grid": spec.grid, "train": train, "test": test,
            "linear": [], "time_only": [], "joint": [], "joint_models": []}
     for seed in (0, 1, 2):
-        cfg = TrainConfig(learning_rate=0.03, batch_size=32, epochs=35,
-                          seed=seed)
+        cfg = EtaConfig(learning_rate=0.03, batch_size=32, epochs=35)
         linear = train_linear_time(train)
-        time_only = train_time_only(train, spec.grid, cfg)
-        joint = train_joint_eta(train, spec.grid, cfg)
+        time_only = train_time_only(train, spec.grid, cfg, seed)
+        joint = train_joint_eta(train, spec.grid, cfg, seed)
         out["linear"].append(evaluate(linear.predict, test).mae)
         out["time_only"].append(evaluate(time_only.predict, test).mae)
         out["joint"].append(
@@ -298,8 +297,8 @@ def test_criterion_7_tabular_exactness():
 
 def test_criterion_8_double_dqn_identity():
     region = Bbox(40.715, 40.735, -74.0094, -73.9894)
-    agent = DqnAgent(region, TrainConfig(learning_rate=0.01, batch_size=8,
-                                         epochs=1, seed=0), hidden=(16, 16))
+    agent = DqnAgent(region, DqnConfig(hidden=[16, 16], learning_rate=0.01,
+                                       batch_size=8), 0)
     agent.sync_target()
     rng = np.random.default_rng(8)
     batch = []
@@ -317,7 +316,7 @@ def test_criterion_8_double_dqn_identity():
     ns_feats = agent._features_batch([tr.next_state for tr in batch])
     q_next, _ = agent.target.forward(ns_feats)
     vanilla = (np.array([tr.reward for tr in batch])
-               + agent.gamma * q_next.max(axis=1))
+               + agent.cfg.gamma * q_next.max(axis=1))
     ok = np.array_equal(targets, vanilla)
     worst = float(np.max(np.abs(targets - vanilla)))
     check(8, "double-DQN target equals vanilla when nets equal", ok,

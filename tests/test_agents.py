@@ -1,18 +1,19 @@
+import csv
+from dataclasses import replace
 from datetime import datetime, timedelta
 from functools import partial
 
 import numpy as np
 import pytest
 
-from carpool_rl.agents import (DqnAgent, EpsilonSchedule, FixedPolicy, QTable,
-                               ReplayMemory, evaluate_policy, greedy,
-                               load_qtable, rollout, save_qtable,
-                               select_action, state_cell, tabular_q_values,
-                               tabular_update, train_dqn, train_tabular,
-                               wait_policy)
+from carpool_rl.agents import (DqnAgent, FixedPolicy, QTable, ReplayMemory,
+                               epsilon, evaluate_policy, greedy, rollout,
+                               save_qtable, select_action, state_cell,
+                               tabular_q_values, tabular_update, train_dqn,
+                               train_tabular, wait_policy)
+from carpool_rl.config import DqnConfig, TabQConfig
 from carpool_rl.eta import ConstantSpeedEta
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
-from carpool_rl.nn import TrainConfig
 from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
                                   Transition, TransitionInfo)
 from carpool_rl.trips import TripRecord, TripStore
@@ -147,8 +148,11 @@ class TestTabularUpdate:
         tabular_update(table, tr, GRID)
         path = tmp_path / "q.csv"
         save_qtable(table, path)
-        loaded = load_qtable(path)
-        assert loaded.values == table.values
+        with open(path, newline="") as fh:
+            loaded = {((int(row["lat_bin"]), int(row["lon_bin"]),
+                        int(row["time_bin"])), int(Action[row["action"]])):
+                      float(row["value"]) for row in csv.DictReader(fh)}
+        assert loaded == table.values
 
 
 class TestSelectAction:
@@ -215,11 +219,15 @@ class TestReplayMemory:
             ReplayMemory(3).sample(1, np.random.default_rng(0))
 
 
+# The settings the DQN tests were written against (eps_decay_steps 20,000
+# was the agent's own default); each test overrides what it varies.
+TEST_DQN = DqnConfig(hidden=[16, 16], learning_rate=0.01, batch_size=8,
+                     replay_capacity=1000, eps_decay_steps=20_000)
+TEST_TABQ = TabQConfig(eps_decay_steps=20_000)
+
+
 def make_agent(seed=0, **kw):
-    kw.setdefault("hidden", (16, 16))
-    kw.setdefault("replay_capacity", 1000)
-    return DqnAgent(REGION, TrainConfig(learning_rate=0.01, batch_size=8,
-                                        epochs=1, seed=seed), **kw)
+    return DqnAgent(REGION, replace(TEST_DQN, **kw), seed)
 
 
 def random_transitions(rng, n, terminal_fraction=0.0):
@@ -247,7 +255,7 @@ class TestDqn:
         ns = agent._features_batch([tr.next_state for tr in batch])
         q_next, _ = agent.target.forward(ns)
         vanilla = (np.array([tr.reward for tr in batch])
-                   + agent.gamma * q_next.max(axis=1))
+                   + agent.cfg.gamma * q_next.max(axis=1))
         assert np.array_equal(targets, vanilla)
 
     def test_terminal_target_is_bare_reward(self):
@@ -292,11 +300,12 @@ class TestDqn:
         assert agent.steps_since_sync == 0
 
     def test_epsilon_schedule(self):
-        sched = EpsilonSchedule(1.0, 0.1, 100)
-        assert sched.value(0) == 1.0
-        assert sched.value(50) == pytest.approx(0.55)
-        assert sched.value(100) == 0.1
-        assert sched.value(10_000) == 0.1
+        for cfg in (DqnConfig(eps_start=1.0, eps_end=0.1, eps_decay_steps=100),
+                    TabQConfig(eps_start=1.0, eps_end=0.1, eps_decay_steps=100)):
+            assert epsilon(cfg, 0) == 1.0
+            assert epsilon(cfg, 50) == pytest.approx(0.55)
+            assert epsilon(cfg, 100) == 0.1
+            assert epsilon(cfg, 10_000) == 0.1
 
 
 class TestPolicies:
@@ -367,25 +376,25 @@ class TestTrainingLoops:
 
     def test_zero_episodes_leaves_agent_unchanged(self):
         env = make_env(self._demand(np.random.default_rng(0)))
-        agent = make_agent()
+        agent = make_agent(train_episodes=0)
         before = [w.copy() for w in agent.online.weights]
-        curves = train_dqn(env, agent, 0, seed=0)
+        curves = train_dqn(env, agent, seed=0)
         assert curves == {"mean_q": [], "loss": [], "reward": []}
         for w, b in zip(agent.online.weights, before):
             assert np.array_equal(w, b)
 
     def test_curves_have_one_entry_per_episode(self):
         env = make_env(self._demand(np.random.default_rng(1)))
-        agent = make_agent()
-        curves = train_dqn(env, agent, 3, seed=0)
+        agent = make_agent(train_episodes=3)
+        curves = train_dqn(env, agent, seed=0)
         assert sorted(curves) == ["loss", "mean_q", "reward"]
         assert all(len(v) == 3 for v in curves.values())
 
     def test_train_dqn_deterministic(self):
         def run():
             env = make_env(self._demand(np.random.default_rng(2)))
-            agent = make_agent(seed=5)
-            curves = train_dqn(env, agent, 2, seed=9)
+            agent = make_agent(seed=5, train_episodes=2)
+            curves = train_dqn(env, agent, seed=9)
             return curves["mean_q"], agent.online.weights[0].copy()
 
         (q1, w1), (q2, w2) = run(), run()
@@ -395,7 +404,8 @@ class TestTrainingLoops:
     def test_train_tabular_runs_and_records(self):
         env = make_env(self._demand(np.random.default_rng(3)))
         table = QTable(alpha=0.2)
-        curves = train_tabular(env, table, GRID, 3, seed=0)
+        curves = train_tabular(env, table, GRID,
+                               replace(TEST_TABQ, train_episodes=3), seed=0)
         assert sorted(curves) == ["mean_q", "reward"]
         assert all(len(v) == 3 for v in curves.values())
         assert len(table.values) > 0
@@ -414,11 +424,12 @@ class TestTrainingLoops:
         # rollout; a change in RNG draw order or in how rewards are summed
         # moves these digits.
         env = make_env(self._demand(np.random.default_rng(3), 300))
-        sched = EpsilonSchedule(1.0, 0.05, 100)
+        sched = dict(eps_start=1.0, eps_end=0.05, eps_decay_steps=100)
         table = QTable(alpha=0.5)
-        tab = train_tabular(env, table, GRID, 6, seed=11, epsilon=sched)
-        agent = make_agent(seed=5, epsilon=sched, sync_period=50)
-        dqn = train_dqn(env, agent, 2, seed=12)
+        tab = train_tabular(env, table, GRID,
+                            TabQConfig(train_episodes=6, **sched), seed=11)
+        agent = make_agent(seed=5, sync_period=50, train_episodes=2, **sched)
+        dqn = train_dqn(env, agent, seed=12)
         assert repr(tab) == (
             "{'mean_q': [0.03131916401707506, 0.0021480566231308023, "
             "0.0034198642397571745, 0.003767630769101513, "

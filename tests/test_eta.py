@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 from datetime import datetime, timedelta
@@ -5,12 +6,12 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from carpool_rl.eta import (ConstantSpeedEta, EtaArch, EtaEstimate, EtaQuery,
+from carpool_rl.config import EtaConfig
+from carpool_rl.eta import (ConstantSpeedEta, EtaEstimate, EtaQuery,
                             JointEtaModel, ModelEta, compute_metrics,
                             evaluate, query_from_trip, train_joint_eta,
                             train_linear_time, train_time_only)
 from carpool_rl.geo import GeoPoint, GridSpec, OutOfGridError, haversine_miles
-from carpool_rl.nn import TrainConfig
 from carpool_rl.trips import TripRecord, TripStore
 
 GRID = GridSpec(origin_corner=GeoPoint(40.70, -74.02))
@@ -92,8 +93,9 @@ class TestJointModel:
         trip = make_trip((40.71, -74.0), (40.73, -73.98), duration=800.0,
                          distance=2.5)
         store = TripStore([trip] * 1)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=4, epochs=200, seed=0)
-        model = train_joint_eta(store, GRID, cfg, EtaArch((8, 8), (8,)))
+        cfg = EtaConfig(learning_rate=0.1, batch_size=4, epochs=200,
+                        dist_hidden=[8, 8], time_hidden=[8])
+        model = train_joint_eta(store, GRID, cfg, 0)
         est = model.predict(query_from_trip(trip))
         assert est.travel_time == pytest.approx(800.0, rel=0.01)
         assert est.travel_distance == pytest.approx(2.5, rel=0.01)
@@ -102,8 +104,9 @@ class TestJointModel:
         trips = [make_trip((40.71 + 0.001 * i, -74.0), (40.73, -73.98),
                            pickup_s=1000 * i, duration=700.0, distance=2.0)
                  for i in range(20)]
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=50, seed=1)
-        model = train_joint_eta(TripStore(trips), GRID, cfg, EtaArch((8, 8), (8,)))
+        cfg = EtaConfig(learning_rate=0.05, batch_size=8, epochs=50,
+                        dist_hidden=[8, 8], time_hidden=[8])
+        model = train_joint_eta(TripStore(trips), GRID, cfg, 1)
         est = model.predict(query_from_trip(trips[3]))
         assert est.travel_time == pytest.approx(700.0, rel=0.01)
         assert est.travel_distance == pytest.approx(2.0, rel=0.01)
@@ -141,8 +144,9 @@ class TestJointModel:
         # monotone (at most 5% of epochs may tick up)
         store = synthetic_store(200, seed=5)
         n = len(store)
-        cfg = TrainConfig(learning_rate=0.02, batch_size=n, epochs=40, seed=2)
-        model = train_joint_eta(store, GRID, cfg, EtaArch((16, 16), (16,)))
+        cfg = EtaConfig(learning_rate=0.02, batch_size=n, epochs=40,
+                        dist_hidden=[16, 16], time_hidden=[16])
+        model = train_joint_eta(store, GRID, cfg, 2)
         losses = model.epoch_losses
         increases = sum(b > a for a, b in zip(losses, losses[1:]))
         assert increases <= 0.05 * len(losses)
@@ -165,15 +169,36 @@ class TestJointModel:
         q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 800.0)
         assert loaded.predict(q) == model.predict(q)
 
+    @pytest.mark.parametrize("shift, loads", [
+        (86400.0, True), (86400, True), (0.0, False), (-86400.0, False),
+        (float("nan"), False)])
+    def test_load_checks_a_recorded_weekend_shift(self, tmp_path, shift, loads):
+        # Checkpoints from before the shift was fixed at one day record it.
+        model = self._small_model()
+        model.save(tmp_path / "model")
+        meta_path = tmp_path / "model" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert "weekend_offset" not in meta["grid"]
+        meta["grid"]["weekend_offset"] = shift
+        meta_path.write_text(json.dumps(meta))
+        q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 800.0,
+                     is_weekend=True)
+        if loads:
+            assert JointEtaModel.load(tmp_path / "model").predict(q) == model.predict(q)
+        else:
+            with pytest.raises(ValueError, match="weekend"):
+                JointEtaModel.load(tmp_path / "model")
+
     def test_empty_training_set_raises(self):
         with pytest.raises(ValueError):
-            train_joint_eta(TripStore([]), GRID, TrainConfig())
+            train_joint_eta(TripStore([]), GRID, EtaConfig(), 0)
 
     @staticmethod
     def _small_model():
         store = synthetic_store(150, seed=7)
-        cfg = TrainConfig(learning_rate=0.02, batch_size=16, epochs=15, seed=3)
-        return train_joint_eta(store, GRID, cfg, EtaArch((8, 8), (8,)))
+        cfg = EtaConfig(learning_rate=0.02, batch_size=16, epochs=15,
+                        dist_hidden=[8, 8], time_hidden=[8])
+        return train_joint_eta(store, GRID, cfg, 3)
 
 
 class TestLinearBaseline:
@@ -213,15 +238,15 @@ class TestLinearBaseline:
 class TestTimeOnlyBaseline:
     def test_memorizes_single_sample(self):
         trip = make_trip((40.71, -74.0), (40.73, -73.98), duration=800.0)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=4, epochs=200, seed=0)
-        model = train_time_only(TripStore([trip]), GRID, cfg, hidden=(8, 8))
+        cfg = EtaConfig(learning_rate=0.1, batch_size=4, epochs=200)
+        model = train_time_only(TripStore([trip]), GRID, cfg, 0, hidden=(8, 8))
         assert model.predict(query_from_trip(trip)) == pytest.approx(800.0, rel=0.01)
 
     def test_deterministic_given_seed(self):
         store = synthetic_store(100, seed=9)
-        cfg = TrainConfig(learning_rate=0.02, batch_size=16, epochs=5, seed=11)
-        a = train_time_only(store, GRID, cfg, hidden=(8,))
-        b = train_time_only(store, GRID, cfg, hidden=(8,))
+        cfg = EtaConfig(learning_rate=0.02, batch_size=16, epochs=5)
+        a = train_time_only(store, GRID, cfg, 11, hidden=(8,))
+        b = train_time_only(store, GRID, cfg, 11, hidden=(8,))
         q = query_from_trip(store.records[0])
         assert a.predict(q) == b.predict(q)
 
@@ -330,8 +355,9 @@ class TestModelEtaMemo:
 
     def test_non_finite_prediction_rejected(self):
         store = synthetic_store(60, seed=7)
-        model = train_joint_eta(store, GRID, TrainConfig(epochs=1, seed=3),
-                                EtaArch((4,), (4,)))
+        cfg = EtaConfig(learning_rate=0.01, epochs=1, dist_hidden=[4],
+                        time_hidden=[4])
+        model = train_joint_eta(store, GRID, cfg, 3)
         model.time_net.weights[-1][0, 0] = np.nan
         src = ModelEta(model)
         with pytest.raises(ValueError, match=r"non-finite .*\(5, 10, 15, 20, 1\)"):
@@ -360,13 +386,14 @@ class TestRobustnessToOutliers:
         # model's MAE should move by well under 25% at a ~1% glitch rate
         store = synthetic_store(400, seed=21)
         train, test = store.train_test_split(0.8, seed=0)
-        cfg = TrainConfig(learning_rate=0.02, batch_size=16, epochs=25, seed=5)
+        cfg = EtaConfig(learning_rate=0.02, batch_size=16, epochs=25,
+                        dist_hidden=[16, 16], time_hidden=[16])
 
-        clean = train_joint_eta(train, GRID, cfg, EtaArch((16, 16), (16,)))
+        clean = train_joint_eta(train, GRID, cfg, 5)
         mae_clean = evaluate(lambda q: clean.predict(q).travel_time, test).mae
 
         train_out = corrupt_durations(train, fraction=0.01, factor=2.0, seed=1)
         test_out = corrupt_durations(test, fraction=0.01, factor=2.0, seed=2)
-        noisy = train_joint_eta(train_out, GRID, cfg, EtaArch((16, 16), (16,)))
+        noisy = train_joint_eta(train_out, GRID, cfg, 5)
         mae_noisy = evaluate(lambda q: noisy.predict(q).travel_time, test_out).mae
         assert mae_noisy < 1.25 * mae_clean

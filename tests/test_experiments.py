@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from carpool_rl import experiments
 from carpool_rl.config import (ConfigSection, DataConfig, DqnConfig,
-                               EtaConfig, ExperimentConfig, GridConfig,
-                               TabQConfig, load_config, parse_region,
-                               apply_overrides)
+                               EnvParamsConfig, EtaConfig, ExperimentConfig,
+                               GridConfig, TabQConfig, load_config,
+                               parse_region, apply_overrides)
 from carpool_rl.synth import dense_preset
 from carpool_rl.experiments import (emit_curves, prepare_data,
                                     run_eta_experiment, run_policy_experiment,
@@ -39,6 +39,52 @@ def tiny_eta_config(out_dir):
                         noisy=True),
         eta=EtaConfig(kind="speed", epochs=3),
     )
+
+
+def csv_region(region):
+    return {"data": {"kind": "csv", "csv_path": "trips.csv", "region": region}}
+
+
+# Every section of a config file; each one's key is its ``section`` name.
+SECTIONS = [f.default_factory for f in fields(ExperimentConfig)
+            if isinstance(f.default_factory, type)
+            and issubclass(f.default_factory, ConfigSection)]
+
+# One value breaking each rule in a section's ``ranges``.
+RANGE_VIOLATIONS = [
+    (ExperimentConfig, "seeds", []),
+    (ExperimentConfig, "eval_episodes", 0),
+    (ExperimentConfig, "day_types", ["monday"]),
+    (DataConfig, "kind", "parquet"),
+    (DataConfig, "csv_path", 5),
+    (GridConfig, "cell_lat", 0.0),
+    (GridConfig, "cell_lon", -0.002),
+    (GridConfig, "time_bin", float("nan")),
+    (EnvParamsConfig, "search_window", 0.0),
+    (EnvParamsConfig, "carpool_fraction", 1.0),
+    (EnvParamsConfig, "wait_delay", -600.0),
+    (EtaConfig, "kind", "oracle"),
+    (EtaConfig, "speed_mph", float("inf")),
+    (EtaConfig, "learning_rate", 0.0),
+    (EtaConfig, "batch_size", 0),
+    (EtaConfig, "epochs", -1),
+    (EtaConfig, "dist_hidden", []),
+    (EtaConfig, "time_hidden", [8, 0]),
+    (EtaConfig, "split_ratio", 1.0),
+    (DqnConfig, "hidden", [16.0]),
+    (DqnConfig, "gamma", 1.5),
+    (DqnConfig, "learning_rate", 0.0),
+    (DqnConfig, "batch_size", 0),
+    (DqnConfig, "replay_capacity", 0),
+    (DqnConfig, "eps_start", 1.5),
+    (DqnConfig, "eps_end", -0.1),
+    (DqnConfig, "train_episodes", -1),
+    (TabQConfig, "alpha", 0.0),
+    (TabQConfig, "gamma", 1.0),
+    (TabQConfig, "eps_start", -0.5),
+    (TabQConfig, "eps_end", 2.0),
+    (TabQConfig, "train_episodes", -3),
+]
 
 
 class TestConfig:
@@ -114,12 +160,59 @@ class TestConfig:
         ({"tabq": {"gamma": 1}}, "tabq.gamma"),
         ({"tabq": {"alpha": 0}}, "tabq.alpha"),
         ({"tabq": {"eps_start": 2}}, "tabq.eps_start"),
+        (csv_region([1, 2]), "data.region"),
+        (csv_region(5), "data.region"),
+        (csv_region([40.8, 40.7, -74, -73.9]), "data.region"),
+        (csv_region([True, 40.8, -74, -73.9]), "data.region"),
+        (csv_region([40.7, 40.8, -74, float("nan")]), "data.region"),
+        (csv_region("midtown"), "data.region"),
+        (csv_region("bbox=a,b,c,d"), "data.region"),
+        ({"dqn": {"hidden": [1.5, 2.7]}}, "dqn.hidden"),
+        ({"dqn": {"hidden": [True]}}, "dqn.hidden"),
+        ({"eta": {"dist_hidden": []}}, "eta.dist_hidden"),
+        ({"eta": {"time_hidden": ["a"]}}, "eta.time_hidden"),
+        ({"eta": {"split_ratio": 1.5}}, "eta.split_ratio"),
+        ({"eta": {"learning_rate": 0}}, "eta.learning_rate"),
+        ({"eta": {"batch_size": 0}}, "eta.batch_size"),
+        ({"eta": {"epochs": -1}}, "eta.epochs"),
+        ({"dqn": {"learning_rate": -0.1}}, "dqn.learning_rate"),
+        ({"grid": {"weekend_offset": 86400.0}}, "weekend_offset"),
     ])
     def test_silently_failing_values_rejected(self, tmp_path, doc, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+
+    @pytest.mark.parametrize("cls, key, bad", RANGE_VIOLATIONS,
+                             ids=[f"{c.section}.{k}" for c, k, _ in RANGE_VIOLATIONS])
+    def test_every_range_rule_holds_however_the_section_is_built(
+            self, cls, key, bad):
+        with pytest.raises(ConfigError, match=f"{cls.section}.{key}"):
+            cls(**{key: bad})
+        doc = {key: bad}
+        if cls is not ExperimentConfig:
+            doc = {cls.section: doc}
+        with pytest.raises(ConfigError, match=f"{cls.section}.{key}"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_range_violations_cover_every_rule(self):
+        covered = {(cls, key) for cls, key, _ in RANGE_VIOLATIONS}
+        assert covered == {(cls, key) for cls in (ExperimentConfig, *SECTIONS)
+                           for key in cls.ranges}
+
+    def test_learner_settings_checked_in_sections(self):
+        # The SGD settings the trainers read are checked by their sections.
+        with pytest.raises(ConfigError, match="eta.learning_rate"):
+            EtaConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match="eta.batch_size"):
+            EtaConfig(batch_size=0)
+        with pytest.raises(ConfigError, match="eta.epochs"):
+            EtaConfig(epochs=-1)
+        with pytest.raises(ConfigError, match="dqn.learning_rate"):
+            DqnConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match="dqn.batch_size"):
+            DqnConfig(batch_size=0)
 
     @pytest.mark.parametrize("speed", [float("nan"), float("inf"), 0.0])
     def test_eta_speed_must_be_finite_and_positive(self, speed):
@@ -129,6 +222,13 @@ class TestConfig:
     def test_csv_kind_requires_path(self):
         with pytest.raises(ConfigError):
             DataConfig.from_dict({"kind": "csv"})
+
+    def test_readme_config_block_shows_the_defaults(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md")).read()
+        section = readme.split("## Config", 1)[1]
+        block = section.split("```json", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == ExperimentConfig().to_dict()
 
     def test_float_fields_take_ints(self):
         cfg = ExperimentConfig.from_dict({"env": {"wait_delay": 300},
@@ -169,7 +269,7 @@ class TestPrepareData:
         cfg = tiny_policy_config(tmp_path)
         data = prepare_data(cfg)
         assert len(data.store) > 0
-        assert os.path.exists(data.csv_path)
+        assert os.path.exists(tmp_path / "synthetic_weekday.csv")
         assert data.region.contains(data.store.records[0].origin)
 
     def test_unknown_preset(self, tmp_path):
@@ -229,7 +329,6 @@ class TestEtaExperiment:
         # the mean trip duration
         import numpy as np
         from carpool_rl.eta import evaluate, train_joint_eta
-        from carpool_rl.nn import TrainConfig
         from carpool_rl.synth import dense_preset, generate_synthetic
         from carpool_rl.trips import ingest_csv
 
@@ -239,8 +338,8 @@ class TestEtaExperiment:
         store, _, _ = ingest_csv(path)
         train, test = store.train_test_split(0.8, seed=0)
         model = train_joint_eta(train, spec.grid,
-                                TrainConfig(learning_rate=0.03, batch_size=32,
-                                            epochs=25, seed=0))
+                                EtaConfig(learning_rate=0.03, batch_size=32,
+                                          epochs=25), 0)
         mae = evaluate(lambda q: model.predict(q).travel_time, test).mae
         mean_duration = float(np.mean([r.duration for r in test.records]))
         assert mae < 0.10 * mean_duration

@@ -84,7 +84,6 @@ class TestBinTime:
             bins.add(bin_time(s, False, GRID))
             bins.add(bin_time(s, True, GRID))
         assert bins == set(range(288))
-        assert GRID.total_time_bins == 288
 
 
 class TestHaversine:

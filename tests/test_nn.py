@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from carpool_rl.nn import Mlp, TrainConfig, copy_weights
+from carpool_rl.nn import Mlp, copy_weights
 
 
 def straight_line_forward(net, x):
@@ -218,10 +218,3 @@ class TestDeterminismAndSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="layer 1 weights"):
             Mlp.load(path)
-
-class TestTrainConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)

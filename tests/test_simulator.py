@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from carpool_rl.agents import FixedPolicy, evaluate_policy, rollout
-from carpool_rl.eta import (ConstantSpeedEta, EtaArch, EtaQuery, ModelEta,
+from carpool_rl.config import EtaConfig
+from carpool_rl.eta import (ConstantSpeedEta, EtaQuery, ModelEta,
                             train_joint_eta)
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
-from carpool_rl.nn import TrainConfig
 from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
                                   EpisodeOver, PATH_ONE, PATH_TWO,
                                   extra_travel_times, write_trace_jsonl)
@@ -415,9 +415,9 @@ class TestLearnedEta:
         path = tmp_path / "trips.csv"
         generate_synthetic(spec, 3, path)
         store, _, _ = ingest_csv(path)
-        model = train_joint_eta(store, spec.grid,
-                                TrainConfig(batch_size=64, epochs=2, seed=0),
-                                EtaArch((16, 16), (16,)))
+        cfg = EtaConfig(learning_rate=0.01, batch_size=64, epochs=2,
+                        dist_hidden=[16, 16], time_hidden=[16])
+        model = train_joint_eta(store, spec.grid, cfg, 0)
         cfg = EnvConfig(region=spec.region, grid=spec.grid)
         memo_env = CarpoolEnv(store, ModelEta(model), cfg)
         plain_env = CarpoolEnv(store, UnmemoizedEta(model), cfg)
