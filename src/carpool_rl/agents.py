@@ -28,6 +28,7 @@ Policy = Callable[[DriverState], Action]
 Curves = dict[str, list[float]]  # per-episode values keyed by curve metric
 
 N_ACTIONS = len(Action)
+N_FEATURES = 3  # DqnAgent.features: lat, lon, time of day
 
 
 def state_cell(state: DriverState, grid: GridSpec) -> tuple[int, int, int]:
@@ -98,28 +99,47 @@ def select_action(q_values, epsilon: float, rng: np.random.Generator) -> Action:
 
 
 class ReplayMemory:
-    """Bounded FIFO of transitions with uniform sampling."""
+    """Bounded FIFO of featurized transitions with uniform sampling.
+
+    Each column (state features, action, reward, next-state features and a
+    live flag that is 0 on the transition closing a day) is one array
+    preallocated with ``np.empty`` at ``capacity`` rows. ``np.empty`` pages
+    lazily, so a row costs memory only once it is written. Once full, each
+    push overwrites the oldest row.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._next = 0  # ring-buffer write position once full
+        self.states = np.empty((capacity, N_FEATURES))
+        self.actions = np.empty(capacity, dtype=np.intp)
+        self.rewards = np.empty(capacity)
+        self.next_states = np.empty((capacity, N_FEATURES))
+        self.live = np.empty(capacity)
+        self._size = 0
+        self._next = 0  # ring-buffer write position
 
-    def push(self, tr: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(tr)
-        else:
-            self._items[self._next] = tr  # overwrite the oldest
-            self._next = (self._next + 1) % self.capacity
+    def push(self, state: np.ndarray, action: int, reward: float,
+             next_state: np.ndarray, live: bool) -> None:
+        i = self._next
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.live[i] = live
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if len(self._items) == 0:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple:
+        """``batch_size`` rows drawn uniformly with replacement, as the
+        arrays ``(states, actions, rewards, next_states, live)``."""
+        if self._size == 0:
             raise ValueError("cannot sample from an empty memory")
-        idx = rng.integers(len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        idx = rng.integers(self._size, size=batch_size)
+        return (self.states[idx], self.actions[idx], self.rewards[idx],
+                self.next_states[idx], self.live[idx])
 
 
 def epsilon(cfg: DqnConfig | TabQConfig, step: int) -> float:
@@ -134,11 +154,13 @@ def epsilon(cfg: DqnConfig | TabQConfig, step: int) -> float:
 
 class DqnAgent:
     """Double-DQN over (lat, lon, time-of-day) with one Q output per action;
-    ``cfg`` holds every setting it and :func:`train_dqn` read."""
+    ``cfg`` holds every setting it and :func:`train_dqn` read. Its replay
+    holds transitions already featurized, so a train step works on array
+    slices only."""
 
     def __init__(self, region: Bbox, cfg: DqnConfig, seed: int):
         rng = np.random.default_rng(seed)
-        self.online = Mlp([3, *cfg.hidden, N_ACTIONS], rng=rng)
+        self.online = Mlp([N_FEATURES, *cfg.hidden, N_ACTIONS], rng=rng)
         self.target = copy.deepcopy(self.online)
         self.cfg = cfg
         self.region = region
@@ -155,9 +177,6 @@ class DqnAgent:
             state.time_of_day / SECONDS_PER_DAY,
         ])
 
-    def _features_batch(self, states) -> np.ndarray:
-        return np.stack([self.features(s) for s in states])
-
     def q_values(self, state: DriverState) -> np.ndarray:
         out, _ = self.online.forward(self.features(state))
         return out
@@ -165,33 +184,38 @@ class DqnAgent:
     def act(self, state: DriverState, eps: float, rng: np.random.Generator) -> Action:
         return select_action(self.q_values(state), eps, rng)
 
-    def compute_targets(self, batch: list[Transition]) -> np.ndarray:
+    def remember(self, tr: Transition) -> None:
+        """Featurize ``tr`` and push it to the replay."""
+        self.replay.push(self.features(tr.state), int(tr.action), tr.reward,
+                         self.features(tr.next_state), not tr.done)
+
+    def compute_targets(self, rewards: np.ndarray, next_states: np.ndarray,
+                        live: np.ndarray) -> np.ndarray:
         """Double-DQN bootstrap: online net picks the action, target net
-        scores it; terminal transitions use the bare reward."""
-        ns = self._features_batch([tr.next_state for tr in batch])
-        online_next, _ = self.online.forward(ns)
+        scores it; terminal transitions (``live`` 0) use the bare reward."""
+        online_next, _ = self.online.forward(next_states)
         best = np.argmax(online_next, axis=1)
-        target_next, _ = self.target.forward(ns)
-        boot = target_next[np.arange(len(batch)), best]
-        rewards = np.array([tr.reward for tr in batch])
-        live = np.array([0.0 if tr.done else 1.0 for tr in batch])
+        target_next, _ = self.target.forward(next_states)
+        boot = target_next[np.arange(len(rewards)), best]
         return rewards + self.cfg.gamma * boot * live
 
-    def train_step(self, batch: list[Transition]) -> tuple[float, float]:
-        """One SGD step of the bootstrapped regression; returns the
-        pre-update mean loss and the minibatch mean Q of the taken actions."""
-        y = self.compute_targets(batch)
-        s = self._features_batch([tr.state for tr in batch])
-        acts = np.array([int(tr.action) for tr in batch])
-        q_all, cache = self.online.forward(s)
-        rows = np.arange(len(batch))
-        q_sel = q_all[rows, acts]
+    def train_step(self, states: np.ndarray, actions: np.ndarray,
+                   rewards: np.ndarray, next_states: np.ndarray,
+                   live: np.ndarray) -> tuple[float, float]:
+        """One SGD step of the bootstrapped regression on a batch in the
+        form :meth:`ReplayMemory.sample` returns; returns the pre-update
+        mean loss and the minibatch mean Q of the taken actions."""
+        y = self.compute_targets(rewards, next_states, live)
+        n = len(actions)
+        q_all, cache = self.online.forward(states)
+        rows = np.arange(n)
+        q_sel = q_all[rows, actions]
         diff = q_sel - y
-        loss = float(np.sum(diff * diff) / (2.0 * len(batch)))
+        loss = float(np.sum(diff * diff) / (2.0 * n))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite DQN loss: {loss}")
         grad_out = np.zeros_like(q_all)
-        grad_out[rows, acts] = diff / len(batch)
+        grad_out[rows, actions] = diff / n
         grads, _ = self.online.backward(cache, grad_out)
         self.online.apply_gradients(grads, self.cfg.learning_rate)
         return loss, float(q_sel.mean())
@@ -258,11 +282,11 @@ def train_dqn(env: CarpoolEnv, agent: DqnAgent, seed=None) -> Curves:
     for _ in range(cfg.train_episodes):
         ep_q, ep_loss, ep_reward = [], [], 0.0
         for tr in rollout(env, policy, rng):
-            agent.replay.push(tr)
+            agent.remember(tr)
             agent.env_steps += 1
             if len(agent.replay) >= cfg.batch_size:
                 loss, mq = agent.train_step(
-                    agent.replay.sample(cfg.batch_size, rng))
+                    *agent.replay.sample(cfg.batch_size, rng))
                 ep_q.append(mq)
                 ep_loss.append(loss)
                 agent.steps_since_sync += 1

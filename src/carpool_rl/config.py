@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from .geo import Bbox, GeoPoint, GridSpec
@@ -121,7 +121,8 @@ class ConfigSection:
 @dataclass
 class DataConfig(ConfigSection):
     section = "data"
-    ranges = {"kind": one_of("synthetic", "csv"),
+    ranges = {"kind": one_of("synthetic", "csv"), "n_days": POSITIVE,
+              "seed": NON_NEGATIVE,
               "csv_path": ("a string or null",
                            lambda v: v is None or isinstance(v, str))}
     kind: str = "synthetic"          # "synthetic" | "csv"
@@ -175,7 +176,8 @@ class EtaConfig(ConfigSection):
     ranges = {"kind": one_of("speed", "joint"), "speed_mph": FINITE_POSITIVE,
               "learning_rate": POSITIVE, "batch_size": POSITIVE,
               "epochs": NON_NEGATIVE, "dist_hidden": WIDTHS,
-              "time_hidden": WIDTHS, "split_ratio": OPEN_UNIT}
+              "time_hidden": WIDTHS, "split_ratio": OPEN_UNIT,
+              "split_seed": NON_NEGATIVE}
     kind: str = "speed"              # "speed" | "joint"
     speed_mph: float = 12.0
     learning_rate: float = 0.03
@@ -224,7 +226,8 @@ class TabQConfig(ConfigSection):
 
 @dataclass
 class ExperimentConfig(ConfigSection):
-    ranges = {"seeds": list_of("ints", lambda s: type(s) is int),
+    ranges = {"seeds": list_of("non-negative ints",
+                               lambda s: type(s) is int and s >= 0),
               "eval_episodes": POSITIVE,
               "day_types": list_of("weekday/weekend",
                                    lambda d: d in ("weekday", "weekend"))}
@@ -256,15 +259,18 @@ def load_config(path) -> ExperimentConfig:
 def apply_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
                     region: Optional[str] = None, day: Optional[str] = None,
                     out: Optional[str] = None) -> ExperimentConfig:
-    """CLI flags take precedence over config file keys."""
+    """CLI flags take precedence over config file keys. The result is
+    rebuilt from its sections, so the overridden values pass the same
+    checks as values read from the file."""
+    top, data = {}, {}
     if seed is not None:
-        cfg.seeds = [seed]
-        cfg.data.seed = seed
+        top["seeds"] = [seed]
+        data["seed"] = seed
     if region is not None:
         b = parse_region(region)
-        cfg.data.region = [b.lat_min, b.lat_max, b.lon_min, b.lon_max]
+        data["region"] = [b.lat_min, b.lat_max, b.lon_min, b.lon_max]
     if day is not None:
-        cfg.day_types = [day]
+        top["day_types"] = [day]
     if out is not None:
-        cfg.out_dir = out
-    return cfg
+        top["out_dir"] = out
+    return replace(cfg, data=replace(cfg.data, **data), **top)

@@ -312,11 +312,12 @@ def test_criterion_8_double_dqn_identity():
         batch.append(Transition(s, Action(int(rng.integers(3))),
                                 float(rng.uniform(0, 5)), ns, False,
                                 TransitionInfo()))
-    targets = agent.compute_targets(batch)
-    ns_feats = agent._features_batch([tr.next_state for tr in batch])
+    rewards = np.array([tr.reward for tr in batch])
+    ns_feats = np.stack([agent.features(tr.next_state) for tr in batch])
+    live = np.array([0.0 if tr.done else 1.0 for tr in batch])
+    targets = agent.compute_targets(rewards, ns_feats, live)
     q_next, _ = agent.target.forward(ns_feats)
-    vanilla = (np.array([tr.reward for tr in batch])
-               + agent.cfg.gamma * q_next.max(axis=1))
+    vanilla = rewards + agent.cfg.gamma * q_next.max(axis=1)
     ok = np.array_equal(targets, vanilla)
     worst = float(np.max(np.abs(targets - vanilla)))
     check(8, "double-DQN target equals vanilla when nets equal", ok,

@@ -187,28 +187,28 @@ class TestSelectAction:
 
 
 class TestReplayMemory:
-    def _tr(self, k):
-        return make_transition(cell_state(0, 0, float(k)), Action.WAIT, 0.0,
-                               cell_state(0, 0, float(k + 1)))
+    def _push(self, mem, k):
+        mem.push(np.array([0.0, 0.0, float(k)]), int(Action.WAIT), 0.0,
+                 np.array([0.0, 0.0, float(k + 1)]), True)
 
     def test_never_exceeds_capacity_and_evicts_oldest(self):
         mem = ReplayMemory(5)
-        trs = [self._tr(k) for k in range(8)]
-        for tr in trs:
-            mem.push(tr)
+        for k in range(8):
+            self._push(mem, k)
         assert len(mem) == 5
-        kept_times = {t.state.time_of_day for t in mem._items}
+        kept_times = set(mem.states[:len(mem), 2].tolist())
         assert kept_times == {3.0, 4.0, 5.0, 6.0, 7.0}
 
     def test_sampling_is_uniform(self):
         mem = ReplayMemory(50)
         for k in range(50):
-            mem.push(self._tr(k))
+            self._push(mem, k)
         rng = np.random.default_rng(7)
         counts = np.zeros(50)
         draws = 50_000
-        for tr in mem.sample(draws, rng):
-            counts[int(tr.state.time_of_day)] += 1
+        states, *_ = mem.sample(draws, rng)
+        for t in states[:, 2]:
+            counts[int(t)] += 1
         expected = draws / 50
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         # chi-square critical value, 49 dof, alpha = 0.01
@@ -217,6 +217,20 @@ class TestReplayMemory:
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
             ReplayMemory(3).sample(1, np.random.default_rng(0))
+
+    def test_sample_returns_the_pushed_columns(self):
+        agent = make_agent()
+        trs = random_transitions(np.random.default_rng(5), 4,
+                                 terminal_fraction=0.5)
+        for tr in trs:
+            agent.remember(tr)
+        s, a, r, ns, live = agent.replay.sample(4, np.random.default_rng(0))
+        for row, i in enumerate(np.random.default_rng(0).integers(4, size=4)):
+            tr = trs[i]
+            assert np.array_equal(s[row], agent.features(tr.state))
+            assert a[row] == int(tr.action) and r[row] == tr.reward
+            assert np.array_equal(ns[row], agent.features(tr.next_state))
+            assert live[row] == (0.0 if tr.done else 1.0)
 
 
 # The settings the DQN tests were written against (eps_decay_steps 20,000
@@ -245,47 +259,57 @@ def random_transitions(rng, n, terminal_fraction=0.0):
     return out
 
 
+def as_batch(agent, transitions):
+    """``transitions`` as the arrays :meth:`ReplayMemory.sample` returns."""
+    return (np.stack([agent.features(tr.state) for tr in transitions]),
+            np.array([int(tr.action) for tr in transitions]),
+            np.array([tr.reward for tr in transitions]),
+            np.stack([agent.features(tr.next_state) for tr in transitions]),
+            np.array([0.0 if tr.done else 1.0 for tr in transitions]))
+
+
 class TestDqn:
     def test_double_target_equals_vanilla_when_nets_equal(self):
         rng = np.random.default_rng(0)
         agent = make_agent()
         agent.sync_target()  # online == target
-        batch = random_transitions(rng, 1000)
-        targets = agent.compute_targets(batch)
-        ns = agent._features_batch([tr.next_state for tr in batch])
+        _, _, rewards, ns, live = as_batch(agent, random_transitions(rng, 1000))
+        targets = agent.compute_targets(rewards, ns, live)
         q_next, _ = agent.target.forward(ns)
-        vanilla = (np.array([tr.reward for tr in batch])
-                   + agent.cfg.gamma * q_next.max(axis=1))
+        vanilla = rewards + agent.cfg.gamma * q_next.max(axis=1)
         assert np.array_equal(targets, vanilla)
 
     def test_terminal_target_is_bare_reward(self):
         rng = np.random.default_rng(1)
         agent = make_agent()
         batch = random_transitions(rng, 64, terminal_fraction=1.0)
-        targets = agent.compute_targets(batch)
+        _, _, rewards, ns, live = as_batch(agent, batch)
+        targets = agent.compute_targets(rewards, ns, live)
         assert np.array_equal(targets, np.array([tr.reward for tr in batch]))
 
     def test_gamma_zero_is_supervised_regression(self):
         rng = np.random.default_rng(2)
         agent = make_agent(gamma=0.0)
         batch = random_transitions(rng, 32)
-        targets = agent.compute_targets(batch)
+        _, _, rewards, ns, live = as_batch(agent, batch)
+        targets = agent.compute_targets(rewards, ns, live)
         assert np.array_equal(targets, np.array([tr.reward for tr in batch]))
 
     def test_train_step_decreases_fixed_batch_loss(self):
         rng = np.random.default_rng(3)
         agent = make_agent()
-        batch = random_transitions(rng, 32, terminal_fraction=1.0)
-        losses = [agent.train_step(batch)[0] for _ in range(60)]
+        batch = as_batch(agent, random_transitions(rng, 32, terminal_fraction=1.0))
+        losses = [agent.train_step(*batch)[0] for _ in range(60)]
         assert losses[-1] < losses[0]
 
     def test_sync_target_aligns_and_freezes(self):
         rng = np.random.default_rng(4)
         agent = make_agent()
-        batch = random_transitions(rng, 16)
+        transitions = random_transitions(rng, 16)
+        batch = as_batch(agent, transitions)
         for _ in range(5):
-            agent.train_step(batch)
-        s = batch[0].state
+            agent.train_step(*batch)
+        s = transitions[0].state
         online_q = agent.q_values(s)
         target_q, _ = agent.target.forward(agent.features(s))
         assert not np.array_equal(online_q, target_q)  # target lagging
@@ -409,6 +433,26 @@ class TestTrainingLoops:
         assert sorted(curves) == ["mean_q", "reward"]
         assert all(len(v) == 3 for v in curves.values())
         assert len(table.values) > 0
+
+    def test_replay_ring_overwrite_run_is_pinned(self):
+        # A replay of 64 rows against about 300 env steps, so training
+        # samples from a memory that has wrapped several times. Recorded
+        # while the replay still held Transition objects.
+        env = make_env(self._demand(np.random.default_rng(3), 300))
+        agent = make_agent(seed=6, replay_capacity=64, sync_period=40,
+                           train_episodes=2, eps_start=1.0, eps_end=0.05,
+                           eps_decay_steps=100)
+        dqn = train_dqn(env, agent, seed=13)
+        assert agent.env_steps == 301 and len(agent.replay) == 64
+        assert repr(dqn) == (
+            "{'mean_q': [0.2367386802871895, 0.6617328212310634], "
+            "'loss': [0.04883009575979182, 0.09277925036244429], "
+            "'reward': [17.048754679240993, 56.79547430265844]}")
+        assert repr(evaluate_policy(env, greedy(agent.q_values), 2, seed=4)) == (
+            "(75.87042710949702, [75.87042710949702, 75.87042710949702])")
+        assert repr(agent.q_values(DriverState(GeoPoint(40.725, -74.0),
+                                               43200.0)).tolist()) == (
+            "[-0.20114772798660518, 1.2514080711506363, 0.24830389324693228]")
 
     def test_rollout_ends_with_the_transition_that_closes_the_day(self):
         env = make_env(self._demand(np.random.default_rng(4)))

@@ -109,6 +109,15 @@ class TestTrainAndEval:
         assert "fixed" in out and "dqn" in out
 
 
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        code, out, err = run_cli(capsys, "eval", "--config", str(cfg),
+                                 "--seed", "-1")
+        assert code != 0 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not os.path.exists(tmp_path / "run")
+
 class TestEtaCommands:
     def test_eta_train_and_predict(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, eta={"kind": "joint", "epochs": 2})

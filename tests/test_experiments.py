@@ -53,10 +53,13 @@ SECTIONS = [f.default_factory for f in fields(ExperimentConfig)
 # One value breaking each rule in a section's ``ranges``.
 RANGE_VIOLATIONS = [
     (ExperimentConfig, "seeds", []),
+    (ExperimentConfig, "seeds", [-1]),
     (ExperimentConfig, "eval_episodes", 0),
     (ExperimentConfig, "day_types", ["monday"]),
     (DataConfig, "kind", "parquet"),
     (DataConfig, "csv_path", 5),
+    (DataConfig, "n_days", 0),
+    (DataConfig, "seed", -5),
     (GridConfig, "cell_lat", 0.0),
     (GridConfig, "cell_lon", -0.002),
     (GridConfig, "time_bin", float("nan")),
@@ -71,6 +74,7 @@ RANGE_VIOLATIONS = [
     (EtaConfig, "dist_hidden", []),
     (EtaConfig, "time_hidden", [8, 0]),
     (EtaConfig, "split_ratio", 1.0),
+    (EtaConfig, "split_seed", -2),
     (DqnConfig, "hidden", [16.0]),
     (DqnConfig, "gamma", 1.5),
     (DqnConfig, "learning_rate", 0.0),
@@ -177,6 +181,11 @@ class TestConfig:
         ({"eta": {"epochs": -1}}, "eta.epochs"),
         ({"dqn": {"learning_rate": -0.1}}, "dqn.learning_rate"),
         ({"grid": {"weekend_offset": 86400.0}}, "weekend_offset"),
+        ({"seeds": [-1]}, "config.seeds"),
+        ({"data": {"seed": -5}}, "data.seed"),
+        ({"eta": {"split_seed": -2}}, "eta.split_seed"),
+        ({"data": {"n_days": 0}}, "data.n_days"),
+        ({"data": {"n_days": -3}}, "data.n_days"),
     ])
     def test_silently_failing_values_rejected(self, tmp_path, doc, key):
         path = tmp_path / "cfg.json"
