@@ -22,7 +22,7 @@ from .experiments import (build_env, build_eta_source, curve_set, emit_curves,
                           run_policy_experiment, EvalReport)
 from .geo import GeoPoint
 from .synth import PRESETS, generate_synthetic
-from .trips import ingest_csv
+from .trips import ConfigError, ingest_csv
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -44,11 +44,16 @@ def _cmd_data_ingest(args) -> int:
 
 
 def _cmd_data_synth(args) -> int:
+    seed = args.seed if args.seed is not None else 0
+    if args.days < 1:
+        raise ConfigError(f"--days must be at least 1: {args.days}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative: {seed}")
     spec = PRESETS[args.preset](args.days, args.noisy, args.day or "weekday")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"synthetic_{args.preset}.csv")
-    n = generate_synthetic(spec, args.seed if args.seed is not None else 0, path)
+    n = generate_synthetic(spec, seed, path)
     print(json.dumps({"path": path, "trips": n}))
     return 0
 
@@ -128,6 +133,12 @@ def _cmd_report(args) -> int:
         for day, cell in sorted(per_day.items()):
             print(f"{policy:>6s}  {day:8s}  mean {cell['mean']:10.3f}  "
                   f"std {cell['std']:8.3f}")
+    if report.data:
+        rejected = report.data["rejected"]
+        print(f"  data  kept {report.data['kept']}  rejected "
+              f"{sum(rejected.values())} ("
+              + ", ".join(f"{k} {v}" for k, v in sorted(rejected.items()))
+              + ")")
     return 0
 
 

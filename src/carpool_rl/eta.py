@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import EtaConfig
 from .geo import (GeoPoint, GridSpec, SECONDS_PER_DAY, bin_location, bin_time,
-                  haversine_miles)
+                  cell_index, haversine_miles)
 from .nn import Mlp, CHECKPOINT_FORMAT
 from .trips import TripRecord, TripStore
 
@@ -73,25 +73,18 @@ def _records(data) -> tuple[TripRecord, ...]:
     return data.records if isinstance(data, TripStore) else tuple(data)
 
 
-def location_features(q: EtaQuery, grid: GridSpec) -> np.ndarray:
-    """Binned endpoint features [o_lat, o_lon, d_lat, d_lon]."""
-    oi, oj, _ = bin_location(q.origin, grid)
-    di, dj, _ = bin_location(q.destination, grid)
-    return np.array([oi, oj, di, dj], dtype=float)
-
-
-def time_feature(q: EtaQuery, grid: GridSpec) -> float:
-    """Time-bin index with the weekend offset already applied."""
-    return float(bin_time(q.seconds_of_day, q.is_weekend, grid))
-
-
 def _feature_matrix(queries: Sequence[EtaQuery], grid: GridSpec):
-    x_loc = np.empty((len(queries), 4))
-    x_t = np.empty((len(queries), 1))
-    for i, q in enumerate(queries):
-        x_loc[i] = location_features(q, grid)
-        x_t[i, 0] = time_feature(q, grid)
-    return x_loc, x_t
+    """Binned endpoint features ``[o_lat, o_lon, d_lat, d_lon]`` and the
+    time-bin feature (weekend offset applied), one row per query.
+
+    Binning is scalar Python arithmetic, one tuple per query, put into a
+    single array; a bad query raises the error its own binning would.
+    """
+    rows = [(*cell_index(q.origin, grid), *cell_index(q.destination, grid),
+             bin_time(q.seconds_of_day, q.is_weekend, grid))
+            for q in queries]
+    x = np.array(rows, dtype=float).reshape(len(rows), 5)
+    return x[:, :4], x[:, 4:]
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,10 @@ CURVE_METRICS = ("mean_q", "loss", "reward")
 
 @dataclass
 class PreparedData:
+    """The run's trip store and grid. ``rejections`` counts the source rows
+    dropped, per ingest rule (``trips.REJECT_KEYS``) and under ``"region"``
+    for csv rows outside ``data.region``."""
+
     store: TripStore
     region: Bbox
     grid: GridSpec
@@ -54,7 +58,7 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
             raise ConfigError("data.region applies to csv data only; a "
                               "synthetic preset has its own region")
         records = []
-        rejections: dict = {}
+        rejections = {"region": 0}
         for idx, day_type in enumerate(cfg.day_types):
             spec = PRESETS[cfg.data.preset](cfg.data.n_days, cfg.data.noisy,
                                             day_type)
@@ -69,8 +73,9 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
         region = cfg.data.bbox()
         if region is None:
             raise ConfigError("data.kind=csv requires data.region")
-        store, _, rejections = ingest_csv(cfg.data.csv_path)
-        store = store.mask_region(region)
+        ingested, _, rejections = ingest_csv(cfg.data.csv_path)
+        store = ingested.mask_region(region)
+        rejections["region"] = len(ingested) - len(store)
     return PreparedData(store, region, cfg.grid.build(region.lower_left),
                         rejections)
 
@@ -156,16 +161,18 @@ def run_eta_experiment(cfg: ExperimentConfig) -> dict:
 @dataclass
 class EvalReport:
     """Per-policy mean cumulative reward over seeds, per day type, plus
-    pointers to the curve CSVs."""
+    pointers to the curve CSVs. ``data`` holds the trips kept and the rows
+    rejected per rule (:attr:`PreparedData.rejections`)."""
 
     policies: dict = field(default_factory=dict)
     curves: dict = field(default_factory=dict)
     eta: dict | None = None
     config: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"policies": self.policies, "curves": self.curves,
-                "eta": self.eta, "config": self.config}
+                "eta": self.eta, "config": self.config, "data": self.data}
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -176,7 +183,8 @@ class EvalReport:
         with open(path) as fh:
             d = json.load(fh)
         return cls(policies=d["policies"], curves=d["curves"],
-                   eta=d.get("eta"), config=d.get("config", {}))
+                   eta=d.get("eta"), config=d.get("config", {}),
+                   data=d.get("data", {}))
 
 
 def emit_curves(curves: dict[str, list[float]], out_dir) -> dict[str, str]:
@@ -241,7 +249,9 @@ def run_policy_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Train tabular Q and DQN per seed, evaluate all policies greedily,
     and write ``report.json`` plus the learning-curve CSVs."""
     data = prepare_data(cfg)
-    report = EvalReport(config=cfg.to_dict())
+    report = EvalReport(config=cfg.to_dict(),
+                        data={"kept": len(data.store),
+                              "rejected": data.rejections})
     curve_data: dict[str, list[float]] = {}
 
     # One travel-time source for every day type: the time bin carries the

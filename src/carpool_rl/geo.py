@@ -26,7 +26,7 @@ class OutOfGridError(ValueError):
     """A point or timestamp falls outside the configured grid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """WGS-84 coordinate pair in degrees."""
 
@@ -89,6 +89,18 @@ class GridSpec:
             raise ValueError("time_bin must be positive")
 
 
+def cell_index(p: GeoPoint, spec: GridSpec) -> tuple[int, int]:
+    """Grid cell ``(lat_bin, lon_bin)`` of a point. Raises
+    :class:`OutOfGridError` for points below or left of the grid origin."""
+    i = math.floor((p.lat - spec.origin_corner.lat) / spec.cell_lat + _BIN_EPS)
+    j = math.floor((p.lon - spec.origin_corner.lon) / spec.cell_lon + _BIN_EPS)
+    if i < 0 or j < 0:
+        raise OutOfGridError(
+            f"point ({p.lat}, {p.lon}) lies below/left of grid origin "
+            f"({spec.origin_corner.lat}, {spec.origin_corner.lon})")
+    return i, j
+
+
 def bin_location(p: GeoPoint, spec: GridSpec) -> tuple[int, int, GeoPoint]:
     """Snap a point to its grid cell.
 
@@ -96,12 +108,7 @@ def bin_location(p: GeoPoint, spec: GridSpec) -> tuple[int, int, GeoPoint]:
     point is the cell's lower-left corner. Raises :class:`OutOfGridError`
     for points below or left of the grid origin.
     """
-    i = math.floor((p.lat - spec.origin_corner.lat) / spec.cell_lat + _BIN_EPS)
-    j = math.floor((p.lon - spec.origin_corner.lon) / spec.cell_lon + _BIN_EPS)
-    if i < 0 or j < 0:
-        raise OutOfGridError(
-            f"point ({p.lat}, {p.lon}) lies below/left of grid origin "
-            f"({spec.origin_corner.lat}, {spec.origin_corner.lon})")
+    i, j = cell_index(p, spec)
     rep = GeoPoint(spec.origin_corner.lat + i * spec.cell_lat,
                    spec.origin_corner.lon + j * spec.cell_lon)
     return i, j, rep

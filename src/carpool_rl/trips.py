@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, NamedTuple, Optional
@@ -21,6 +22,11 @@ import numpy as np
 from .geo import Bbox, GeoPoint
 
 DATETIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+# ASCII digits only: strptime also takes other Unicode digits, which
+# fromisoformat rejects, so such fields go the strptime way.
+_CANONICAL_DATETIME = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 
 CANONICAL_COLUMNS = (
     "pickup_datetime",
@@ -55,11 +61,22 @@ class ConfigError(ValueError):
     """Bad ingestion configuration (e.g. a missing required column)."""
 
 
-@dataclass(frozen=True)
+def parse_datetime(text: str) -> datetime:
+    """``datetime.strptime(text, DATETIME_FORMAT)``, with the same accepted
+    set and values. A field of the canonical shape ``YYYY-MM-DD HH:MM:SS``
+    takes the faster ``datetime.fromisoformat``."""
+    if _CANONICAL_DATETIME.fullmatch(text):
+        return datetime.fromisoformat(text)
+    return datetime.strptime(text, DATETIME_FORMAT)
+
+
+@dataclass(frozen=True, slots=True)
 class TripRecord:
     """One historical taxi trip.
 
-    ``distance`` is in miles, ``duration`` in seconds.
+    ``distance`` is in miles, ``duration`` in seconds. ``pickup_seconds``
+    (pickup seconds-of-day) is derived from ``pickup_dt`` once, at
+    construction.
     """
 
     origin: GeoPoint
@@ -69,6 +86,7 @@ class TripRecord:
     distance: float
     duration: float
     passengers: int
+    pickup_seconds: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -79,11 +97,10 @@ class TripRecord:
             raise ValueError(f"passengers out of [1, 7]: {self.passengers}")
         if self.dropoff_dt <= self.pickup_dt:
             raise ValueError("dropoff must come after pickup")
-
-    @property
-    def pickup_seconds(self) -> float:
         t = self.pickup_dt
-        return t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6
+        object.__setattr__(self, "pickup_seconds",
+                           t.hour * 3600 + t.minute * 60 + t.second
+                           + t.microsecond / 1e6)
 
     @property
     def dropoff_seconds(self) -> float:
@@ -208,8 +225,8 @@ def _parse_row(row: dict[str, str], cols: dict[str, str], has_duration_col: bool
                       float(row[cols["pickup_longitude"]]))
     destination = GeoPoint(float(row[cols["dropoff_latitude"]]),
                            float(row[cols["dropoff_longitude"]]))
-    pickup_dt = datetime.strptime(row[cols["pickup_datetime"]], DATETIME_FORMAT)
-    dropoff_dt = datetime.strptime(row[cols["dropoff_datetime"]], DATETIME_FORMAT)
+    pickup_dt = parse_datetime(row[cols["pickup_datetime"]])
+    dropoff_dt = parse_datetime(row[cols["dropoff_datetime"]])
     distance = float(row[cols["trip_distance"]])
     passengers = int(float(row[cols["passenger_count"]]))
     reported = None
@@ -246,7 +263,7 @@ def ingest_csv(path, rules: OutlierRules | None = None,
         for row in reader:
             try:
                 parsed = _parse_row(row, cols, has_duration_col)
-            except (ValueError, TypeError, KeyError):
+            except (ValueError, TypeError, KeyError, OverflowError):
                 tally["unparsable"] += 1
                 continue
             (origin, destination, pickup_dt, dropoff_dt,

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from carpool_rl.cli import main
 
 
@@ -50,6 +52,22 @@ class TestDataCommands:
                                  "--noisy", "--out", str(tmp_path))
         assert code != 0 and out == ""
         assert "noisy" in json.loads(err)["message"]
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--days", "0"], "--days"),
+        (["--days", "-3"], "--days"),
+        (["--seed", "-1"], "--seed"),
+    ])
+    def test_synth_bad_flag_is_a_config_error(self, tmp_path, capsys, argv,
+                                              flag):
+        code, out, err = run_cli(capsys, "data", "synth", "--preset", "dense",
+                                 "--out", str(tmp_path), *argv)
+        assert code != 0 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert flag in payload["message"]
         assert not os.listdir(tmp_path)
 
     def test_failure_emits_error_json(self, tmp_path, capsys):
@@ -107,6 +125,10 @@ class TestTrainAndEval:
                                str(tmp_path / "run"))
         assert code == 0
         assert "fixed" in out and "dqn" in out
+        data = json.loads((tmp_path / "run" / "report.json").read_text())["data"]
+        assert data["kept"] > 0
+        assert (f"data  kept {data['kept']}  rejected "
+                f"{sum(data['rejected'].values())} (") in out
 
 
     def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):

@@ -5,13 +5,16 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from carpool_rl.config import EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaEstimate, EtaQuery,
-                            JointEtaModel, ModelEta, compute_metrics,
-                            evaluate, query_from_trip, train_joint_eta,
-                            train_linear_time, train_time_only)
-from carpool_rl.geo import GeoPoint, GridSpec, OutOfGridError, haversine_miles
+                            JointEtaModel, ModelEta, _feature_matrix,
+                            compute_metrics, evaluate, query_from_trip,
+                            train_joint_eta, train_linear_time,
+                            train_time_only)
+from carpool_rl.geo import (GeoPoint, GridSpec, OutOfGridError, bin_location,
+                            bin_time, haversine_miles)
 from carpool_rl.trips import TripRecord, TripStore
 
 GRID = GridSpec(origin_corner=GeoPoint(40.70, -74.02))
@@ -42,6 +45,76 @@ def synthetic_store(n=400, seed=0):
         speed = 12.0 * (1.0 - 0.3 * math.exp(-((pickup_s / 3600 - 8.5) / 2) ** 2))
         trips.append(make_trip(o, d, pickup_s, dist / speed * 3600.0, dist))
     return TripStore(trips)
+
+
+def reference_features(queries, grid):
+    """Per-query features from ``bin_location`` and ``bin_time``."""
+    x_loc = np.empty((len(queries), 4))
+    x_t = np.empty((len(queries), 1))
+    for row, q in enumerate(queries):
+        oi, oj, _ = bin_location(q.origin, grid)
+        di, dj, _ = bin_location(q.destination, grid)
+        x_loc[row] = [oi, oj, di, dj]
+        x_t[row, 0] = bin_time(q.seconds_of_day, q.is_weekend, grid)
+    return x_loc, x_t
+
+
+# Cell corners (origin + k * cell) sit on the floor's edge.
+CELL_CORNERS = st.builds(
+    lambda i, j: GeoPoint(GRID.origin_corner.lat + i * GRID.cell_lat,
+                          GRID.origin_corner.lon + j * GRID.cell_lon),
+    st.integers(0, 300), st.integers(0, 300))
+IN_GRID = st.one_of(st.builds(GeoPoint, st.floats(40.70, 41.2),
+                              st.floats(-74.02, -73.4)), CELL_CORNERS)
+OUT_OF_GRID = st.one_of(
+    st.builds(GeoPoint, st.floats(39.0, 40.6999), st.floats(-74.02, -73.4)),
+    st.builds(GeoPoint, st.floats(40.70, 41.2), st.floats(-75.0, -74.0201)))
+SECONDS = st.one_of(st.floats(0, 86400, exclude_max=True),
+                    st.integers(0, 86399).map(float))
+QUERIES = st.builds(EtaQuery, IN_GRID, IN_GRID, SECONDS, st.booleans())
+BAD_SECONDS = st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=86400),
+                        st.just(math.nan))
+
+
+def _is_bad(q):
+    try:
+        reference_features([q], GRID)
+    except ValueError:
+        return True
+    return False
+
+
+# Any mix of defects: an out-of-grid endpoint, bad seconds, or several.
+BAD_QUERIES = st.builds(EtaQuery, st.one_of(IN_GRID, OUT_OF_GRID),
+                        st.one_of(IN_GRID, OUT_OF_GRID),
+                        st.one_of(SECONDS, BAD_SECONDS),
+                        st.booleans()).filter(_is_bad)
+
+
+class TestFeatureMatrix:
+    @given(st.lists(QUERIES, max_size=20))
+    def test_equals_per_query_binning(self, queries):
+        x_loc, x_t = _feature_matrix(queries, GRID)
+        ref_loc, ref_t = reference_features(queries, GRID)
+        assert x_loc.shape == (len(queries), 4) and x_t.shape == (len(queries), 1)
+        assert np.array_equal(x_loc, ref_loc) and np.array_equal(x_t, ref_t)
+
+    @given(st.lists(QUERIES, max_size=5), BAD_QUERIES,
+           st.lists(st.one_of(QUERIES, BAD_QUERIES), max_size=5))
+    def test_first_bad_query_raises_its_own_error(self, before, bad, after):
+        with pytest.raises(ValueError) as expected:
+            reference_features([bad], GRID)
+        with pytest.raises(ValueError) as got:
+            _feature_matrix([*before, bad, *after], GRID)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_weekend_corner_query(self):
+        corner = GeoPoint(40.70 + 3 * 0.002, -74.02 + 7 * 0.002)
+        q = EtaQuery(corner, corner, 86399.0, True)
+        x_loc, x_t = _feature_matrix([q], GRID)
+        assert x_loc.tolist() == [[3.0, 7.0, 3.0, 7.0]]
+        assert x_t.tolist() == [[287.0]]
 
 
 class TestMetrics:

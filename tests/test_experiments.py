@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from dataclasses import fields
@@ -16,7 +17,7 @@ from carpool_rl.experiments import (emit_curves, prepare_data,
                                     run_eta_experiment, run_policy_experiment,
                                     validate_curve_csv, validate_report,
                                     EvalReport)
-from carpool_rl.trips import ConfigError
+from carpool_rl.trips import CANONICAL_COLUMNS, REJECT_KEYS, ConfigError
 
 
 def tiny_policy_config(out_dir, preset="dense", seeds=(0,)):
@@ -299,6 +300,26 @@ class TestPrepareData:
         with pytest.raises(ConfigError, match="data.region"):
             prepare_data(cfg)
 
+    def test_csv_rejections_count_rules_and_region(self, tmp_path):
+        row = ["2013-01-07 08:00:00", "2013-01-07 08:10:00", "-74.0", "40.72",
+               "-73.99", "40.73", "1.5", "600", "1"]
+        uptown = row[:2] + ["-73.95", "40.81", "-73.94", "40.82"] + row[6:]
+        crowded = row[:8] + ["9"]
+        path = tmp_path / "trips.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(CANONICAL_COLUMNS)
+            w.writerows([row, row, uptown, crowded, ["garbage"] * 9])
+        cfg = ExperimentConfig.from_dict({
+            "out_dir": str(tmp_path / "run"),
+            "data": {"kind": "csv", "csv_path": str(path),
+                     "region": "downtown"}})
+        data = prepare_data(cfg)
+        assert len(data.store) == 2
+        assert data.rejections == {**dict.fromkeys(REJECT_KEYS, 0),
+                                   "unparsable": 1, "passengers": 1,
+                                   "region": 1}
+
     def test_sparse_noisy_rejected(self, tmp_path):
         cfg = tiny_policy_config(tmp_path, preset="sparse")
         cfg.data.noisy = True
@@ -395,6 +416,10 @@ class TestPolicyExperiment:
         assert report.policies["wait"]["weekday"]["mean"] == 0.0
         loaded = EvalReport.load(os.path.join(str(tmp_path), "report.json"))
         assert loaded.policies == report.policies
+        data = prepare_data(tiny_policy_config(tmp_path / "again"))
+        assert loaded.data == report.data == {
+            "kept": len(data.store), "rejected": data.rejections}
+        assert set(data.rejections) == {*REJECT_KEYS, "region"}
         for path in report.curves.values():
             validate_curve_csv(path)
 
@@ -406,6 +431,7 @@ class TestPolicyExperiment:
                 other = b.policies[policy][day]
                 assert cell["mean"] == other["mean"]
                 assert cell["per_seed"] == other["per_seed"]
+        assert a.data == b.data
 
     def test_both_day_types(self, tmp_path):
         cfg = tiny_policy_config(tmp_path)

@@ -1,10 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from carpool_rl.geo import (Bbox, GeoPoint, GridSpec, OutOfGridError,
-                            bin_location, bin_time, haversine_km,
+                            bin_location, bin_time, cell_index, haversine_km,
                             haversine_miles)
 
 GRID = GridSpec(origin_corner=GeoPoint(40.700, -74.020))
@@ -50,6 +51,18 @@ class TestBinLocation:
         i2, j2, rep2 = bin_location(rep, GRID)
         assert (i, j) == (i2, j2)
         assert rep == rep2
+
+
+    @given(st.floats(40.5, 40.9), st.floats(-74.2, -73.8))
+    def test_cell_index_is_bin_location_without_the_point(self, lat, lon):
+        p = GeoPoint(lat, lon)
+        try:
+            expected = bin_location(p, GRID)[:2]
+        except OutOfGridError as exc:
+            with pytest.raises(OutOfGridError, match=re.escape(str(exc))):
+                cell_index(p, GRID)
+        else:
+            assert cell_index(p, GRID) == expected
 
 
 class TestBinTime:

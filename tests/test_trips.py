@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from carpool_rl.geo import Bbox, GeoPoint
-from carpool_rl.trips import (CANONICAL_COLUMNS, ConfigError, OutlierRules,
-                              TripRecord, TripStore, ingest_csv)
+from carpool_rl.trips import (CANONICAL_COLUMNS, DATETIME_FORMAT, ConfigError,
+                              OutlierRules, TripRecord, TripStore, ingest_csv,
+                              parse_datetime)
 
 UPTOWN = Bbox(lat_min=40.805, lat_max=40.8438, lon_min=-73.9694, lon_max=-73.9274)
 DOWNTOWN = Bbox(lat_min=40.715, lat_max=40.7438, lon_min=-74.0094, lon_max=-73.9774)
@@ -253,3 +256,100 @@ class TestTripRecord:
         assert r.day_type == "weekend"
         assert r.pickup_seconds == 6 * 3600 + 30 * 60 + 15
         assert r.dropoff_seconds == r.pickup_seconds + 300
+
+    def test_pickup_seconds_is_a_stored_field(self):
+        r = make_trip(pickup="2013-01-07 23:59:59")
+        (field,) = [f for f in dataclasses.fields(r) if f.name == "pickup_seconds"]
+        assert not field.init and not field.compare
+        assert r.pickup_seconds == 86399
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.pickup_seconds = 0.0
+
+    def test_fractional_pickup_seconds(self):
+        t = datetime(2013, 1, 7, 1, 2, 3, 250000)
+        r = TripRecord(GeoPoint(40.72, -74.0), GeoPoint(40.73, -73.99), t,
+                       t + timedelta(seconds=600), 1.5, 600.0, 1)
+        assert r.pickup_seconds == 3723.25
+        assert r == dataclasses.replace(r)
+
+
+def _outcome(parse, text):
+    """The parsed value with its tzinfo, or ValueError."""
+    try:
+        value = parse(text)
+    except ValueError:
+        return ValueError
+    return value, value.tzinfo
+
+
+ARABIC_INDIC = "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"
+
+
+@st.composite
+def near_canonical_datetimes(draw):
+    """Strings close to ``YYYY-MM-DD HH:MM:SS``: fields of any width and
+    value, ASCII or Arabic-Indic digits, other separators, and suffixes."""
+    digits = draw(st.sampled_from(["0123456789", ARABIC_INDIC]))
+
+    def number(max_width):
+        width = draw(st.integers(1, max_width))
+        return "".join(digits[int(c)] for c in
+                       draw(st.text("0123456789", min_size=width,
+                                    max_size=width)))
+
+    date_sep = draw(st.sampled_from(["-", "/", ""]))
+    sep = draw(st.sampled_from([" ", "T", "  ", "_"]))
+    suffix = draw(st.sampled_from(["", "", ".5", ".123456", "+01:00", "Z",
+                                   " ", "\n", ":00"]))
+    return (number(5) + date_sep + number(3) + date_sep + number(3) + sep
+            + number(3) + ":" + number(3) + ":" + number(3) + suffix)
+
+
+class TestParseDatetime:
+    @given(st.one_of(st.text(max_size=30), near_canonical_datetimes()))
+    @example("2016-3-4 8:5:2")
+    @example("2016-01-04T07:31:12")
+    @example("2016-01-04 07:31:12.5")
+    @example("2016-01-04 07:31:12+01:00")
+    @example("2016-01-04 24:00:00")
+    @example("2016-02-30 00:00:00")
+    @example("2016-02-29 00:00:00")
+    @example("0000-01-01 00:00:00")
+    @example("2016-01-01 23:59:60")
+    @example("\u0662\u0660\u0661\u0666-01-01 00:00:00")
+    @example("2016-01-01 00:00:00")
+    def test_matches_strptime(self, text):
+        assert _outcome(parse_datetime, text) == _outcome(
+            lambda s: datetime.strptime(s, DATETIME_FORMAT), text)
+
+
+FIELD_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "-0", " 3 ", "8",
+                     "0", "2.5", "40.72", "-74.0", "2013-01-07 08:05:00",
+                     "2013-1-7 8:5:0", "2013-01-07T08:05:00"]))
+
+
+class TestIngestFuzz:
+    @given(st.dictionaries(st.sampled_from(range(len(CANONICAL_COLUMNS))),
+                           FIELD_VALUES, max_size=len(CANONICAL_COLUMNS)),
+           st.integers(0, 2))
+    @example({}, 0)
+    @example({8: "inf"}, 0)
+    @example({8: "1e400"}, 0)
+    @example({7: "nan"}, 0)
+    @example({0: "2013-1-7 8:0:0"}, 0)
+    def test_each_row_is_kept_or_tallied_once(self, tmp_path_factory,
+                                              replaced, dropped):
+        """A row, with some fields replaced by arbitrary text and up to two
+        trailing fields cut off, becomes one record or one tally count."""
+        row = csv_row()
+        for col, value in replaced.items():
+            row[col] = value
+        row = row[:len(row) - dropped]
+        path = tmp_path_factory.mktemp("fuzz") / "trips.csv"
+        write_csv(path, [row])
+        store, rejected, tally = ingest_csv(path)
+        assert len(store) + rejected == 1
+        assert sum(tally.values()) == rejected
