@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ``data ingest``, ``data synth``, ``eta train|eval|predict``,
-``train fixed|tabq|dqn``, ``eval``, ``report``. Exit code 0 on success; on
-failure a one-line JSON error object is written to stderr and the exit code
-is nonzero.
+``train fixed|tabq|dqn``, ``eval``, ``report``. Exit code 0 on success. A
+failure after parsing writes one JSON line ``{"error", "message"}`` to
+stderr and returns 1; a usage error is argparse's (usage text on stderr,
+``SystemExit(2)``).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _cmd_eta_train(args) -> int:
     model = train_joint_eta(train, data.grid, cfg.eta, cfg.seeds[0])
     model_dir = os.path.join(cfg.out_dir, "eta_model")
     model.save(model_dir)
-    metrics = evaluate(lambda q: model.predict(q).travel_time, test)
+    metrics = evaluate(lambda qs: model.predict_batch(qs)[0], test)
     print(json.dumps({"model": model_dir, "mae": metrics.mae,
                       "r2": metrics.r2}))
     return 0

@@ -11,6 +11,11 @@ Baselines: an ordinary-least-squares linear regressor on raw coordinates and
 a time-only MLP fed the binned endpoints plus time. Every MLP uses ReLU on
 its hidden layers.
 
+Each estimator's ``predict_batch`` featurizes and scales a whole batch at
+once but runs the network row by row, so row ``i`` equals
+``predict_batch([q_i])`` bit for bit (a batched matmul may round otherwise).
+:func:`evaluate` scores a held-out split with one such batch call.
+
 The SGD trainers take an :class:`~carpool_rl.config.EtaConfig` (learning
 rate, batch size, epochs and the joint model's hidden widths) and a seed,
 which seeds both the network initialization and the minibatch order.
@@ -23,6 +28,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -69,20 +75,28 @@ def query_from_trip(r: TripRecord) -> EtaQuery:
     return EtaQuery(r.origin, r.destination, r.pickup_seconds, r.is_weekend)
 
 
+# (origin, destination, seconds_of_day, is_weekend) of a query or of a trip:
+# the four values every featurization reads.
+_query_fields = attrgetter("origin", "destination", "seconds_of_day",
+                           "is_weekend")
+_trip_fields = attrgetter("origin", "destination", "pickup_seconds",
+                          "is_weekend")
+
+
 def _records(data) -> tuple[TripRecord, ...]:
     return data.records if isinstance(data, TripStore) else tuple(data)
 
 
-def _feature_matrix(queries: Sequence[EtaQuery], grid: GridSpec):
+def _feature_matrix(items, grid: GridSpec, fields=_query_fields):
     """Binned endpoint features ``[o_lat, o_lon, d_lat, d_lon]`` and the
-    time-bin feature (weekend offset applied), one row per query.
+    time-bin feature (weekend offset applied), one row per query (or per
+    trip, with ``fields=_trip_fields``).
 
-    Binning is scalar Python arithmetic, one tuple per query, put into a
-    single array; a bad query raises the error its own binning would.
+    Binning is scalar Python arithmetic, one tuple per item, put into a
+    single array; a bad item raises the error its own binning would.
     """
-    rows = [(*cell_index(q.origin, grid), *cell_index(q.destination, grid),
-             bin_time(q.seconds_of_day, q.is_weekend, grid))
-            for q in queries]
+    rows = [(*cell_index(o, grid), *cell_index(d, grid), bin_time(t, w, grid))
+            for o, d, t, w in map(fields, items)]
     x = np.array(rows, dtype=float).reshape(len(rows), 5)
     return x[:, :4], x[:, 4:]
 
@@ -141,10 +155,16 @@ class JointEtaModel:
         return y_time, y_dist, (z, h, cache_tr, cache_d, cache_t)
 
     def predict_batch(self, queries: Sequence[EtaQuery]):
-        """Vectorized prediction: returns (times, distances) arrays, clamped at 0."""
+        """Returns (times, distances) arrays, clamped at 0. Row-exact: row
+        ``i`` equals ``predict_batch([queries[i]])`` bit for bit."""
         x_loc, x_t = _feature_matrix(queries, self.grid)
-        y_time_std, y_dist_std, _ = self._forward(
-            self.loc_stats.transform(x_loc), self.t_stats.transform(x_t))
+        xl = self.loc_stats.transform(x_loc)
+        xt = self.t_stats.transform(x_t)
+        y_time_std = np.empty((len(xl), 1))
+        y_dist_std = np.empty((len(xl), 1))
+        for i in range(len(xl)):
+            y_time_std[i], y_dist_std[i], _ = self._forward(xl[i:i + 1],
+                                                            xt[i:i + 1])
         times = self.y_time_stats.inverse(y_time_std)[:, 0]
         dists = self.y_dist_stats.inverse(y_dist_std)[:, 0]
         return np.maximum(times, 0.0), np.maximum(dists, 0.0)
@@ -203,8 +223,7 @@ class JointEtaModel:
 
 
 def _training_arrays(records, grid):
-    queries = [query_from_trip(r) for r in records]
-    x_loc, x_t = _feature_matrix(queries, grid)
+    x_loc, x_t = _feature_matrix(records, grid, _trip_fields)
     y_time = np.array([r.duration for r in records], dtype=float)
     y_dist = np.array([r.distance for r in records], dtype=float)
     return x_loc, x_t, y_time, y_dist
@@ -281,13 +300,13 @@ class TimeOnlyModel:
         self.y_stats = y_stats
 
     def predict_batch(self, queries: Sequence[EtaQuery]) -> np.ndarray:
+        """Travel times clamped at 0; row-exact like the joint model's."""
         x_loc, x_t = _feature_matrix(queries, self.grid)
         x = self.x_stats.transform(np.concatenate([x_loc, x_t], axis=1))
-        out, _ = self.net.forward(x)
+        out = np.empty((len(x), 1))
+        for i in range(len(x)):
+            out[i], _ = self.net.forward(x[i:i + 1])
         return np.maximum(self.y_stats.inverse(out)[:, 0], 0.0)
-
-    def predict(self, q: EtaQuery) -> float:
-        return float(self.predict_batch([q])[0])
 
 
 def train_time_only(train, grid: GridSpec, cfg: EtaConfig, seed: int,
@@ -322,21 +341,22 @@ class LinearTimeModel:
     x_stats: Standardizer
     coef: np.ndarray  # [intercept, 5 standardized-feature weights]
 
-    def predict(self, q: EtaQuery) -> float:
-        return float(self.predict_batch([q])[0])
-
     def predict_batch(self, queries: Sequence[EtaQuery]) -> np.ndarray:
+        """Travel times, unclamped; row-exact like the joint model's."""
         x = self.x_stats.transform(_raw_features(queries))
-        return self.coef[0] + x @ self.coef[1:]
+        w0, w = self.coef[0], self.coef[1:]
+        out = np.empty(len(x))
+        for i in range(len(x)):
+            out[i:i + 1] = w0 + x[i:i + 1] @ w
+        return out
 
 
-def _raw_features(queries: Sequence[EtaQuery]) -> np.ndarray:
-    out = np.empty((len(queries), 5))
-    for i, q in enumerate(queries):
-        t_eff = q.seconds_of_day + (SECONDS_PER_DAY if q.is_weekend else 0.0)
-        out[i] = (q.origin.lat, q.origin.lon,
-                  q.destination.lat, q.destination.lon, t_eff)
-    return out
+def _raw_features(items, fields=_query_fields) -> np.ndarray:
+    """Unbinned ``[o_lat, o_lon, d_lat, d_lon, t]`` per query (or trip),
+    ``t`` the seconds of day plus one day on weekends."""
+    rows = [(o.lat, o.lon, d.lat, d.lon, t + (SECONDS_PER_DAY if w else 0.0))
+            for o, d, t, w in map(fields, items)]
+    return np.array(rows, dtype=float).reshape(len(rows), 5)
 
 
 def train_linear_time(train) -> LinearTimeModel:
@@ -349,7 +369,7 @@ def train_linear_time(train) -> LinearTimeModel:
     records = _records(train)
     if not records:
         raise ValueError("empty training set")
-    raw = _raw_features([query_from_trip(r) for r in records])
+    raw = _raw_features(records, _trip_fields)
     x_stats = Standardizer.fit(raw)
     x = x_stats.transform(raw)
     design = np.concatenate([np.ones((len(records), 1)), x], axis=1)
@@ -395,13 +415,16 @@ def compute_metrics(y_true, y_pred) -> EtaMetrics:
     return EtaMetrics(mae=mae, mre=mre, medae=medae, medre=medre, r2=r2)
 
 
-def evaluate(predict_fn: Callable[[EtaQuery], float], test) -> EtaMetrics:
-    """Score a travel-time predictor on held-out trips."""
+def evaluate(predict_batch_fn: Callable[[list[EtaQuery]], np.ndarray],
+             test) -> EtaMetrics:
+    """Score a batch travel-time predictor on held-out trips: one call with
+    every trip's query, in order, returning one time per query."""
     records = _records(test)
     if not records:
         raise ValueError("empty test set")
     y = np.array([r.duration for r in records], dtype=float)
-    f = np.array([float(predict_fn(query_from_trip(r))) for r in records])
+    f = np.asarray(predict_batch_fn([query_from_trip(r) for r in records]),
+                   dtype=float)
     return compute_metrics(y, f)
 
 
@@ -431,11 +454,11 @@ class ModelEta:
     The joint model sees a leg only through its binned endpoints and its
     time bin (weekend offset included), so the travel time is a pure
     function of the key ``(oi, oj, di, dj, time_bin)``. Each key is
-    predicted once, with the one-row ``model.predict``, and the float is
-    memoized for the adapter's life, so repeat legs return bit-identical
-    values. The key is binned on every call, so out-of-grid points and
-    seconds-of-day outside [0, 86400) still raise. A non-finite prediction
-    raises ``ValueError`` naming its key.
+    predicted once, with the one-row ``model.predict_batch([q])``, and the
+    float is memoized for the adapter's life, so repeat legs return
+    bit-identical values. The key is binned on every call, so out-of-grid
+    points and seconds-of-day outside [0, 86400) still raise. A non-finite
+    prediction raises ``ValueError`` naming its key.
     """
 
     def __init__(self, model: JointEtaModel):
@@ -450,7 +473,7 @@ class ModelEta:
         t = self._memo.get(key)
         if t is None:
             q = EtaQuery(origin, destination, seconds_of_day, is_weekend)
-            t = self.model.predict(q).travel_time
+            t = float(self.model.predict_batch([q])[0][0])
             if not math.isfinite(t):
                 raise ValueError(f"non-finite travel time {t} for cell key "
                                  f"(oi, oj, di, dj, time_bin) = {key}")

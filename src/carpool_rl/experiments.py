@@ -131,9 +131,9 @@ def run_eta_experiment(cfg: ExperimentConfig) -> dict:
     for seed in cfg.seeds:
         time_only = train_time_only(train, data.grid, cfg.eta, seed)
         joint = train_joint_eta(train, data.grid, cfg.eta, seed)
-        for name, fn in (("linear", linear.predict),
-                         ("time_only", time_only.predict),
-                         ("joint", lambda q: joint.predict(q).travel_time)):
+        for name, fn in (("linear", linear.predict_batch),
+                         ("time_only", time_only.predict_batch),
+                         ("joint", lambda qs: joint.predict_batch(qs)[0])):
             m = evaluate(fn, test)
             results[name]["per_seed"].append(
                 {k: getattr(m, k) for k in METRIC_NAMES})

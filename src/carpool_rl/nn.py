@@ -69,20 +69,19 @@ class Mlp:
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
-        if x.shape[1] != self.input_width:
+        if x.shape[1] != self.layer_sizes[0]:
             raise ValueError(
-                f"input width {x.shape[1]} != expected {self.input_width}")
+                f"input width {x.shape[1]} != expected {self.layer_sizes[0]}")
         inputs = [x]  # post-activation input to each layer
         zs = []
-        a = x
-        for k in range(self.n_layers):
-            z = a @ self.weights[k].T + self.biases[k]
-            zs.append(z)
-            a = np.maximum(z, 0.0) if k < self.n_layers - 1 else z
-            if k < self.n_layers - 1:
-                inputs.append(a)
+        for w, b in zip(self.weights, self.biases):
+            if zs:  # a hidden layer came before: its ReLU feeds this one
+                x = np.maximum(zs[-1], 0.0)
+                inputs.append(x)
+            zs.append(x @ w.T + b)
+        out = zs[-1]
         cache = {"inputs": inputs, "zs": zs, "squeeze": squeeze}
-        return (a[0] if squeeze else a), cache
+        return (out[0] if squeeze else out), cache
 
     def backward(self, cache, grad_output):
         """Backpropagate ``dL/d(output)`` through the cached forward pass.
@@ -94,14 +93,13 @@ class Mlp:
         g = np.asarray(grad_output, dtype=float)
         if g.ndim == 1:
             g = g[None, :]
-        grads = [None] * self.n_layers
-        for k in range(self.n_layers - 1, -1, -1):
-            if k < self.n_layers - 1:
-                g = g * (cache["zs"][k] > 0.0)
-            a_in = cache["inputs"][k]
-            dw = g.T @ a_in
-            db = g.sum(axis=0)
-            grads[k] = (dw, db)
+        last = len(self.weights) - 1
+        zs, inputs = cache["zs"], cache["inputs"]
+        grads = [None] * (last + 1)
+        for k in range(last, -1, -1):
+            if k < last:
+                g = g * (zs[k] > 0.0)
+            grads[k] = (g.T @ inputs[k], g.sum(axis=0))
             g = g @ self.weights[k]
         return grads, (g[0] if cache["squeeze"] else g)
 
@@ -132,7 +130,7 @@ class Mlp:
             raise RuntimeError(f"non-finite training loss: {loss}")
         grads, _ = self.backward(cache, gout)
         for dw, db in grads:
-            if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
+            if not (np.isfinite(dw).all() and np.isfinite(db).all()):
                 raise RuntimeError("non-finite gradient during SGD step")
         self.apply_gradients(grads, lr)
         return loss

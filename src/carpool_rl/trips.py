@@ -75,8 +75,8 @@ class TripRecord:
     """One historical taxi trip.
 
     ``distance`` is in miles, ``duration`` in seconds. ``pickup_seconds``
-    (pickup seconds-of-day) is derived from ``pickup_dt`` once, at
-    construction.
+    (pickup seconds-of-day) and ``is_weekend`` (pickup on a Saturday or
+    Sunday) are derived from ``pickup_dt`` once, at construction.
     """
 
     origin: GeoPoint
@@ -87,6 +87,7 @@ class TripRecord:
     duration: float
     passengers: int
     pickup_seconds: float = field(init=False, compare=False)
+    is_weekend: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -101,15 +102,12 @@ class TripRecord:
         object.__setattr__(self, "pickup_seconds",
                            t.hour * 3600 + t.minute * 60 + t.second
                            + t.microsecond / 1e6)
+        object.__setattr__(self, "is_weekend", t.weekday() >= 5)
 
     @property
     def dropoff_seconds(self) -> float:
         """Pickup seconds-of-day plus duration; may run past midnight."""
         return self.pickup_seconds + self.duration
-
-    @property
-    def is_weekend(self) -> bool:
-        return self.pickup_dt.weekday() >= 5
 
     @property
     def day_type(self) -> str:

@@ -51,10 +51,10 @@ def eta_run(tmp_path_factory):
         linear = train_linear_time(train)
         time_only = train_time_only(train, spec.grid, cfg, seed)
         joint = train_joint_eta(train, spec.grid, cfg, seed)
-        out["linear"].append(evaluate(linear.predict, test).mae)
-        out["time_only"].append(evaluate(time_only.predict, test).mae)
+        out["linear"].append(evaluate(linear.predict_batch, test).mae)
+        out["time_only"].append(evaluate(time_only.predict_batch, test).mae)
         out["joint"].append(
-            evaluate(lambda q: joint.predict(q).travel_time, test).mae)
+            evaluate(lambda qs: joint.predict_batch(qs)[0], test).mae)
         out["joint_models"].append(joint)
     return out
 
@@ -106,7 +106,7 @@ def test_criterion_1_eta_ordering(eta_run):
 def test_criterion_2_outlier_robustness(eta_run):
     joint = eta_run["joint_models"][0]
     test = eta_run["test"]
-    mae_clean = evaluate(lambda q: joint.predict(q).travel_time, test).mae
+    mae_clean = evaluate(lambda qs: joint.predict_batch(qs)[0], test).mae
 
     rng = np.random.default_rng(5)
     corrupted = []
@@ -117,7 +117,7 @@ def test_criterion_2_outlier_robustness(eta_run):
                                         r.duration * 2.0, r.passengers))
         else:
             corrupted.append(r)
-    mae_out = evaluate(lambda q: joint.predict(q).travel_time,
+    mae_out = evaluate(lambda qs: joint.predict_batch(qs)[0],
                        TripStore(corrupted)).mae
     degradation = mae_out / mae_clean - 1.0
     ok = degradation < 0.25

@@ -160,3 +160,66 @@ class TestEtaCommands:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) >= {"linear", "time_only", "joint"}
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    from carpool_rl.config import EtaConfig
+    from carpool_rl.eta import train_joint_eta
+    from carpool_rl.synth import dense_preset, generate_synthetic
+    from carpool_rl.trips import ingest_csv
+
+    root = tmp_path_factory.mktemp("cli_model")
+    spec = dense_preset(n_days=1)
+    generate_synthetic(spec, 3, root / "trips.csv")
+    store, _, _ = ingest_csv(root / "trips.csv")
+    model = train_joint_eta(store, spec.grid, EtaConfig(epochs=1), 0)
+    model.save(root / "eta_model")
+    return root / "eta_model"
+
+
+class TestErrorContract:
+    """Usage errors are argparse's: exit status 2 and plain usage text on
+    stderr. Every failure after parsing returns non-zero with nothing on
+    stdout and one JSON line on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["data", "synth", "--preset", "nope"],
+        ["data", "ingest"],
+    ], ids=["unknown-preset", "missing-csv"])
+    def test_usage_error_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: carpool-rl")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["eval", "--config", "{tmp}/missing.json"], "FileNotFoundError"),
+        (["eta", "predict", "--model", "{tmp}/no_model", "--origin",
+          "40.72,-74.0", "--dest", "40.73,-73.99", "--time", "30000"],
+         "FileNotFoundError"),
+        (["eta", "predict", "--model", "{model}", "--origin", "40.7",
+          "--dest", "40.73,-73.99", "--time", "30000"], "ValueError"),
+        (["eta", "predict", "--model", "{model}", "--origin", "a,b",
+          "--dest", "40.73,-73.99", "--time", "30000"], "ValueError"),
+        (["report", "--out", "{tmp}"], "FileNotFoundError"),
+        (["data", "ingest", "--csv", "{tmp}/no_passengers.csv"],
+         "ConfigError"),
+    ], ids=["missing-config", "missing-model", "origin-one-number",
+            "origin-not-numbers", "report-empty-dir", "csv-missing-column"])
+    def test_runtime_failure_is_one_json_line(self, tmp_path, capsys,
+                                              saved_model, argv, error):
+        (tmp_path / "no_passengers.csv").write_text(
+            "pickup_datetime,dropoff_datetime,pickup_longitude,"
+            "pickup_latitude,dropoff_longitude,dropoff_latitude,"
+            "trip_distance\n")
+        argv = [a.format(tmp=tmp_path, model=saved_model) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code != 0 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == error and payload["message"]

@@ -5,11 +5,12 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from carpool_rl.config import EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaEstimate, EtaQuery,
                             JointEtaModel, ModelEta, _feature_matrix,
+                            _raw_features, _training_arrays, _trip_fields,
                             compute_metrics, evaluate, query_from_trip,
                             train_joint_eta, train_linear_time,
                             train_time_only)
@@ -115,6 +116,32 @@ class TestFeatureMatrix:
         x_loc, x_t = _feature_matrix([q], GRID)
         assert x_loc.tolist() == [[3.0, 7.0, 3.0, 7.0]]
         assert x_t.tolist() == [[287.0]]
+
+
+# Trips anywhere in the grid, on a Monday or a Saturday, at any second.
+TRIPS = st.builds(
+    lambda o, d, pickup_s, weekend: make_trip(
+        (o.lat, o.lon), (d.lat, d.lon), pickup_s, weekend=weekend),
+    IN_GRID, IN_GRID, st.floats(0, 86399), st.booleans())
+
+
+class TestTrainingFeatures:
+    """Training features come straight from the records and equal the
+    features of the records' queries."""
+
+    @given(st.lists(TRIPS, max_size=20))
+    def test_record_matrices_equal_query_matrices(self, trips):
+        queries = [query_from_trip(r) for r in trips]
+        x_loc, x_t, y_time, y_dist = _training_arrays(trips, GRID)
+        q_loc, q_t = _feature_matrix(queries, GRID)
+        assert np.array_equal(x_loc, q_loc) and np.array_equal(x_t, q_t)
+        assert y_time.tolist() == [r.duration for r in trips]
+        assert y_dist.tolist() == [r.distance for r in trips]
+        raw = _raw_features(trips, _trip_fields)
+        assert raw.shape == (len(trips), 5)
+        assert np.array_equal(raw, _raw_features(queries))
+        assert raw[:, 4].tolist() == [r.pickup_seconds + 86400 * r.is_weekend
+                                      for r in trips]
 
 
 class TestMetrics:
@@ -231,9 +258,8 @@ class TestJointModel:
         times, dists = model.predict_batch(qs)
         for i, q in enumerate(qs):
             est = model.predict(q)
-            # batched matmuls may differ from single-row ones in the last ulp
-            assert est.travel_time == pytest.approx(times[i], rel=1e-12)
-            assert est.travel_distance == pytest.approx(dists[i], rel=1e-12)
+            assert est.travel_time == times[i]
+            assert est.travel_distance == dists[i]
 
     def test_save_load_roundtrip(self, tmp_path):
         model = self._small_model()
@@ -290,14 +316,15 @@ class TestLinearBaseline:
         store = TripStore(trips)
         model = train_linear_time(store)
         for r in store.records:
-            assert abs(model.predict(query_from_trip(r)) - r.duration) < 1e-6
+            assert abs(model.predict_batch([query_from_trip(r)])[0]
+                       - r.duration) < 1e-6
 
     def test_constant_target_predicts_mean(self):
         trips = [make_trip((40.71, -74.0 + 0.001 * i), (40.73, -73.98),
                            pickup_s=100 * i, duration=500.0) for i in range(10)]
         model = train_linear_time(TripStore(trips))
         q = query_from_trip(trips[0])
-        assert model.predict(q) == pytest.approx(500.0, abs=1e-3)
+        assert model.predict_batch([q])[0] == pytest.approx(500.0, abs=1e-3)
 
     def test_singular_design_uses_ridge(self):
         # All trips identical: every non-intercept column is constant zero
@@ -305,7 +332,8 @@ class TestLinearBaseline:
         trips = [make_trip((40.71, -74.0), (40.73, -73.98), 500, 600.0)
                  for _ in range(5)]
         model = train_linear_time(TripStore(trips))
-        assert model.predict(query_from_trip(trips[0])) == pytest.approx(600.0, rel=1e-6)
+        assert (model.predict_batch([query_from_trip(trips[0])])[0]
+                == pytest.approx(600.0, rel=1e-6))
 
 
 class TestTimeOnlyBaseline:
@@ -313,7 +341,8 @@ class TestTimeOnlyBaseline:
         trip = make_trip((40.71, -74.0), (40.73, -73.98), duration=800.0)
         cfg = EtaConfig(learning_rate=0.1, batch_size=4, epochs=200)
         model = train_time_only(TripStore([trip]), GRID, cfg, 0, hidden=(8, 8))
-        assert model.predict(query_from_trip(trip)) == pytest.approx(800.0, rel=0.01)
+        assert (model.predict_batch([query_from_trip(trip)])[0]
+                == pytest.approx(800.0, rel=0.01))
 
     def test_deterministic_given_seed(self):
         store = synthetic_store(100, seed=9)
@@ -321,19 +350,85 @@ class TestTimeOnlyBaseline:
         a = train_time_only(store, GRID, cfg, 11, hidden=(8,))
         b = train_time_only(store, GRID, cfg, 11, hidden=(8,))
         q = query_from_trip(store.records[0])
-        assert a.predict(q) == b.predict(q)
+        assert a.predict_batch([q])[0] == b.predict_batch([q])[0]
+
+
+CORNER = GeoPoint(GRID.origin_corner.lat + 4 * GRID.cell_lat,
+                  GRID.origin_corner.lon + 9 * GRID.cell_lon)
+OTHER = GeoPoint(40.7317, -73.9861)
+
+
+class TestRowExactBatch:
+    """Row ``i`` of ``predict_batch`` equals ``predict_batch([q_i])`` bit for
+    bit, for every estimator: each row goes through the network alone."""
+
+    joint = time_only = linear = None
+
+    @classmethod
+    def setup_class(cls):
+        store = synthetic_store(120, seed=17)
+        cfg = EtaConfig(learning_rate=0.02, batch_size=16, epochs=3,
+                        dist_hidden=[8, 8], time_hidden=[8])
+        cls.joint = train_joint_eta(store, GRID, cfg, 1)
+        cls.time_only = train_time_only(store, GRID, cfg, 1, hidden=(8, 8))
+        cls.linear = train_linear_time(store)
+
+    def scorers(self):
+        return {"joint_time": lambda qs: self.joint.predict_batch(qs)[0],
+                "joint_distance": lambda qs: self.joint.predict_batch(qs)[1],
+                "time_only": self.time_only.predict_batch,
+                "linear": self.linear.predict_batch}
+
+    @given(st.lists(QUERIES, max_size=12))
+    @example([])
+    @example([EtaQuery(CORNER, OTHER, 0.0, False),
+              EtaQuery(OTHER, CORNER, 0.0, True),
+              EtaQuery(CORNER, CORNER, 86399.0, True),
+              EtaQuery(OTHER, OTHER, 30600.5, False)])
+    def test_rows_equal_one_row_calls(self, queries):
+        for name, score in self.scorers().items():
+            batch = score(queries)
+            rows = np.array([score([q])[0] for q in queries]).reshape(-1)
+            assert batch.shape == (len(queries),), name
+            assert batch.tobytes() == rows.tobytes(), name
+
+    @given(st.lists(QUERIES, max_size=5), BAD_QUERIES,
+           st.lists(st.one_of(QUERIES, BAD_QUERIES), max_size=5))
+    def test_first_bad_query_raises_its_own_error(self, before, bad, after):
+        for model in (self.joint, self.time_only):
+            with pytest.raises(ValueError) as expected:
+                model.predict_batch([bad])
+            with pytest.raises(ValueError) as got:
+                model.predict_batch([*before, bad, *after])
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+
+    def test_evaluate_makes_one_batch_call(self):
+        store = synthetic_store(30, seed=19)
+        calls = []
+
+        def score(queries):
+            calls.append(len(queries))
+            return self.linear.predict_batch(queries)
+
+        m = evaluate(score, store)
+        assert calls == [len(store)]
+        per_row = [self.linear.predict_batch([query_from_trip(r)])[0]
+                   for r in store.records]
+        assert m == compute_metrics([r.duration for r in store.records],
+                                    per_row)
 
 
 class TestEvaluate:
     def test_perfect_oracle_scores_zero_error(self):
         store = synthetic_store(100, seed=13)
         durations = {query_from_trip(r): r.duration for r in store.records}
-        m = evaluate(lambda q: durations[q], store)
+        m = evaluate(lambda qs: [durations[q] for q in qs], store)
         assert m.mae == 0.0 and m.r2 == 1.0
 
     def test_empty_test_set_raises(self):
         with pytest.raises(ValueError):
-            evaluate(lambda q: 0.0, TripStore([]))
+            evaluate(lambda qs: np.zeros(len(qs)), TripStore([]))
 
 
 class TestTravelTimeSources:
@@ -357,15 +452,15 @@ class TestTravelTimeSources:
 
 
 def counting_predictions(model, monkeypatch):
-    """Record the queries of the model's one-row predictions in a list."""
+    """Record the queries of the model's ``predict_batch`` calls in a list."""
     calls = []
-    predict = model.predict
+    predict_batch = model.predict_batch
 
-    def counted(q):
-        calls.append(q)
-        return predict(q)
+    def counted(queries):
+        calls.extend(queries)
+        return predict_batch(queries)
 
-    monkeypatch.setattr(model, "predict", counted)
+    monkeypatch.setattr(model, "predict_batch", counted)
     return calls
 
 
@@ -463,10 +558,11 @@ class TestRobustnessToOutliers:
                         dist_hidden=[16, 16], time_hidden=[16])
 
         clean = train_joint_eta(train, GRID, cfg, 5)
-        mae_clean = evaluate(lambda q: clean.predict(q).travel_time, test).mae
+        mae_clean = evaluate(lambda qs: clean.predict_batch(qs)[0], test).mae
 
         train_out = corrupt_durations(train, fraction=0.01, factor=2.0, seed=1)
         test_out = corrupt_durations(test, fraction=0.01, factor=2.0, seed=2)
         noisy = train_joint_eta(train_out, GRID, cfg, 5)
-        mae_noisy = evaluate(lambda q: noisy.predict(q).travel_time, test_out).mae
+        mae_noisy = evaluate(lambda qs: noisy.predict_batch(qs)[0],
+                             test_out).mae
         assert mae_noisy < 1.25 * mae_clean

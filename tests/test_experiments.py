@@ -370,7 +370,7 @@ class TestEtaExperiment:
         model = train_joint_eta(train, spec.grid,
                                 EtaConfig(learning_rate=0.03, batch_size=32,
                                           epochs=25), 0)
-        mae = evaluate(lambda q: model.predict(q).travel_time, test).mae
+        mae = evaluate(lambda qs: model.predict_batch(qs)[0], test).mae
         mean_duration = float(np.mean([r.duration for r in test.records]))
         assert mae < 0.10 * mean_duration
 

@@ -266,6 +266,20 @@ class TestTripRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.pickup_seconds = 0.0
 
+    @pytest.mark.parametrize("pickup, weekend", [
+        ("2013-01-07 08:00:00", False),   # Monday
+        ("2013-01-11 23:59:59", False),   # Friday
+        ("2013-01-05 00:00:00", True),    # Saturday
+        ("2013-01-06 12:30:00", True)])   # Sunday
+    def test_is_weekend_is_a_stored_field(self, pickup, weekend):
+        r = make_trip(pickup=pickup)
+        (field,) = [f for f in dataclasses.fields(r) if f.name == "is_weekend"]
+        assert not field.init and not field.compare
+        assert r.is_weekend is (r.pickup_dt.weekday() >= 5) is weekend
+        assert r.day_type == ("weekend" if weekend else "weekday")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.is_weekend = not weekend
+
     def test_fractional_pickup_seconds(self):
         t = datetime(2013, 1, 7, 1, 2, 3, 250000)
         r = TripRecord(GeoPoint(40.72, -74.0), GeoPoint(40.73, -73.99), t,
