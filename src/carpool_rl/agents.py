@@ -15,12 +15,15 @@ from __future__ import annotations
 import copy
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .config import DqnConfig, TabQConfig
-from .geo import Bbox, GridSpec, SECONDS_PER_DAY, bin_location, bin_time
+from .geo import Bbox, GridSpec, SECONDS_PER_DAY, bin_time, cell_index
+# Unused here; kept bound because perfbench/spans.py wraps agents.bin_location.
+from .geo import bin_location  # noqa: F401
 from .nn import Mlp, copy_weights
 from .simulator import Action, CarpoolEnv, DriverState, Transition, as_rng
 
@@ -33,9 +36,8 @@ N_FEATURES = 3  # DqnAgent.features: lat, lon, time of day
 
 def state_cell(state: DriverState, grid: GridSpec) -> tuple[int, int, int]:
     """Space-time grid cell of a driver state."""
-    i, j, _ = bin_location(state.location, grid)
-    tb = bin_time(state.time_of_day, state.is_weekend, grid)
-    return (i, j, tb)
+    return (*cell_index(state.location, grid),
+            bin_time(state.time_of_day, state.is_weekend, grid))
 
 
 def tabular_q_values(table: "QTable", grid: GridSpec,
@@ -88,14 +90,18 @@ def save_qtable(table: QTable, path) -> None:
                         repr(value)])
 
 
-def select_action(q_values, epsilon: float, rng: np.random.Generator) -> Action:
-    """Epsilon-greedy choice; greedy ties break toward the lowest action index
-    (WAIT < TAKE_ONE < TAKE_TWO)."""
+def select_action(q_values: Callable[[DriverState], np.ndarray],
+                  state: DriverState, epsilon: float,
+                  rng: np.random.Generator) -> Action:
+    """Epsilon-greedy choice at ``state``. ``q_values`` is a state →
+    action-values function, as for :func:`greedy`; it is called only on a
+    greedy draw, so an exploring step computes no values. Greedy ties break
+    toward the lowest action index (WAIT < TAKE_ONE < TAKE_TWO)."""
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
     if epsilon > 0 and rng.random() < epsilon:
         return Action(int(rng.integers(N_ACTIONS)))
-    return Action(int(np.argmax(np.asarray(q_values))))
+    return Action(int(np.argmax(q_values(state))))
 
 
 class ReplayMemory:
@@ -182,7 +188,7 @@ class DqnAgent:
         return out
 
     def act(self, state: DriverState, eps: float, rng: np.random.Generator) -> Action:
-        return select_action(self.q_values(state), eps, rng)
+        return select_action(self.q_values, state, eps, rng)
 
     def remember(self, tr: Transition) -> None:
         """Featurize ``tr`` and push it to the replay."""
@@ -307,10 +313,10 @@ def train_tabular(env: CarpoolEnv, table: QTable, grid: GridSpec,
     episode ``reward``."""
     rng = as_rng(seed)
     step = 0
+    q_values = partial(tabular_q_values, table, grid)
 
     def policy(state: DriverState) -> Action:
-        return select_action(tabular_q_values(table, grid, state),
-                             epsilon(cfg, step), rng)
+        return select_action(q_values, state, epsilon(cfg, step), rng)
 
     curves = {"mean_q": [], "reward": []}
     for _ in range(cfg.train_episodes):

@@ -14,7 +14,10 @@ its hidden layers.
 Each estimator's ``predict_batch`` featurizes and scales a whole batch at
 once but runs the network row by row, so row ``i`` equals
 ``predict_batch([q_i])`` bit for bit (a batched matmul may round otherwise).
-:func:`evaluate` scores a held-out split with one such batch call.
+:func:`evaluate` scores a held-out split with one such batch call. The
+joint model's :meth:`JointEtaModel.cell_time` runs one cell key through the
+same row steps, trunk and time head only; :class:`ModelEta` times the
+simulator's legs with it.
 
 The SGD trainers take an :class:`~carpool_rl.config.EtaConfig` (learning
 rate, batch size, epochs and the joint model's hidden widths) and a seed,
@@ -34,8 +37,10 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from .config import EtaConfig
-from .geo import (GeoPoint, GridSpec, SECONDS_PER_DAY, bin_location, bin_time,
-                  cell_index, haversine_miles)
+from .geo import (GeoPoint, GridSpec, SECONDS_PER_DAY, bin_time, cell_index,
+                  haversine_miles)
+# Unused here; kept bound because perfbench/spans.py wraps eta.bin_location.
+from .geo import bin_location  # noqa: F401
 from .nn import Mlp, CHECKPOINT_FORMAT
 from .trips import TripRecord, TripStore
 
@@ -58,8 +63,10 @@ class EtaEstimate:
     travel_distance: float  # miles
 
     def __post_init__(self):
-        if self.travel_time < 0 or self.travel_distance < 0:
-            raise ValueError("estimates must be non-negative")
+        if not (0 <= self.travel_time < math.inf
+                and 0 <= self.travel_distance < math.inf):  # false for nan
+            raise ValueError(f"estimates must be finite and non-negative: "
+                             f"{self.travel_time!r}, {self.travel_distance!r}")
 
 
 @dataclass(frozen=True)
@@ -129,14 +136,39 @@ class Standardizer:
 
 
 class JointEtaModel:
-    """Joint travel time/distance estimator over binned endpoints."""
+    """Joint travel time/distance estimator over binned endpoints.
+
+    Construction (and so :meth:`load`) raises ``ValueError`` unless the
+    trunk takes the four location features, both heads read the trunk's
+    output and return one value, and every normalization statistic has its
+    feature's shape with finite means and finite, positive stds.
+    """
 
     def __init__(self, trunk: Mlp, dist_head: Mlp, time_net: Mlp,
                  grid: GridSpec, loc_stats: Standardizer, t_stats: Standardizer,
                  y_time_stats: Standardizer, y_dist_stats: Standardizer,
                  epoch_losses: Optional[list[float]] = None):
+        if trunk.input_width != 4:
+            raise ValueError(f"trunk input width must be 4, not "
+                             f"{trunk.input_width}")
+        if dist_head.input_width != trunk.output_width:
+            raise ValueError("distance head input width must be trunk width")
         if time_net.input_width != trunk.output_width + 1:
             raise ValueError("time net input width must be trunk width + 1")
+        if dist_head.output_width != 1 or time_net.output_width != 1:
+            raise ValueError("both heads must output width 1")
+        for name, stats, width in (("loc_stats", loc_stats, 4),
+                                   ("t_stats", t_stats, 1),
+                                   ("y_time_stats", y_time_stats, 1),
+                                   ("y_dist_stats", y_dist_stats, 1)):
+            if stats.mean.shape != (width,) or stats.std.shape != (width,):
+                raise ValueError(
+                    f"{name} mean and std must have shape ({width},), not "
+                    f"{stats.mean.shape} and {stats.std.shape}")
+            if not (np.isfinite(stats.mean).all()
+                    and np.isfinite(stats.std).all() and (stats.std > 0).all()):
+                raise ValueError(f"{name} needs finite means and finite, "
+                                 f"positive stds: {stats.to_dict()}")
         self.trunk = trunk
         self.dist_head = dist_head
         self.time_net = time_net
@@ -148,26 +180,52 @@ class JointEtaModel:
         self.epoch_losses = epoch_losses or []
 
     def _forward(self, x_loc_std: np.ndarray, x_t_std: np.ndarray):
+        """Training pass over a standardized batch, keeping every cache."""
         z, cache_tr = self.trunk.forward(x_loc_std)
         h = np.maximum(z, 0.0)  # trunk output counts as a hidden layer
         y_dist, cache_d = self.dist_head.forward(h)
         y_time, cache_t = self.time_net.forward(np.concatenate([h, x_t_std], axis=1))
         return y_time, y_dist, (z, h, cache_tr, cache_d, cache_t)
 
+    # Inference runs one row at a time through these two steps, the same
+    # operations ``_forward`` does, so a row's answer does not depend on
+    # the batch around it.
+    def _hidden(self, x_loc_std: np.ndarray) -> np.ndarray:
+        """Trunk step: the trunk's output after its ReLU."""
+        z, _ = self.trunk.forward(x_loc_std)
+        return np.maximum(z, 0.0)
+
+    def _time_head(self, h: np.ndarray, x_t_std: np.ndarray) -> np.ndarray:
+        """Time-head step: standardized travel time from the trunk's output
+        and the standardized time feature."""
+        y, _ = self.time_net.forward(np.concatenate([h, x_t_std], axis=1))
+        return y
+
     def predict_batch(self, queries: Sequence[EtaQuery]):
         """Returns (times, distances) arrays, clamped at 0. Row-exact: row
-        ``i`` equals ``predict_batch([queries[i]])`` bit for bit."""
+        ``i`` equals ``predict_batch([queries[i]])`` bit for bit, and its
+        time equals :meth:`cell_time` of the row's cell key."""
         x_loc, x_t = _feature_matrix(queries, self.grid)
         xl = self.loc_stats.transform(x_loc)
         xt = self.t_stats.transform(x_t)
         y_time_std = np.empty((len(xl), 1))
         y_dist_std = np.empty((len(xl), 1))
         for i in range(len(xl)):
-            y_time_std[i], y_dist_std[i], _ = self._forward(xl[i:i + 1],
-                                                            xt[i:i + 1])
+            h = self._hidden(xl[i:i + 1])
+            y_time_std[i] = self._time_head(h, xt[i:i + 1])
+            y_dist_std[i], _ = self.dist_head.forward(h)
         times = self.y_time_stats.inverse(y_time_std)[:, 0]
         dists = self.y_dist_stats.inverse(y_dist_std)[:, 0]
         return np.maximum(times, 0.0), np.maximum(dists, 0.0)
+
+    def cell_time(self, key: tuple[int, int, int, int, int]) -> float:
+        """Travel time, clamped at 0, of the cell key ``(oi, oj, di, dj,
+        time_bin)``: the time column of ``predict_batch`` for any query
+        with that key, bit for bit, without the distance head."""
+        x = np.array([key], dtype=float)
+        h = self._hidden(self.loc_stats.transform(x[:, :4]))
+        y = self._time_head(h, self.t_stats.transform(x[:, 4:]))
+        return float(np.maximum(self.y_time_stats.inverse(y)[:, 0], 0.0)[0])
 
     def predict(self, q: EtaQuery) -> EtaEstimate:
         times, dists = self.predict_batch([q])
@@ -453,12 +511,14 @@ class ModelEta:
 
     The joint model sees a leg only through its binned endpoints and its
     time bin (weekend offset included), so the travel time is a pure
-    function of the key ``(oi, oj, di, dj, time_bin)``. Each key is
-    predicted once, with the one-row ``model.predict_batch([q])``, and the
-    float is memoized for the adapter's life, so repeat legs return
-    bit-identical values. The key is binned on every call, so out-of-grid
-    points and seconds-of-day outside [0, 86400) still raise. A non-finite
-    prediction raises ``ValueError`` naming its key.
+    function of the key ``(oi, oj, di, dj, time_bin)``. A key's first call
+    (a memo miss) runs the trunk and the time head once, through
+    ``model.cell_time(key)``, which equals the time ``model.predict`` gives
+    for the leg bit for bit; the distance head never runs. The float is
+    memoized for the adapter's life, so repeat legs return bit-identical
+    values. The key is binned on every call, so out-of-grid points and
+    seconds-of-day outside [0, 86400) still raise. A non-finite prediction
+    raises ``ValueError`` naming its key.
     """
 
     def __init__(self, model: JointEtaModel):
@@ -467,13 +527,11 @@ class ModelEta:
 
     def travel_time(self, origin, destination, seconds_of_day, is_weekend) -> float:
         grid = self.model.grid
-        oi, oj, _ = bin_location(origin, grid)
-        di, dj, _ = bin_location(destination, grid)
-        key = (oi, oj, di, dj, bin_time(seconds_of_day, is_weekend, grid))
+        key = (*cell_index(origin, grid), *cell_index(destination, grid),
+               bin_time(seconds_of_day, is_weekend, grid))
         t = self._memo.get(key)
         if t is None:
-            q = EtaQuery(origin, destination, seconds_of_day, is_weekend)
-            t = float(self.model.predict_batch([q])[0][0])
+            t = self.model.cell_time(key)
             if not math.isfinite(t):
                 raise ValueError(f"non-finite travel time {t} for cell key "
                                  f"(oi, oj, di, dj, time_bin) = {key}")

@@ -202,6 +202,8 @@ class Mlp:
             if w.shape != want or b.shape != want[:1]:
                 raise ValueError(f"layer {k} weights {w.shape} and biases "
                                  f"{b.shape} do not match {want} and {want[:1]}")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {k} holds non-finite weights or biases")
         return net
 
 

@@ -155,35 +155,80 @@ class TestTabularUpdate:
         assert loaded == table.values
 
 
+def fixed_values(q):
+    """A state → action-values function that ignores the state."""
+    return lambda state: np.asarray(q, dtype=float)
+
+
 class TestSelectAction:
     def test_greedy_when_epsilon_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             q = rng.normal(size=3)
-            assert select_action(q, 0.0, rng) == Action(int(np.argmax(q)))
+            assert (select_action(fixed_values(q), None, 0.0, rng)
+                    == Action(int(np.argmax(q))))
 
     def test_argmax_example(self):
         rng = np.random.default_rng(0)
-        assert select_action((1.0, 5.0, 2.0), 0.0, rng) == Action.TAKE_ONE
+        assert select_action(fixed_values((1.0, 5.0, 2.0)), None, 0.0,
+                             rng) == Action.TAKE_ONE
 
     def test_tie_breaks_toward_lower_action(self):
         rng = np.random.default_rng(0)
-        assert select_action((3.0, 3.0, 3.0), 0.0, rng) == Action.WAIT
-        assert select_action((0.0, 3.0, 3.0), 0.0, rng) == Action.TAKE_ONE
+        assert select_action(fixed_values((3.0, 3.0, 3.0)), None, 0.0,
+                             rng) == Action.WAIT
+        assert select_action(fixed_values((0.0, 3.0, 3.0)), None, 0.0,
+                             rng) == Action.TAKE_ONE
 
     def test_uniform_when_epsilon_one(self):
         rng = np.random.default_rng(42)
         counts = {a: 0 for a in Action}
         n = 10_000
         for _ in range(n):
-            counts[select_action((9.0, 1.0, 1.0), 1.0, rng)] += 1
+            counts[select_action(fixed_values((9.0, 1.0, 1.0)), None, 1.0,
+                                 rng)] += 1
         sigma = (n * (1 / 3) * (2 / 3)) ** 0.5
         for a in Action:
             assert abs(counts[a] - n / 3) <= 3 * sigma
 
+    def test_values_never_computed_at_epsilon_one(self):
+        def q_values(state):
+            raise AssertionError("an exploring step computed action values")
+
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            select_action(q_values, None, 1.0, rng)
+
+    def test_seeded_action_sequence_unchanged(self):
+        # The draws, and their order, of a choice that computes the values
+        # first: one uniform draw when epsilon > 0, then one integer draw
+        # when it explores. The values are read once per greedy draw only.
+        def reference(values, eps, rng):
+            if eps > 0 and rng.random() < eps:
+                return Action(int(rng.integers(3))), False
+            return Action(int(np.argmax(values))), True
+
+        q_rng = np.random.default_rng(7)
+        table = {k: q_rng.normal(size=3) for k in range(300)}
+        eps = np.linspace(0.0, 1.0, 300)
+        calls = []
+
+        def q_values(k):
+            calls.append(k)
+            return table[k]
+
+        a_rng, b_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = [select_action(q_values, k, eps[k], a_rng) for k in range(300)]
+        want = [reference(table[k], eps[k], b_rng) for k in range(300)]
+        assert got == [action for action, _ in want]
+        assert calls == [k for k, (_, greedy) in enumerate(want) if greedy]
+        assert 0 < len(calls) < 300
+        assert a_rng.random() == b_rng.random()
+
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
-            select_action((0, 0, 0), 1.5, np.random.default_rng(0))
+            select_action(fixed_values((0, 0, 0)), None, 1.5,
+                          np.random.default_rng(0))
 
 
 class TestReplayMemory:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -223,3 +224,24 @@ class TestErrorContract:
         payload = json.loads(line)
         assert set(payload) == {"error", "message"}
         assert payload["error"] == error and payload["message"]
+
+    @pytest.mark.parametrize("field, stats", [
+        ("loc_stats", {"mean": [0.0] * 4, "std": [float("nan")] * 4}),
+        ("t_stats", {"mean": [100.0], "std": [0.0]}),
+        ("loc_stats", {"mean": [0.0] * 3, "std": [1.0] * 3}),
+    ], ids=["nan-std", "zero-std", "three-loc-stats"])
+    def test_corrupted_model_is_one_json_line(self, tmp_path, capsys,
+                                              saved_model, field, stats):
+        model_dir = tmp_path / "eta_model"
+        shutil.copytree(saved_model, model_dir)
+        meta = json.loads((model_dir / "meta.json").read_text())
+        meta[field] = stats
+        (model_dir / "meta.json").write_text(json.dumps(meta))
+        code, out, err = run_cli(capsys, "eta", "predict", "--model",
+                                 str(model_dir), "--origin", "40.72,-74.0",
+                                 "--dest", "40.73,-73.99", "--time", "30000")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ValueError" and field in payload["message"]

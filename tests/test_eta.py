@@ -16,6 +16,7 @@ from carpool_rl.eta import (ConstantSpeedEta, EtaEstimate, EtaQuery,
                             train_time_only)
 from carpool_rl.geo import (GeoPoint, GridSpec, OutOfGridError, bin_location,
                             bin_time, haversine_miles)
+from carpool_rl.nn import Mlp
 from carpool_rl.trips import TripRecord, TripStore
 
 GRID = GridSpec(origin_corner=GeoPoint(40.70, -74.02))
@@ -288,6 +289,49 @@ class TestJointModel:
             with pytest.raises(ValueError, match="weekend"):
                 JointEtaModel.load(tmp_path / "model")
 
+    @pytest.mark.parametrize("field, stats, match", [
+        ("loc_stats", {"mean": [0.0] * 3, "std": [1.0] * 3}, r"shape \(4,\)"),
+        ("t_stats", {"mean": [0.0, 1.0], "std": [1.0, 1.0]}, r"shape \(1,\)"),
+        ("y_time_stats", {"mean": [600.0], "std": [0.0]}, "positive stds"),
+        ("y_dist_stats", {"mean": [1.0], "std": [math.nan]}, "positive stds"),
+        ("loc_stats", {"mean": [0.0, 0.0, math.inf, 0.0], "std": [1.0] * 4},
+         "finite means"),
+    ], ids=["loc-3-entries", "t-2-entries", "zero-std", "nan-std", "inf-mean"])
+    def test_load_rejects_bad_statistics(self, tmp_path, field, stats, match):
+        self._small_model().save(tmp_path / "model")
+        meta_path = tmp_path / "model" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[field] = stats
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{field} .*{match}"):
+            JointEtaModel.load(tmp_path / "model")
+
+    @pytest.mark.parametrize("part, sizes, match", [
+        ("trunk", [3, 8, 8], "trunk input width"),
+        ("dist_head", [7, 1], "distance head input width"),
+        ("dist_head", [8, 2], "output width 1"),
+        ("time_net", [9, 8, 2], "output width 1"),
+    ])
+    def test_rejects_mismatched_networks(self, part, sizes, match):
+        model = self._small_model()
+        nets = {"trunk": model.trunk, "dist_head": model.dist_head,
+                "time_net": model.time_net, part: Mlp(sizes)}
+        with pytest.raises(ValueError, match=match):
+            JointEtaModel(nets["trunk"], nets["dist_head"], nets["time_net"],
+                          model.grid, model.loc_stats, model.t_stats,
+                          model.y_time_stats, model.y_dist_stats)
+
+    def test_non_finite_estimate_raises(self):
+        for t, d in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                     (1.0, math.inf), (-1.0, 1.0)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                EtaEstimate(t, d)
+        model = self._small_model()
+        model.dist_head.biases[-1][0] = math.nan
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            model.predict(EtaQuery(GeoPoint(40.71, -74.0),
+                                   GeoPoint(40.73, -73.98), 800.0))
+
     def test_empty_training_set_raises(self):
         with pytest.raises(ValueError):
             train_joint_eta(TripStore([]), GRID, EtaConfig(), 0)
@@ -451,16 +495,17 @@ class TestTravelTimeSources:
         assert src.travel_time(a, b, 800.0, False) == model.predict(q).travel_time
 
 
-def counting_predictions(model, monkeypatch):
-    """Record the queries of the model's ``predict_batch`` calls in a list."""
+def counting_misses(model, monkeypatch):
+    """Record the keys of the model's ``cell_time`` calls (the adapter's
+    memo misses) in a list."""
     calls = []
-    predict_batch = model.predict_batch
+    cell_time = model.cell_time
 
-    def counted(queries):
-        calls.extend(queries)
-        return predict_batch(queries)
+    def counted(key):
+        calls.append(key)
+        return cell_time(key)
 
-    monkeypatch.setattr(model, "predict_batch", counted)
+    monkeypatch.setattr(model, "cell_time", counted)
     return calls
 
 
@@ -473,7 +518,7 @@ class TestModelEtaMemo:
 
     def test_points_in_one_cell_share_a_value(self, monkeypatch):
         src = ModelEta(self.model)
-        calls = counting_predictions(self.model, monkeypatch)
+        calls = counting_misses(self.model, monkeypatch)
         b = GeoPoint(40.73, -73.98)
         # both points bin to cell (5, 10) of GRID
         first = src.travel_time(GeoPoint(40.7101, -74.0), b, 800.0, False)
@@ -485,13 +530,29 @@ class TestModelEtaMemo:
 
     def test_weekday_and_weekend_use_different_keys(self, monkeypatch):
         src = ModelEta(self.model)
-        calls = counting_predictions(self.model, monkeypatch)
+        calls = counting_misses(self.model, monkeypatch)
         a, b = GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98)
         weekday = src.travel_time(a, b, 800.0, False)
         weekend = src.travel_time(a, b, 800.0, True)
-        assert [q.is_weekend for q in calls] == [False, True]
+        # 800 s is bin 1 on a weekday and bin 1 + 144 on a weekend
+        assert [key[4] for key in calls] == [1, 145]
+        assert calls[0][:4] == calls[1][:4]
         assert weekday == self.model.predict(EtaQuery(a, b, 800.0, False)).travel_time
         assert weekend == self.model.predict(EtaQuery(a, b, 800.0, True)).travel_time
+
+    @given(QUERIES)
+    @example(EtaQuery(CORNER, OTHER, 0.0, False))
+    @example(EtaQuery(OTHER, CORNER, 86399.0, True))
+    # both endpoints in cell (5, 10) of GRID
+    @example(EtaQuery(GeoPoint(40.7101, -74.0), GeoPoint(40.7109, -73.9991),
+                      800.0, True))
+    def test_travel_time_has_the_bytes_of_predict_batch(self, q):
+        src = ModelEta(self.model)
+        want = self.model.predict_batch([q])[0][0]
+        for _ in range(2):  # a memo miss, then a hit
+            got = src.travel_time(q.origin, q.destination, q.seconds_of_day,
+                                  q.is_weekend)
+            assert np.float64(got).tobytes() == want.tobytes()
 
     def test_repeated_calls_equal_predict(self):
         src = ModelEta(self.model)

@@ -218,3 +218,18 @@ class TestDeterminismAndSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="layer 1 weights"):
             Mlp.load(path)
+
+    @pytest.mark.parametrize("array, value", [
+        ("weights", float("nan")), ("weights", float("inf")),
+        ("biases", float("-inf"))])
+    def test_load_rejects_non_finite_arrays(self, tmp_path, array, value):
+        path = tmp_path / "net.json"
+        Mlp([3, 5, 2]).save(path)
+        payload = json.loads(path.read_text())
+        if array == "weights":
+            payload["weights"][1][0][2] = value
+        else:
+            payload["biases"][1][0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="layer 1 holds non-finite"):
+            Mlp.load(path)
