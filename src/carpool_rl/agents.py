@@ -184,8 +184,7 @@ class DqnAgent:
         ])
 
     def q_values(self, state: DriverState) -> np.ndarray:
-        out, _ = self.online.forward(self.features(state))
-        return out
+        return self.online.forward_rows(self.features(state)[None, :])[0]
 
     def act(self, state: DriverState, eps: float, rng: np.random.Generator) -> Action:
         return select_action(self.q_values, state, eps, rng)

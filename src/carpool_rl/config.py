@@ -148,7 +148,7 @@ class DataConfig(ConfigSection):
 @dataclass
 class GridConfig(ConfigSection):
     section = "grid"
-    ranges = {"cell_lat": POSITIVE, "cell_lon": POSITIVE, "time_bin": POSITIVE}
+    ranges = dict.fromkeys(("cell_lat", "cell_lon", "time_bin"), FINITE_POSITIVE)
     cell_lat: float = 0.002
     cell_lon: float = 0.002
     time_bin: float = 600.0
@@ -174,7 +174,7 @@ class EtaConfig(ConfigSection):
 
     section = "eta"
     ranges = {"kind": one_of("speed", "joint"), "speed_mph": FINITE_POSITIVE,
-              "learning_rate": POSITIVE, "batch_size": POSITIVE,
+              "learning_rate": FINITE_POSITIVE, "batch_size": POSITIVE,
               "epochs": NON_NEGATIVE, "dist_hidden": WIDTHS,
               "time_hidden": WIDTHS, "split_ratio": OPEN_UNIT,
               "split_seed": NON_NEGATIVE}
@@ -194,7 +194,7 @@ class DqnConfig(ConfigSection):
     """Everything a Double-DQN agent and its training loop read."""
 
     section = "dqn"
-    ranges = {"hidden": WIDTHS, "gamma": DISCOUNT, "learning_rate": POSITIVE,
+    ranges = {"hidden": WIDTHS, "gamma": DISCOUNT, "learning_rate": FINITE_POSITIVE,
               "batch_size": POSITIVE, "replay_capacity": POSITIVE,
               "eps_start": PROBABILITY, "eps_end": PROBABILITY,
               "train_episodes": NON_NEGATIVE}

@@ -12,12 +12,13 @@ a time-only MLP fed the binned endpoints plus time. Every MLP uses ReLU on
 its hidden layers.
 
 Each estimator's ``predict_batch`` featurizes and scales a whole batch at
-once but runs the network row by row, so row ``i`` equals
-``predict_batch([q_i])`` bit for bit (a batched matmul may round otherwise).
-:func:`evaluate` scores a held-out split with one such batch call. The
-joint model's :meth:`JointEtaModel.cell_time` runs one cell key through the
-same row steps, trunk and time head only; :class:`ModelEta` times the
-simulator's legs with it.
+once and runs each layer as one matmul over the ``(N, 1, in)`` row stack
+(:meth:`Mlp.forward_rows`), which numpy computes one-row slice by slice, so
+row ``i`` equals ``predict_batch([q_i])`` bit for bit (a 2-D batch matmul
+may round otherwise). :func:`evaluate` scores a held-out split with one
+such batch call. :meth:`JointEtaModel.cell_time` runs one cell key through
+the same trunk and time head, without the distance head; :class:`ModelEta`
+times the simulator's legs with it.
 
 The SGD trainers take an :class:`~carpool_rl.config.EtaConfig` (learning
 rate, batch size, epochs and the joint model's hidden widths) and a seed,
@@ -32,7 +33,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -187,45 +188,28 @@ class JointEtaModel:
         y_time, cache_t = self.time_net.forward(np.concatenate([h, x_t_std], axis=1))
         return y_time, y_dist, (z, h, cache_tr, cache_d, cache_t)
 
-    # Inference runs one row at a time through these two steps, the same
-    # operations ``_forward`` does, so a row's answer does not depend on
-    # the batch around it.
-    def _hidden(self, x_loc_std: np.ndarray) -> np.ndarray:
-        """Trunk step: the trunk's output after its ReLU."""
-        z, _ = self.trunk.forward(x_loc_std)
-        return np.maximum(z, 0.0)
-
-    def _time_head(self, h: np.ndarray, x_t_std: np.ndarray) -> np.ndarray:
-        """Time-head step: standardized travel time from the trunk's output
-        and the standardized time feature."""
-        y, _ = self.time_net.forward(np.concatenate([h, x_t_std], axis=1))
-        return y
+    def _trunk_and_time(self, x_loc: np.ndarray, x_t: np.ndarray):
+        """The trunk's output after its ReLU and the travel times clamped at
+        0, for binned feature rows, each row computed alone (row-exact)."""
+        h = np.maximum(self.trunk.forward_rows(self.loc_stats.transform(x_loc)), 0.0)
+        y = self.time_net.forward_rows(
+            np.concatenate([h, self.t_stats.transform(x_t)], axis=1))
+        return h, np.maximum(self.y_time_stats.inverse(y)[:, 0], 0.0)
 
     def predict_batch(self, queries: Sequence[EtaQuery]):
         """Returns (times, distances) arrays, clamped at 0. Row-exact: row
         ``i`` equals ``predict_batch([queries[i]])`` bit for bit, and its
         time equals :meth:`cell_time` of the row's cell key."""
-        x_loc, x_t = _feature_matrix(queries, self.grid)
-        xl = self.loc_stats.transform(x_loc)
-        xt = self.t_stats.transform(x_t)
-        y_time_std = np.empty((len(xl), 1))
-        y_dist_std = np.empty((len(xl), 1))
-        for i in range(len(xl)):
-            h = self._hidden(xl[i:i + 1])
-            y_time_std[i] = self._time_head(h, xt[i:i + 1])
-            y_dist_std[i], _ = self.dist_head.forward(h)
-        times = self.y_time_stats.inverse(y_time_std)[:, 0]
-        dists = self.y_dist_stats.inverse(y_dist_std)[:, 0]
-        return np.maximum(times, 0.0), np.maximum(dists, 0.0)
+        h, times = self._trunk_and_time(*_feature_matrix(queries, self.grid))
+        dists = self.y_dist_stats.inverse(self.dist_head.forward_rows(h))[:, 0]
+        return times, np.maximum(dists, 0.0)
 
     def cell_time(self, key: tuple[int, int, int, int, int]) -> float:
         """Travel time, clamped at 0, of the cell key ``(oi, oj, di, dj,
         time_bin)``: the time column of ``predict_batch`` for any query
         with that key, bit for bit, without the distance head."""
         x = np.array([key], dtype=float)
-        h = self._hidden(self.loc_stats.transform(x[:, :4]))
-        y = self._time_head(h, self.t_stats.transform(x[:, 4:]))
-        return float(np.maximum(self.y_time_stats.inverse(y)[:, 0], 0.0)[0])
+        return float(self._trunk_and_time(x[:, :4], x[:, 4:])[1][0])
 
     def predict(self, q: EtaQuery) -> EtaEstimate:
         times, dists = self.predict_batch([q])
@@ -361,10 +345,7 @@ class TimeOnlyModel:
         """Travel times clamped at 0; row-exact like the joint model's."""
         x_loc, x_t = _feature_matrix(queries, self.grid)
         x = self.x_stats.transform(np.concatenate([x_loc, x_t], axis=1))
-        out = np.empty((len(x), 1))
-        for i in range(len(x)):
-            out[i], _ = self.net.forward(x[i:i + 1])
-        return np.maximum(self.y_stats.inverse(out)[:, 0], 0.0)
+        return np.maximum(self.y_stats.inverse(self.net.forward_rows(x))[:, 0], 0.0)
 
 
 def train_time_only(train, grid: GridSpec, cfg: EtaConfig, seed: int,
@@ -403,10 +384,7 @@ class LinearTimeModel:
         """Travel times, unclamped; row-exact like the joint model's."""
         x = self.x_stats.transform(_raw_features(queries))
         w0, w = self.coef[0], self.coef[1:]
-        out = np.empty(len(x))
-        for i in range(len(x)):
-            out[i:i + 1] = w0 + x[i:i + 1] @ w
-        return out
+        return w0 + (x[:, None, :] @ w)[:, 0]
 
 
 def _raw_features(items, fields=_query_fields) -> np.ndarray:
@@ -486,13 +464,6 @@ def evaluate(predict_batch_fn: Callable[[list[EtaQuery]], np.ndarray],
     return compute_metrics(y, f)
 
 
-class TravelTimeSource(Protocol):
-    """Anything the simulator can ask for a leg travel time."""
-
-    def travel_time(self, origin: GeoPoint, destination: GeoPoint,
-                    seconds_of_day: float, is_weekend: bool) -> float: ...
-
-
 class ConstantSpeedEta:
     """Great-circle distance over a fixed speed; handy for tests and as a
     deterministic simulator backend."""
@@ -507,7 +478,9 @@ class ConstantSpeedEta:
 
 
 class ModelEta:
-    """Adapter exposing a trained joint model as a TravelTimeSource.
+    """The simulator's leg timer over a trained joint model: the same
+    ``travel_time(origin, destination, seconds_of_day, is_weekend)`` method
+    :class:`ConstantSpeedEta` has.
 
     The joint model sees a leg only through its binned endpoints and its
     time bin (weekend offset included), so the travel time is a pure

@@ -8,6 +8,10 @@ The loss convention used by :meth:`Mlp.sgd_step` and
 :meth:`Mlp.gradient_check` is half mean squared error over the batch,
 ``L = sum_i ||pred_i - target_i||^2 / (2N)``.
 
+:meth:`Mlp.forward` keeps the cache :meth:`Mlp.backward` needs (training);
+:meth:`Mlp.forward_rows` is the cache-free inference pass, row-exact: its
+row ``i`` equals the one-row ``forward`` of input row ``i`` bit for bit.
+
 Checkpoint format (version ``mlp/1``): a JSON object with keys ``format``,
 ``layer_sizes``, ``activation`` (always ``"relu"``), ``weights`` (list of
 row-major 2-D arrays, one per layer, each row one output unit) and
@@ -26,6 +30,7 @@ import numpy as np
 
 CHECKPOINT_FORMAT = "mlp/1"
 ACTIVATION = "relu"
+ROW_BLOCK = 256  # rows per stacked matmul in Mlp.forward_rows
 
 
 class Mlp:
@@ -82,6 +87,27 @@ class Mlp:
         out = zs[-1]
         cache = {"inputs": inputs, "zs": zs, "squeeze": squeeze}
         return (out[0] if squeeze else out), cache
+
+    def forward_rows(self, x) -> np.ndarray:
+        """Outputs for the rows of ``x`` (shape ``(N, in)``); row ``i`` equals
+        ``forward(x[i:i+1])[0][0]`` bit for bit. Each layer is one matmul
+        over the ``(N, 1, in)`` stack, which numpy computes by the one-row
+        product's routine, slice by slice (a 2-D batch product may round
+        differently); ``ROW_BLOCK`` rows at a time bound the working memory."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ValueError(f"input shape {x.shape} != (N, {self.layer_sizes[0]})")
+        if len(x) > ROW_BLOCK:
+            return np.concatenate([self.forward_rows(x[s:s + ROW_BLOCK])
+                                   for s in range(0, len(x), ROW_BLOCK)])
+        a = x if len(x) == 1 else x[:, None, :]  # 1 row: same routine, no stack
+        last = self.n_layers - 1
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            a = a @ w.T
+            a += b
+            if k < last:
+                np.maximum(a, 0.0, out=a)
+        return a.reshape(len(x), self.output_width)
 
     def backward(self, cache, grad_output):
         """Backpropagate ``dL/d(output)`` through the cached forward pass.

@@ -91,6 +91,12 @@ RANGE_VIOLATIONS = [
     (TabQConfig, "train_episodes", -3),
 ]
 
+# Fields whose rule must also reject infinity, which a plain "positive"
+# rule lets through: json reads both Infinity and 1e400 as inf.
+FINITE_FIELDS = [(GridConfig, "cell_lat"), (GridConfig, "cell_lon"),
+                 (GridConfig, "time_bin"), (EtaConfig, "learning_rate"),
+                 (DqnConfig, "learning_rate")]
+
 
 class TestConfig:
     def test_region_presets(self):
@@ -187,11 +193,31 @@ class TestConfig:
         ({"eta": {"split_seed": -2}}, "eta.split_seed"),
         ({"data": {"n_days": 0}}, "data.n_days"),
         ({"data": {"n_days": -3}}, "data.n_days"),
+        # json writes inf as Infinity and reads it back as inf
+        ({"eta": {"learning_rate": float("inf")}}, "eta.learning_rate"),
+        ({"dqn": {"learning_rate": float("inf")}}, "dqn.learning_rate"),
+        ({"grid": {"cell_lat": float("inf")}}, "grid.cell_lat"),
+        ({"grid": {"cell_lon": float("inf")}}, "grid.cell_lon"),
+        ({"grid": {"time_bin": float("inf")}}, "grid.time_bin"),
     ])
     def test_silently_failing_values_rejected(self, tmp_path, doc, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("cls, key", FINITE_FIELDS,
+                             ids=[f"{c.section}.{k}" for c, k in FINITE_FIELDS])
+    def test_infinity_rejected_however_the_section_is_built(
+            self, tmp_path, cls, key):
+        match = f"{cls.section}.{key} must be finite and positive: inf"
+        with pytest.raises(ConfigError, match=match):
+            cls(**{key: float("inf")})
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict({cls.section: {key: float("inf")}})
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{cls.section}": {{"{key}": 1e400}}}}')
+        with pytest.raises(ConfigError, match=match):
             load_config(path)
 
     @pytest.mark.parametrize("cls, key, bad", RANGE_VIOLATIONS,

@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from carpool_rl.agents import DqnAgent
+from carpool_rl.config import DqnConfig
+from carpool_rl.geo import Bbox, GeoPoint
 from carpool_rl.nn import Mlp, copy_weights
+from carpool_rl.simulator import DriverState
 
 
 def straight_line_forward(net, x):
@@ -52,6 +57,72 @@ class TestForward:
         net = Mlp([3, 2])
         with pytest.raises(ValueError):
             net.forward([1.0, 2.0])
+        for x in (np.ones((4, 2)), np.ones(3), np.ones((2, 1, 3))):
+            with pytest.raises(ValueError):
+                net.forward_rows(x)
+
+
+# The layer stacks the package builds: the DQN (3 features, 3 actions), the
+# joint ETA's default trunk, distance head and time net, and the time-only
+# baseline.
+PACKAGE_STACKS = [[3, 64, 64, 3], [4, 64, 64, 32], [32, 1], [33, 64, 64, 1],
+                  [5, 64, 64, 1]]
+# Around one row block (256 rows), and about one eta_fit test split.
+ROW_COUNTS = [0, 1, 255, 256, 257, 2000]
+
+
+def random_net(sizes, rng):
+    net = Mlp(sizes, rng=rng)
+    for b in net.biases:
+        b[:] = rng.normal(size=b.shape)
+    return net
+
+
+def assert_row_exact(net, x):
+    out = net.forward_rows(x)
+    assert out.shape == (len(x), net.output_width)
+    for i in range(len(x)):
+        assert out[i].tobytes() == net.forward(x[i:i + 1])[0][0].tobytes()
+
+
+class TestForwardRows:
+    """Row ``i`` of ``forward_rows(x)`` has the bytes of the one-row
+    ``forward(x[i:i+1])``, for any number of rows."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("sizes", PACKAGE_STACKS, ids=str)
+    def test_package_stacks(self, sizes, n):
+        rng = np.random.default_rng(n)
+        net = random_net(sizes, rng)
+        assert_row_exact(net, rng.normal(size=(n, sizes[0])))
+
+    @pytest.mark.parametrize("sizes", PACKAGE_STACKS, ids=str)
+    def test_column_sliced_input(self, sizes):
+        rng = np.random.default_rng(7)
+        net = random_net(sizes, rng)
+        wide = rng.normal(size=(300, sizes[0] + 3))
+        x = wide[:, 1:sizes[0] + 1]
+        assert not x.flags.c_contiguous
+        assert_row_exact(net, x)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.integers(1, 48), min_size=2, max_size=5),
+           st.sampled_from(ROW_COUNTS), st.integers(0, 2 ** 32 - 1))
+    def test_random_stacks(self, sizes, n, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(sizes, rng)
+        assert_row_exact(net, rng.normal(scale=3.0, size=(n, sizes[0])))
+
+    @given(st.floats(40.715, 40.735), st.floats(-74.0094, -73.9894),
+           st.floats(0.0, 86399.0))
+    def test_dqn_q_values_keep_the_one_row_forward_bytes(self, lat, lon, t):
+        agent = DqnAgent(Bbox(40.715, 40.735, -74.0094, -73.9894),
+                         DqnConfig(), seed=3)
+        agent.online = random_net(agent.online.layer_sizes,
+                                  np.random.default_rng(3))
+        s = DriverState(GeoPoint(lat, lon), t)
+        want, _ = agent.online.forward(agent.features(s))
+        assert agent.q_values(s).tobytes() == want.tobytes()
 
 
 class TestSgdStep:
