@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .geo import Bbox, GeoPoint, GridSpec, bin_location, bin_time, haversine_km
 from .nn import Mlp, copy_weights
 from .trips import OutlierRules, TripRecord, TripStore, ingest_csv
-from .eta import (ConstantSpeedEta, EtaEstimate, EtaMetrics, EtaQuery,
-                  JointEtaModel, compute_metrics, evaluate, train_joint_eta,
+from .eta import (ConstantSpeedEta, EtaMetrics, EtaQuery, JointEtaModel,
+                  compute_metrics, evaluate, train_joint_eta,
                   train_linear_time, train_time_only)
 from .simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
                         ExtraTravelTimes, Transition, extra_travel_times)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import csv
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -40,43 +39,29 @@ def state_cell(state: DriverState, grid: GridSpec) -> tuple[int, int, int]:
             bin_time(state.time_of_day, state.is_weekend, grid))
 
 
-def tabular_q_values(table: "QTable", grid: GridSpec,
-                     state: DriverState) -> np.ndarray:
-    """The table's action values at the grid cell of ``state``."""
-    return table.q_values(state_cell(state, grid))
-
-
 @dataclass
 class QTable:
-    """Sparse state-action value table; missing entries read as zero."""
+    """Sparse action values per grid cell of a state, zero when missing;
+    ``cfg`` holds every setting it and :func:`train_tabular` read."""
 
-    alpha: float = 0.1
-    gamma: float = 0.95
+    cfg: TabQConfig
+    grid: GridSpec
     values: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not 0 <= self.gamma < 1:
-            raise ValueError("gamma must lie in [0, 1)")
-
-    def get(self, cell, action: Action) -> float:
-        return self.values.get((cell, int(action)), 0.0)
-
-    def q_values(self, cell) -> np.ndarray:
-        return np.array([self.get(cell, a) for a in Action])
+    def q_values(self, state: DriverState) -> np.ndarray:
+        cell = state_cell(state, self.grid)
+        return np.array([self.values.get((cell, a), 0.0) for a in range(N_ACTIONS)])
 
 
-def tabular_update(table: QTable, tr: Transition, grid: GridSpec) -> float:
+def tabular_update(table: QTable, tr: Transition) -> float:
     """One temporal-difference backup; returns the updated value.
 
     Terminal next states bootstrap with zero.
     """
-    cell = state_cell(tr.state, grid)
-    key = (cell, int(tr.action))
+    key = (state_cell(tr.state, table.grid), int(tr.action))
     q = table.values.get(key, 0.0)
-    boot = 0.0 if tr.done else float(np.max(tabular_q_values(table, grid, tr.next_state)))
-    new = q + table.alpha * (tr.reward + table.gamma * boot - q)
+    boot = 0.0 if tr.done else float(np.max(table.q_values(tr.next_state)))
+    new = q + table.cfg.alpha * (tr.reward + table.cfg.gamma * boot - q)
     table.values[key] = new
     return new
 
@@ -152,7 +137,7 @@ def epsilon(cfg: DqnConfig | TabQConfig, step: int) -> float:
     """Exploration rate after ``step`` environment steps: linear from
     ``cfg.eps_start`` to ``cfg.eps_end`` over the first
     ``cfg.eps_decay_steps`` steps, then constant."""
-    if cfg.eps_decay_steps <= 0 or step >= cfg.eps_decay_steps:
+    if step >= cfg.eps_decay_steps:
         return cfg.eps_end
     frac = step / cfg.eps_decay_steps
     return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * frac
@@ -304,24 +289,21 @@ def train_dqn(env: CarpoolEnv, agent: DqnAgent, seed=None) -> Curves:
     return curves
 
 
-def train_tabular(env: CarpoolEnv, table: QTable, grid: GridSpec,
-                  cfg: TabQConfig, seed=None) -> Curves:
-    """``cfg.train_episodes`` episodes of epsilon-greedy tabular Q-learning
-    over grid cells; the step size and discount are the table's. Curves:
-    ``mean_q`` averaged over the episode's backed-up values, and the
-    episode ``reward``."""
-    rng = as_rng(seed)
+def train_tabular(env: CarpoolEnv, table: QTable, seed=None) -> Curves:
+    """``table.cfg.train_episodes`` episodes of epsilon-greedy tabular
+    Q-learning over grid cells. Curves: ``mean_q`` averaged over the
+    episode's backed-up values, and the episode ``reward``."""
+    rng, cfg = as_rng(seed), table.cfg
     step = 0
-    q_values = partial(tabular_q_values, table, grid)
 
     def policy(state: DriverState) -> Action:
-        return select_action(q_values, state, epsilon(cfg, step), rng)
+        return select_action(table.q_values, state, epsilon(cfg, step), rng)
 
     curves = {"mean_q": [], "reward": []}
     for _ in range(cfg.train_episodes):
         ep_values, ep_reward = [], 0.0
         for tr in rollout(env, policy, rng):
-            ep_values.append(tabular_update(table, tr, grid))
+            ep_values.append(tabular_update(table, tr))
             step += 1
             ep_reward += tr.reward
         curves["mean_q"].append(_mean(ep_values))

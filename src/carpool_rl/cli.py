@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -85,10 +86,12 @@ def _cmd_eta_predict(args) -> int:
     model = JointEtaModel.load(args.model)
     o_lat, o_lon = (float(x) for x in args.origin.split(","))
     d_lat, d_lon = (float(x) for x in args.dest.split(","))
-    est = model.predict(EtaQuery(GeoPoint(o_lat, o_lon), GeoPoint(d_lat, d_lon),
-                                 args.time, args.weekend))
-    print(json.dumps({"travel_time_s": est.travel_time,
-                      "travel_distance_mi": est.travel_distance}))
+    times, dists = model.predict_batch([EtaQuery(
+        GeoPoint(o_lat, o_lon), GeoPoint(d_lat, d_lon), args.time, args.weekend)])
+    t, d = float(times[0]), float(dists[0])
+    if not (math.isfinite(t) and math.isfinite(d)):
+        raise ValueError(f"estimates must be finite: {t!r}, {d!r}")
+    print(json.dumps({"travel_time_s": t, "travel_distance_mi": d}))
     return 0
 
 

@@ -161,11 +161,11 @@ class GridConfig(ConfigSection):
 @dataclass
 class EnvParamsConfig(ConfigSection):
     section = "env"
-    ranges = {"search_window": POSITIVE, "carpool_fraction": OPEN_UNIT,
-              "wait_delay": POSITIVE}
-    search_window: float = 600.0
-    carpool_fraction: float = 0.5
-    wait_delay: float = 600.0
+    ranges = {"search_window": FINITE_POSITIVE, "carpool_fraction": OPEN_UNIT,
+              "wait_delay": FINITE_POSITIVE}
+    search_window: float = 600.0     # pickup-time window for the first trip
+    carpool_fraction: float = 0.5    # second window as a fraction of trip 1's duration
+    wait_delay: float = 600.0        # clock advance when waiting / nothing found
 
 
 @dataclass
@@ -197,6 +197,7 @@ class DqnConfig(ConfigSection):
     ranges = {"hidden": WIDTHS, "gamma": DISCOUNT, "learning_rate": FINITE_POSITIVE,
               "batch_size": POSITIVE, "replay_capacity": POSITIVE,
               "eps_start": PROBABILITY, "eps_end": PROBABILITY,
+              "eps_decay_steps": POSITIVE, "sync_period": POSITIVE,
               "train_episodes": NON_NEGATIVE}
     hidden: list = field(default_factory=lambda: [64, 64])
     gamma: float = 0.95
@@ -215,7 +216,7 @@ class TabQConfig(ConfigSection):
     section = "tabq"
     ranges = {"alpha": STEP_SIZE, "gamma": DISCOUNT,
               "eps_start": PROBABILITY, "eps_end": PROBABILITY,
-              "train_episodes": NON_NEGATIVE}
+              "eps_decay_steps": POSITIVE, "train_episodes": NON_NEGATIVE}
     alpha: float = 0.1
     gamma: float = 0.95
     eps_start: float = 1.0

@@ -15,10 +15,10 @@ Each estimator's ``predict_batch`` featurizes and scales a whole batch at
 once and runs each layer as one matmul over the ``(N, 1, in)`` row stack
 (:meth:`Mlp.forward_rows`), which numpy computes one-row slice by slice, so
 row ``i`` equals ``predict_batch([q_i])`` bit for bit (a 2-D batch matmul
-may round otherwise). :func:`evaluate` scores a held-out split with one
-such batch call. :meth:`JointEtaModel.cell_time` runs one cell key through
-the same trunk and time head, without the distance head; :class:`ModelEta`
-times the simulator's legs with it.
+may round otherwise); one query is a batch of one. :func:`evaluate` scores
+a held-out split with one such call. :meth:`JointEtaModel.cell_time` runs
+one cell key through the same trunk and time head, without the distance
+head; :class:`ModelEta` times the simulator's legs with it.
 
 The SGD trainers take an :class:`~carpool_rl.config.EtaConfig` (learning
 rate, batch size, epochs and the joint model's hidden widths) and a seed,
@@ -56,18 +56,6 @@ class EtaQuery:
     destination: GeoPoint
     seconds_of_day: float
     is_weekend: bool = False
-
-
-@dataclass(frozen=True)
-class EtaEstimate:
-    travel_time: float      # seconds
-    travel_distance: float  # miles
-
-    def __post_init__(self):
-        if not (0 <= self.travel_time < math.inf
-                and 0 <= self.travel_distance < math.inf):  # false for nan
-            raise ValueError(f"estimates must be finite and non-negative: "
-                             f"{self.travel_time!r}, {self.travel_distance!r}")
 
 
 @dataclass(frozen=True)
@@ -210,10 +198,6 @@ class JointEtaModel:
         with that key, bit for bit, without the distance head."""
         x = np.array([key], dtype=float)
         return float(self._trunk_and_time(x[:, :4], x[:, 4:])[1][0])
-
-    def predict(self, q: EtaQuery) -> EtaEstimate:
-        times, dists = self.predict_batch([q])
-        return EtaEstimate(float(times[0]), float(dists[0]))
 
     def save(self, directory) -> None:
         os.makedirs(directory, exist_ok=True)
@@ -486,8 +470,8 @@ class ModelEta:
     time bin (weekend offset included), so the travel time is a pure
     function of the key ``(oi, oj, di, dj, time_bin)``. A key's first call
     (a memo miss) runs the trunk and the time head once, through
-    ``model.cell_time(key)``, which equals the time ``model.predict`` gives
-    for the leg bit for bit; the distance head never runs. The float is
+    ``model.cell_time(key)``, which equals the time ``model.predict_batch``
+    gives for the leg bit for bit; the distance head never runs. The float is
     memoized for the adapter's life, so repeat legs return bit-identical
     values. The key is binned on every call, so out-of-grid points and
     seconds-of-day outside [0, 86400) still raise. A non-finite prediction

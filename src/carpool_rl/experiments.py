@@ -11,13 +11,11 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .agents import (Curves, DqnAgent, FixedPolicy, QTable, evaluate_policy,
-                     greedy, tabular_q_values, train_dqn, train_tabular,
-                     wait_policy)
+                     greedy, train_dqn, train_tabular, wait_policy)
 from .config import ExperimentConfig
 from .eta import (ConstantSpeedEta, ModelEta, evaluate, train_joint_eta,
                   train_linear_time, train_time_only)
@@ -89,10 +87,7 @@ def build_eta_source(cfg: ExperimentConfig, data: PreparedData, seed: int):
 def build_env(cfg: ExperimentConfig, data: PreparedData, eta_source,
               day_type: str) -> CarpoolEnv:
     return CarpoolEnv(data.store, eta_source, EnvConfig(
-        region=data.region, grid=data.grid,
-        search_window=cfg.env.search_window,
-        carpool_fraction=cfg.env.carpool_fraction,
-        wait_delay=cfg.env.wait_delay, day_type=day_type))
+        data.region, data.grid, cfg.env, day_type))
 
 
 def curve_set(policy: str, env: CarpoolEnv, seed: int, curves: Curves) -> Curves:
@@ -104,9 +99,8 @@ def curve_set(policy: str, env: CarpoolEnv, seed: int, curves: Curves) -> Curves
 def fit_tabq(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
     """Train the config's tabular Q-learner for one seed on ``env``;
     returns the table and its named learning curves."""
-    table = QTable(alpha=cfg.tabq.alpha, gamma=cfg.tabq.gamma)
-    curves = train_tabular(env, table, env.config.grid, cfg.tabq,
-                           np.random.default_rng([seed, 1]))
+    table = QTable(cfg.tabq, env.config.grid)
+    curves = train_tabular(env, table, np.random.default_rng([seed, 1]))
     return table, curve_set("tabq", env, seed, curves)
 
 
@@ -270,7 +264,7 @@ def run_policy_experiment(cfg: ExperimentConfig) -> EvalReport:
             policies = {
                 "wait": wait_policy,
                 "fixed": FixedPolicy(env),
-                "tabq": greedy(partial(tabular_q_values, table, data.grid)),
+                "tabq": greedy(table.q_values),
                 "dqn": greedy(agent.q_values),
             }
             for name, policy in policies.items():

@@ -4,8 +4,8 @@ Parameters are plain numpy arrays: layer ``k`` holds a weight matrix shaped
 ``(fan_out, fan_in)`` and a bias vector shaped ``(fan_out,)``. Hidden layers
 apply ReLU; the output layer is always linear.
 
-The loss convention used by :meth:`Mlp.sgd_step` and
-:meth:`Mlp.gradient_check` is half mean squared error over the batch,
+The loss convention of :meth:`Mlp.loss_and_grad_output`, which
+:meth:`Mlp.sgd_step` trains on, is half mean squared error over the batch,
 ``L = sum_i ||pred_i - target_i||^2 / (2N)``.
 
 :meth:`Mlp.forward` keeps the cache :meth:`Mlp.backward` needs (training);
@@ -160,42 +160,6 @@ class Mlp:
                 raise RuntimeError("non-finite gradient during SGD step")
         self.apply_gradients(grads, lr)
         return loss
-
-    def gradient_check(self, x, y, step: float = 1e-5) -> float:
-        """Max relative error of backprop vs. central finite differences.
-
-        Relative error per parameter is
-        ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-
-        def loss_at():
-            out, _ = self.forward(x)
-            loss, _ = self.loss_and_grad_output(out, y)
-            return loss
-
-        out, cache = self.forward(x)
-        _, gout = self.loss_and_grad_output(out, y)
-        grads, _ = self.backward(cache, gout)
-
-        worst = 0.0
-        for k in range(self.n_layers):
-            for arr, g in ((self.weights[k], grads[k][0]),
-                           (self.biases[k], grads[k][1])):
-                it = np.nditer(arr, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    orig = arr[idx]
-                    arr[idx] = orig + step
-                    lp = loss_at()
-                    arr[idx] = orig - step
-                    lm = loss_at()
-                    arr[idx] = orig
-                    numeric = (lp - lm) / (2.0 * step)
-                    analytic = g[idx]
-                    denom = max(1e-8, abs(analytic) + abs(numeric))
-                    worst = max(worst, abs(analytic - numeric) / denom)
-        return worst
 
     def save(self, path) -> None:
         payload = {

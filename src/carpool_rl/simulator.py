@@ -26,6 +26,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .config import EnvParamsConfig
 from .geo import Bbox, GeoPoint, GridSpec, SECONDS_PER_DAY
 from .trips import DAY_TYPES, TripRecord, TripStore, WEEKDAY, WEEKEND
 
@@ -65,20 +66,14 @@ class DriverState:
 
 @dataclass(frozen=True)
 class EnvConfig:
+    """The env's region, grid and day type, and its ``env`` config section."""
+
     region: Bbox
     grid: GridSpec
-    search_window: float = 600.0     # pickup-time window for the first trip
-    carpool_fraction: float = 0.5    # second window as a fraction of trip 1's duration
-    wait_delay: float = 600.0        # clock advance when waiting / nothing found
+    params: EnvParamsConfig = field(default_factory=EnvParamsConfig)
     day_type: str = WEEKDAY
 
     def __post_init__(self):
-        if self.search_window <= 0:
-            raise ValueError("search_window must be positive")
-        if not 0 < self.carpool_fraction < 1:
-            raise ValueError("carpool_fraction must lie in (0, 1)")
-        if self.wait_delay <= 0:
-            raise ValueError("wait_delay must be positive")
         if self.day_type not in DAY_TYPES:
             raise ValueError(f"unknown day type {self.day_type!r}")
 
@@ -268,9 +263,9 @@ class CarpoolEnv:
         if state is not self._searched:
             self._searched = state
             t0 = state.time_of_day
+            window = self.config.params.search_window
             self._trip1 = next(self._reachable(
-                state, state.location, t0, t0 + self.config.search_window),
-                None)
+                state, state.location, t0, t0 + window), None)
             self._candidates = None
         return self._trip1
 
@@ -282,7 +277,7 @@ class CarpoolEnv:
             return []
         if self._candidates is None:
             t_o1 = trip1.pickup_seconds
-            horizon = t_o1 + self.config.carpool_fraction * trip1.duration
+            horizon = t_o1 + self.config.params.carpool_fraction * trip1.duration
             self._candidates = list(self._reachable(
                 state, trip1.origin, t_o1, horizon, skip=trip1))
         return self._candidates
@@ -305,7 +300,7 @@ class CarpoolEnv:
         """Stay in place for ``wait_delay`` with no reward: a wait, or a take
         action that found nothing to serve."""
         nxt = DriverState(state.location,
-                          state.time_of_day + self.config.wait_delay,
+                          state.time_of_day + self.config.params.wait_delay,
                           state.day_type)
         return self._finish(state, action, 0.0, nxt, TransitionInfo())
 

@@ -11,7 +11,9 @@ import statistics
 import numpy as np
 import pytest
 
-from carpool_rl.agents import (DqnAgent, QTable, state_cell, tabular_update)
+from gradcheck import gradient_check
+
+from carpool_rl.agents import DqnAgent, QTable, tabular_update
 from carpool_rl.config import (DataConfig, DqnConfig, EtaConfig,
                                ExperimentConfig, TabQConfig)
 from carpool_rl.eta import (compute_metrics, evaluate, train_joint_eta,
@@ -173,7 +175,7 @@ def test_criterion_4_gradient_correctness():
         net = Mlp(sizes, rng=rng)
         x = _kink_clear_sample(net, rng)
         y = rng.normal(size=(3, sizes[-1]))
-        worst = max(worst, net.gradient_check(x, y, step=1e-5))
+        worst = max(worst, gradient_check(net, x, y, step=1e-5))
     ok = worst < 1e-4
     check(4, "backprop vs finite differences", ok,
           f"max relative error {worst:.2e} over 20 random architectures")
@@ -244,7 +246,7 @@ def test_criterion_6_simulator_invariants(tmp_path):
         s = tr.next_state
         if tr.done:
             break
-    if steps > 86400 / min(env.config.wait_delay, 1.0):
+    if steps > 86400 / min(env.config.params.wait_delay, 1.0):
         failures.append((-1, "episode exceeded termination bound"))
     ok = not failures
     check(6, "simulator invariants over 10k random steps", ok,
@@ -282,13 +284,13 @@ def test_criterion_7_tabular_exactness():
             Action.TAKE_TWO: 0.5 + gamma * max(q[((0, 0), x)] for x in Action),
         }[a] for c in cells for a in Action}
 
-    table = QTable(alpha=1.0, gamma=gamma)
+    table = QTable(TabQConfig(alpha=1.0, gamma=gamma), grid)
     for _ in range(2000):
         for c in cells:
             for a in Action:
-                tabular_update(table, transition(c, a), grid)
+                tabular_update(table, transition(c, a))
 
-    worst = max(abs(table.get(state_cell(cell_state(*c), grid), a) - q[(c, a)])
+    worst = max(abs(table.q_values(cell_state(*c))[a] - q[(c, a)])
                 for c in cells for a in Action)
     ok = worst < 1e-3
     check(7, "tabular Q matches dynamic programming", ok,

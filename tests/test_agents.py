@@ -1,7 +1,6 @@
 import csv
 from dataclasses import replace
 from datetime import datetime, timedelta
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ import pytest
 from carpool_rl.agents import (DqnAgent, FixedPolicy, QTable, ReplayMemory,
                                epsilon, evaluate_policy, greedy, rollout,
                                save_qtable, select_action, state_cell,
-                               tabular_q_values, tabular_update, train_dqn,
-                               train_tabular, wait_policy)
-from carpool_rl.config import DqnConfig, TabQConfig
+                               tabular_update, train_dqn, train_tabular,
+                               wait_policy)
+from carpool_rl.config import DqnConfig, EnvParamsConfig, TabQConfig
 from carpool_rl.eta import ConstantSpeedEta
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
 from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
@@ -34,7 +33,7 @@ def make_trip(o, d, pickup_s, duration=None, distance=None):
 
 def make_env(trips=(), **overrides):
     return CarpoolEnv(TripStore(trips), ConstantSpeedEta(12.0),
-                      EnvConfig(region=REGION, grid=GRID, **overrides))
+                      EnvConfig(REGION, GRID, EnvParamsConfig(**overrides)))
 
 
 def cell_state(i, j, t=0.0):
@@ -48,35 +47,35 @@ def make_transition(s, action, reward, ns, done=False):
 
 class TestTabularUpdate:
     def test_direct_substitution(self):
-        table = QTable(alpha=0.5, gamma=0.95)
+        table = QTable(TabQConfig(alpha=0.5, gamma=0.95), GRID)
         tr = make_transition(cell_state(0, 0), Action.TAKE_ONE, 10.0,
                              cell_state(1, 1, 700.0))
-        assert tabular_update(table, tr, GRID) == 5.0
+        assert tabular_update(table, tr) == 5.0
 
     def test_zero_everything_is_fixed_point(self):
-        table = QTable(alpha=0.5, gamma=0.95)
+        table = QTable(TabQConfig(alpha=0.5, gamma=0.95), GRID)
         tr = make_transition(cell_state(0, 0), Action.WAIT, 0.0,
                              cell_state(0, 0, 700.0))
-        assert tabular_update(table, tr, GRID) == 0.0
+        assert tabular_update(table, tr) == 0.0
         assert table.values == {(((0, 0, 0)), int(Action.WAIT)): 0.0}
 
     def test_terminal_bootstraps_zero(self):
-        table = QTable(alpha=1.0, gamma=0.95)
+        table = QTable(TabQConfig(alpha=1.0, gamma=0.95), GRID)
         # give the next state's cell a big value that must be ignored
         ns = cell_state(1, 1, 86000.0)
         table.values[(state_cell(ns, GRID), int(Action.WAIT))] = 100.0
         tr = make_transition(cell_state(0, 0, 85000.0), Action.TAKE_ONE, 2.0,
                              ns, done=True)
-        assert tabular_update(table, tr, GRID) == 2.0
+        assert tabular_update(table, tr) == 2.0
 
     def test_unchanged_iff_td_error_zero(self):
-        table = QTable(alpha=0.7, gamma=0.9)
+        table = QTable(TabQConfig(alpha=0.7, gamma=0.9), GRID)
         s, ns = cell_state(0, 0), cell_state(1, 1, 700.0)
         table.values[(state_cell(ns, GRID), int(Action.WAIT))] = 2.0
         key = (state_cell(s, GRID), int(Action.TAKE_ONE))
         table.values[key] = 1.0 + 0.9 * 2.0  # exactly r + gamma max Q(next)
         tr = make_transition(s, Action.TAKE_ONE, 1.0, ns)
-        assert tabular_update(table, tr, GRID) == table.values[key]
+        assert tabular_update(table, tr) == table.values[key]
 
     def test_two_state_chain_converges_to_value_iteration(self):
         # deterministic chain: A --(r=1)--> B --(r=0)--> A, single action
@@ -90,12 +89,12 @@ class TestTabularUpdate:
         for _ in range(500):
             qa, qb = 1.0 + gamma * qb, 0.0 + gamma * qa
 
-        table = QTable(alpha=0.5, gamma=gamma)
+        table = QTable(TabQConfig(alpha=0.5, gamma=gamma), GRID)
         for _ in range(200):
-            tabular_update(table, tr_ab, GRID)
-            tabular_update(table, tr_ba, GRID)
-        assert table.get(state_cell(a, GRID), Action.WAIT) == pytest.approx(qa, abs=1e-3)
-        assert table.get(state_cell(b, GRID), Action.WAIT) == pytest.approx(qb, abs=1e-3)
+            tabular_update(table, tr_ab)
+            tabular_update(table, tr_ba)
+        assert table.q_values(a)[Action.WAIT] == pytest.approx(qa, abs=1e-3)
+        assert table.q_values(b)[Action.WAIT] == pytest.approx(qb, abs=1e-3)
 
     def test_four_cell_mdp_matches_dp_exactly(self):
         # 2x2 deterministic gridworld, all three actions defined per state.
@@ -130,22 +129,22 @@ class TestTabularUpdate:
                 for c in cells for a in Action
             }
 
-        table = QTable(alpha=1.0, gamma=gamma)
+        table = QTable(TabQConfig(alpha=1.0, gamma=gamma), GRID)
         for _ in range(2000):
             for c in cells:
                 for a, tr in transitions_for(c).items():
-                    tabular_update(table, tr, GRID)
+                    tabular_update(table, tr)
 
         for c in cells:
             for a in Action:
-                got = table.get(state_cell(cell_state(*c), GRID), a)
+                got = table.q_values(cell_state(*c))[a]
                 assert got == pytest.approx(q[(c, a)], abs=1e-3)
 
     def test_csv_roundtrip(self, tmp_path):
-        table = QTable()
+        table = QTable(TabQConfig(), GRID)
         tr = make_transition(cell_state(0, 0), Action.TAKE_ONE, 10.0,
                              cell_state(1, 1, 700.0))
-        tabular_update(table, tr, GRID)
+        tabular_update(table, tr)
         path = tmp_path / "q.csv"
         save_qtable(table, path)
         with open(path, newline="") as fh:
@@ -415,13 +414,13 @@ class TestPolicies:
     def test_episode_step_bound(self):
         env = make_env()
         transitions = list(rollout(env, wait_policy, np.random.default_rng(2)))
-        assert len(transitions) <= 86400 / min(env.config.wait_delay, 1.0)
+        assert len(transitions) <= 86400 / min(env.config.params.wait_delay, 1.0)
 
     def test_greedy_tabular_matches_argmax(self):
-        table = QTable()
+        table = QTable(TabQConfig(), GRID)
         s = cell_state(2, 3, 1200.0)
         table.values[(state_cell(s, GRID), int(Action.TAKE_TWO))] = 1.0
-        assert greedy(partial(tabular_q_values, table, GRID))(s) == Action.TAKE_TWO
+        assert greedy(table.q_values)(s) == Action.TAKE_TWO
 
     def test_greedy_ties_break_toward_lower_action(self):
         assert greedy(lambda s: np.array([1.0, 1.0, 0.5]))(None) == Action.WAIT
@@ -472,9 +471,8 @@ class TestTrainingLoops:
 
     def test_train_tabular_runs_and_records(self):
         env = make_env(self._demand(np.random.default_rng(3)))
-        table = QTable(alpha=0.2)
-        curves = train_tabular(env, table, GRID,
-                               replace(TEST_TABQ, train_episodes=3), seed=0)
+        table = QTable(replace(TEST_TABQ, alpha=0.2, train_episodes=3), GRID)
+        curves = train_tabular(env, table, seed=0)
         assert sorted(curves) == ["mean_q", "reward"]
         assert all(len(v) == 3 for v in curves.values())
         assert len(table.values) > 0
@@ -514,9 +512,8 @@ class TestTrainingLoops:
         # moves these digits.
         env = make_env(self._demand(np.random.default_rng(3), 300))
         sched = dict(eps_start=1.0, eps_end=0.05, eps_decay_steps=100)
-        table = QTable(alpha=0.5)
-        tab = train_tabular(env, table, GRID,
-                            TabQConfig(train_episodes=6, **sched), seed=11)
+        table = QTable(TabQConfig(alpha=0.5, train_episodes=6, **sched), GRID)
+        tab = train_tabular(env, table, seed=11)
         agent = make_agent(seed=5, sync_period=50, train_episodes=2, **sched)
         dqn = train_dqn(env, agent, seed=12)
         assert repr(tab) == (
@@ -533,7 +530,7 @@ class TestTrainingLoops:
         assert agent.env_steps == 313 and len(table.values) == 869
         fixed = evaluate_policy(env, FixedPolicy(env), 3, seed=3)
         tabq = evaluate_policy(
-            env, greedy(partial(tabular_q_values, table, GRID)), 3, seed=3)
+            env, greedy(table.q_values), 3, seed=3)
         dqn_eval = evaluate_policy(env, greedy(agent.q_values), 3, seed=3)
         assert repr(fixed) == ("(75.46529326909601, [75.46529326909601, "
                                "75.46529326909601, 75.46529326909601])")

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from carpool_rl.cli import main
@@ -179,6 +180,17 @@ def saved_model(tmp_path_factory):
     return root / "eta_model"
 
 
+def set_last_layer(model_dir, part, row, bias):
+    """Give every unit of the saved ``part`` network's last layer the weight
+    row ``row``, zero-padded to the layer's width, and the bias ``bias``."""
+    path = model_dir / f"{part}.json"
+    net = json.loads(path.read_text())
+    width = len(net["weights"][-1][0])
+    net["weights"][-1] = [(row + [0.0] * width)[:width] for _ in net["biases"][-1]]
+    net["biases"][-1] = [bias] * len(net["biases"][-1])
+    path.write_text(json.dumps(net))
+
+
 class TestErrorContract:
     """Usage errors are argparse's: exit status 2 and plain usage text on
     stderr. Every failure after parsing returns non-zero with nothing on
@@ -245,3 +257,33 @@ class TestErrorContract:
         payload = json.loads(line)
         assert set(payload) == {"error", "message"}
         assert payload["error"] == "ValueError" and field in payload["message"]
+
+    @pytest.mark.parametrize("case", ["time-inf", "distance-inf", "distance-nan"])
+    def test_non_finite_estimate_is_one_json_line(self, tmp_path, capsys,
+                                                  saved_model, case):
+        # Every saved number is finite, so the model loads; the estimate is
+        # not. A head whose output is 1e308 for every input overflows to inf
+        # when its target std of 10 scales it back; a trunk whose outputs
+        # are all 1e308 feeds the distance head inf - inf, which is nan.
+        model_dir = tmp_path / "eta_model"
+        shutil.copytree(saved_model, model_dir)
+        meta = json.loads((model_dir / "meta.json").read_text())
+        if case == "distance-nan":
+            set_last_layer(model_dir, "trunk", [], 1e308)
+            set_last_layer(model_dir, "dist_head", [1e308, -1e308], 0.0)
+        else:
+            head, stats = (("time_net", "y_time_stats") if case == "time-inf"
+                           else ("dist_head", "y_dist_stats"))
+            set_last_layer(model_dir, head, [], 1e308)
+            meta[stats]["std"] = [10.0]
+        (model_dir / "meta.json").write_text(json.dumps(meta))
+        with np.errstate(over="ignore", invalid="ignore"):  # the point here
+            code, out, err = run_cli(capsys, "eta", "predict", "--model",
+                                     str(model_dir), "--origin", "40.72,-74.0",
+                                     "--dest", "40.73,-73.99", "--time", "30000")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ValueError"
+        assert "must be finite" in payload["message"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from carpool_rl.config import EtaConfig
-from carpool_rl.eta import (ConstantSpeedEta, EtaEstimate, EtaQuery,
+from carpool_rl.eta import (ConstantSpeedEta, EtaQuery,
                             JointEtaModel, ModelEta, _feature_matrix,
                             _raw_features, _training_arrays, _trip_fields,
                             compute_metrics, evaluate, query_from_trip,
@@ -47,6 +47,12 @@ def synthetic_store(n=400, seed=0):
         speed = 12.0 * (1.0 - 0.3 * math.exp(-((pickup_s / 3600 - 8.5) / 2) ** 2))
         trips.append(make_trip(o, d, pickup_s, dist / speed * 3600.0, dist))
     return TripStore(trips)
+
+
+def predict_one(model, q):
+    """``(travel time, travel distance)`` of one query: a batch of one."""
+    times, dists = model.predict_batch([q])
+    return float(times[0]), float(dists[0])
 
 
 def reference_features(queries, grid):
@@ -197,9 +203,9 @@ class TestJointModel:
         cfg = EtaConfig(learning_rate=0.1, batch_size=4, epochs=200,
                         dist_hidden=[8, 8], time_hidden=[8])
         model = train_joint_eta(store, GRID, cfg, 0)
-        est = model.predict(query_from_trip(trip))
-        assert est.travel_time == pytest.approx(800.0, rel=0.01)
-        assert est.travel_distance == pytest.approx(2.5, rel=0.01)
+        t, d = predict_one(model, query_from_trip(trip))
+        assert t == pytest.approx(800.0, rel=0.01)
+        assert d == pytest.approx(2.5, rel=0.01)
 
     def test_constant_targets_recovered(self):
         trips = [make_trip((40.71 + 0.001 * i, -74.0), (40.73, -73.98),
@@ -208,29 +214,28 @@ class TestJointModel:
         cfg = EtaConfig(learning_rate=0.05, batch_size=8, epochs=50,
                         dist_hidden=[8, 8], time_hidden=[8])
         model = train_joint_eta(TripStore(trips), GRID, cfg, 1)
-        est = model.predict(query_from_trip(trips[3]))
-        assert est.travel_time == pytest.approx(700.0, rel=0.01)
-        assert est.travel_distance == pytest.approx(2.0, rel=0.01)
+        t, d = predict_one(model, query_from_trip(trips[3]))
+        assert t == pytest.approx(700.0, rel=0.01)
+        assert d == pytest.approx(2.0, rel=0.01)
 
     def test_distance_invariant_to_time_of_day(self):
         model = self._small_model()
         q_morning = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 800.0)
         q_evening = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 80000.0)
-        assert (model.predict(q_morning).travel_distance
-                == model.predict(q_evening).travel_distance)
+        assert predict_one(model, q_morning)[1] == predict_one(model, q_evening)[1]
 
     def test_prediction_is_pure(self):
         model = self._small_model()
         q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 800.0)
-        first = model.predict(q)
-        second = model.predict(q)
+        first = predict_one(model, q)
+        second = predict_one(model, q)
         assert first == second
 
     def test_out_of_grid_query_raises(self):
         model = self._small_model()
         with pytest.raises(OutOfGridError):
-            model.predict(EtaQuery(GeoPoint(40.60, -74.0),
-                                   GeoPoint(40.73, -73.98), 800.0))
+            predict_one(model, EtaQuery(GeoPoint(40.60, -74.0),
+                                        GeoPoint(40.73, -73.98), 800.0))
 
     def test_outputs_clamped_non_negative(self):
         model = self._small_model()
@@ -258,16 +263,14 @@ class TestJointModel:
               EtaQuery(GeoPoint(40.72, -74.01), GeoPoint(40.74, -73.97), 40000.0)]
         times, dists = model.predict_batch(qs)
         for i, q in enumerate(qs):
-            est = model.predict(q)
-            assert est.travel_time == times[i]
-            assert est.travel_distance == dists[i]
+            assert predict_one(model, q) == (times[i], dists[i])
 
     def test_save_load_roundtrip(self, tmp_path):
         model = self._small_model()
         model.save(tmp_path / "model")
         loaded = JointEtaModel.load(tmp_path / "model")
         q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 800.0)
-        assert loaded.predict(q) == model.predict(q)
+        assert predict_one(loaded, q) == predict_one(model, q)
 
     @pytest.mark.parametrize("shift, loads", [
         (86400.0, True), (86400, True), (0.0, False), (-86400.0, False),
@@ -284,7 +287,8 @@ class TestJointModel:
         q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 800.0,
                      is_weekend=True)
         if loads:
-            assert JointEtaModel.load(tmp_path / "model").predict(q) == model.predict(q)
+            loaded = JointEtaModel.load(tmp_path / "model")
+            assert predict_one(loaded, q) == predict_one(model, q)
         else:
             with pytest.raises(ValueError, match="weekend"):
                 JointEtaModel.load(tmp_path / "model")
@@ -320,17 +324,6 @@ class TestJointModel:
             JointEtaModel(nets["trunk"], nets["dist_head"], nets["time_net"],
                           model.grid, model.loc_stats, model.t_stats,
                           model.y_time_stats, model.y_dist_stats)
-
-    def test_non_finite_estimate_raises(self):
-        for t, d in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
-                     (1.0, math.inf), (-1.0, 1.0)):
-            with pytest.raises(ValueError, match="finite and non-negative"):
-                EtaEstimate(t, d)
-        model = self._small_model()
-        model.dist_head.biases[-1][0] = math.nan
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            model.predict(EtaQuery(GeoPoint(40.71, -74.0),
-                                   GeoPoint(40.73, -73.98), 800.0))
 
     def test_empty_training_set_raises(self):
         with pytest.raises(ValueError):
@@ -492,7 +485,7 @@ class TestTravelTimeSources:
         src = ModelEta(model)
         a, b = GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98)
         q = EtaQuery(a, b, 800.0, False)
-        assert src.travel_time(a, b, 800.0, False) == model.predict(q).travel_time
+        assert src.travel_time(a, b, 800.0, False) == predict_one(model, q)[0]
 
 
 def counting_misses(model, monkeypatch):
@@ -526,7 +519,7 @@ class TestModelEtaMemo:
         assert len(calls) == 1
         assert np.float64(first).tobytes() == np.float64(second).tobytes()
         q = EtaQuery(GeoPoint(40.7109, -73.9991), b, 800.0, False)
-        assert second == self.model.predict(q).travel_time
+        assert second == predict_one(self.model, q)[0]
 
     def test_weekday_and_weekend_use_different_keys(self, monkeypatch):
         src = ModelEta(self.model)
@@ -537,8 +530,8 @@ class TestModelEtaMemo:
         # 800 s is bin 1 on a weekday and bin 1 + 144 on a weekend
         assert [key[4] for key in calls] == [1, 145]
         assert calls[0][:4] == calls[1][:4]
-        assert weekday == self.model.predict(EtaQuery(a, b, 800.0, False)).travel_time
-        assert weekend == self.model.predict(EtaQuery(a, b, 800.0, True)).travel_time
+        assert weekday == predict_one(self.model, EtaQuery(a, b, 800.0, False))[0]
+        assert weekend == predict_one(self.model, EtaQuery(a, b, 800.0, True))[0]
 
     @given(QUERIES)
     @example(EtaQuery(CORNER, OTHER, 0.0, False))
@@ -567,7 +560,7 @@ class TestModelEtaMemo:
             for q in queries:
                 got = src.travel_time(q.origin, q.destination,
                                       q.seconds_of_day, q.is_weekend)
-                assert got == self.model.predict(q).travel_time
+                assert got == predict_one(self.model, q)[0]
 
     def test_bad_inputs_raise_after_caching(self):
         src = ModelEta(self.model)

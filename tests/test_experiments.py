@@ -83,18 +83,22 @@ RANGE_VIOLATIONS = [
     (DqnConfig, "replay_capacity", 0),
     (DqnConfig, "eps_start", 1.5),
     (DqnConfig, "eps_end", -0.1),
+    (DqnConfig, "eps_decay_steps", 0),
+    (DqnConfig, "sync_period", -1),
     (DqnConfig, "train_episodes", -1),
     (TabQConfig, "alpha", 0.0),
     (TabQConfig, "gamma", 1.0),
     (TabQConfig, "eps_start", -0.5),
     (TabQConfig, "eps_end", 2.0),
+    (TabQConfig, "eps_decay_steps", -100),
     (TabQConfig, "train_episodes", -3),
 ]
 
 # Fields whose rule must also reject infinity, which a plain "positive"
 # rule lets through: json reads both Infinity and 1e400 as inf.
 FINITE_FIELDS = [(GridConfig, "cell_lat"), (GridConfig, "cell_lon"),
-                 (GridConfig, "time_bin"), (EtaConfig, "learning_rate"),
+                 (GridConfig, "time_bin"), (EnvParamsConfig, "search_window"),
+                 (EnvParamsConfig, "wait_delay"), (EtaConfig, "learning_rate"),
                  (DqnConfig, "learning_rate")]
 
 
@@ -467,6 +471,17 @@ class TestPolicyExperiment:
             assert set(report.policies[policy]) == {"weekday", "weekend"}
         # weekend demand exists, so the fixed policy earns something
         assert report.policies["fixed"]["weekend"]["mean"] > 0
+
+    def test_env_and_tabq_read_their_config_sections(self, tmp_path):
+        cfg = tiny_policy_config(tmp_path)
+        cfg.env = EnvParamsConfig(search_window=300.0, wait_delay=450.0)
+        cfg.tabq = TabQConfig(alpha=0.3, train_episodes=1)
+        data = prepare_data(cfg)
+        eta = experiments.build_eta_source(cfg, data, 0)
+        env = experiments.build_env(cfg, data, eta, "weekend")
+        assert env.config.params is cfg.env and env.config.day_type == "weekend"
+        table, _ = experiments.fit_tabq(cfg, env, 0)
+        assert table.cfg is cfg.tabq and table.grid is data.grid
 
     def test_joint_eta_backed_simulator(self, tmp_path):
         cfg = tiny_policy_config(tmp_path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carpool_rl.agents import FixedPolicy, evaluate_policy, rollout
-from carpool_rl.config import EtaConfig
+from carpool_rl.config import EnvParamsConfig, EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaQuery, ModelEta,
                             train_joint_eta)
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
@@ -31,7 +31,7 @@ def make_trip(o, d, pickup_s, duration=None, distance=None):
 
 
 def make_env(trips=(), **overrides):
-    cfg = EnvConfig(region=REGION, grid=GRID, **overrides)
+    cfg = EnvConfig(REGION, GRID, EnvParamsConfig(**overrides))
     return CarpoolEnv(TripStore(trips), SPEED, cfg)
 
 
@@ -358,7 +358,7 @@ class TestInvariants:
             s = tr.next_state
             if tr.done:
                 break
-        assert steps <= 86400 / min(env.config.wait_delay, 1.0)
+        assert steps <= 86400 / min(env.config.params.wait_delay, 1.0)
 
 
 class CountingEta:
@@ -406,7 +406,7 @@ class UnmemoizedEta:
 
     def travel_time(self, origin, destination, seconds_of_day, is_weekend):
         q = EtaQuery(origin, destination, seconds_of_day, is_weekend)
-        return self.model.predict(q).travel_time
+        return float(self.model.predict_batch([q])[0][0])
 
 
 class TestLearnedEta:
