@@ -12,7 +12,6 @@ magnitudes would stall plain SGD.
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -152,7 +151,8 @@ class DqnAgent:
     def __init__(self, region: Bbox, cfg: DqnConfig, seed: int):
         rng = np.random.default_rng(seed)
         self.online = Mlp([N_FEATURES, *cfg.hidden, N_ACTIONS], rng=rng)
-        self.target = copy.deepcopy(self.online)
+        self.target = Mlp(self.online.layer_sizes)
+        copy_weights(self.online, self.target)
         self.cfg = cfg
         self.region = region
         self.replay = ReplayMemory(cfg.replay_capacity)
@@ -206,8 +206,8 @@ class DqnAgent:
             raise RuntimeError(f"non-finite DQN loss: {loss}")
         grad_out = np.zeros_like(q_all)
         grad_out[rows, actions] = diff / n
-        grads, _ = self.online.backward(cache, grad_out)
-        self.online.apply_gradients(grads, self.cfg.learning_rate)
+        self.online.backward(cache, grad_out)
+        self.online.apply_gradients(self.cfg.learning_rate)
         return loss, float(q_sel.mean())
 
     def sync_target(self) -> None:

@@ -3,7 +3,8 @@
 Subcommands: ``data ingest``, ``data synth``, ``eta train|eval|predict``,
 ``train fixed|tabq|dqn``, ``eval``, ``report``. Exit code 0 on success. A
 failure after parsing writes one JSON line ``{"error", "message"}`` to
-stderr and returns 1; a usage error is argparse's (usage text on stderr,
+stderr, and nothing else (warnings the command raised are dropped), and
+returns 1; a usage error is argparse's (usage text on stderr,
 ``SystemExit(2)``).
 """
 
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .agents import FixedPolicy, evaluate_policy, save_qtable
 from .config import (ExperimentConfig, apply_overrides, load_config,
@@ -208,12 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:  # surface a machine-readable error
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+    # Warnings are held back while the command runs: a failure prints only
+    # its JSON line, a success shows them as they would have been shown.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except Exception as exc:  # surface a machine-readable error
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+                  file=sys.stderr)
+            return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                             w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

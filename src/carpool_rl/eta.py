@@ -303,13 +303,13 @@ def train_joint_eta(train, grid: GridSpec, cfg: EtaConfig,
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"joint training diverged at epoch {epoch}: loss={loss}")
-            grads_t, g_in_t = time_net.backward(cache_t, diff_t / nb)
-            grads_d, g_in_d = dist_head.backward(cache_d, diff_d / nb)
+            _, g_in_t = time_net.backward(cache_t, diff_t / nb)
+            _, g_in_d = dist_head.backward(cache_d, diff_d / nb)
             g_h = g_in_t[:, :trunk.output_width] + g_in_d
-            grads_tr, _ = trunk.backward(cache_tr, g_h * (z > 0.0))
-            time_net.apply_gradients(grads_t, lr)
-            dist_head.apply_gradients(grads_d, lr)
-            trunk.apply_gradients(grads_tr, lr)
+            trunk.backward(cache_tr, g_h * (z > 0.0))
+            time_net.apply_gradients(lr)
+            dist_head.apply_gradients(lr)
+            trunk.apply_gradients(lr)
             batch_losses.append(loss)
         model.epoch_losses.append(float(np.mean(batch_losses)))
     return model

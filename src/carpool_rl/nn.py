@@ -1,8 +1,16 @@
 """Minimal fully-connected network with explicit forward and backward passes.
 
-Parameters are plain numpy arrays: layer ``k`` holds a weight matrix shaped
-``(fan_out, fan_in)`` and a bias vector shaped ``(fan_out,)``. Hidden layers
-apply ReLU; the output layer is always linear.
+Layer ``k`` holds a weight matrix shaped ``(fan_out, fan_in)`` and a bias
+vector shaped ``(fan_out,)``. Hidden layers apply ReLU; the output layer is
+always linear.
+
+Each net keeps its parameters in one contiguous float64 vector ``params``
+(layer by layer: row-major weights, then biases) and their gradient in a
+twin ``grad``. ``weights``, ``biases`` and the ``(dW, db)`` pairs
+:meth:`Mlp.backward` fills are tuples of views into them, so a layer is
+changed in place, never rebound; an SGD update is one
+``params -= lr * grad`` and :func:`copy_weights` one copy. ``copy.deepcopy``
+would not keep the views: build a fresh net and ``copy_weights`` into it.
 
 The loss convention of :meth:`Mlp.loss_and_grad_output`, which
 :meth:`Mlp.sgd_step` trains on, is half mean squared error over the batch,
@@ -15,7 +23,7 @@ row ``i`` equals the one-row ``forward`` of input row ``i`` bit for bit.
 Checkpoint format (version ``mlp/1``): a JSON object with keys ``format``,
 ``layer_sizes``, ``activation`` (always ``"relu"``), ``weights`` (list of
 row-major 2-D arrays, one per layer, each row one output unit) and
-``biases``.
+``biases``: the per-layer arrays, not the flat buffer.
 
 The module holds no training settings: each trainer takes the learning
 rate, batch size and epochs from its config section (``EtaConfig`` for the
@@ -45,12 +53,19 @@ class Mlp:
         self.layer_sizes = _checked_sizes(layer_sizes)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+        self._bind()
+        for w in self.weights:
+            fan_out, fan_in = w.shape
             s = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+            w[:] = rng.uniform(-s, s, size=(fan_out, fan_in))
+
+    def _bind(self) -> None:
+        """Allocate zeroed ``params`` and ``grad``; lay the views over them."""
+        sizes = self.layer_sizes
+        self.params = np.zeros(sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
+        self.grad = np.zeros_like(self.params)
+        self.weights, self.biases = _layer_views(self.params, sizes)
+        self._grads = tuple(zip(*_layer_views(self.grad, sizes)))
 
     @property
     def n_layers(self) -> int:
@@ -83,7 +98,9 @@ class Mlp:
             if zs:  # a hidden layer came before: its ReLU feeds this one
                 x = np.maximum(zs[-1], 0.0)
                 inputs.append(x)
-            zs.append(x @ w.T + b)
+            z = x @ w.T
+            z += b
+            zs.append(z)
         out = zs[-1]
         cache = {"inputs": inputs, "zs": zs, "squeeze": squeeze}
         return (out[0] if squeeze else out), cache
@@ -112,27 +129,29 @@ class Mlp:
     def backward(self, cache, grad_output):
         """Backpropagate ``dL/d(output)`` through the cached forward pass.
 
-        Returns ``(grads, grad_input)`` where ``grads`` is a list of
-        ``(dW, db)`` pairs aligned with the layers and ``grad_input`` is
-        ``dL/d(input)`` with the same leading shape as the forward input.
+        Writes every layer's ``(dW, db)`` into ``grad`` and returns
+        ``(grads, grad_input)``: ``grads`` is the tuple of those ``(dW, db)``
+        views, aligned with the layers and overwritten by the next call, and
+        ``grad_input`` is ``dL/d(input)`` with the same leading shape as the
+        forward input.
         """
         g = np.asarray(grad_output, dtype=float)
         if g.ndim == 1:
             g = g[None, :]
         last = len(self.weights) - 1
         zs, inputs = cache["zs"], cache["inputs"]
-        grads = [None] * (last + 1)
         for k in range(last, -1, -1):
-            if k < last:
-                g = g * (zs[k] > 0.0)
-            grads[k] = (g.T @ inputs[k], g.sum(axis=0))
+            if k < last:  # g is this pass's own array here
+                g *= zs[k] > 0.0
+            dw, db = self._grads[k]
+            np.matmul(g.T, inputs[k], out=dw)
+            g.sum(axis=0, out=db)
             g = g @ self.weights[k]
-        return grads, (g[0] if cache["squeeze"] else g)
+        return self._grads, (g[0] if cache["squeeze"] else g)
 
-    def apply_gradients(self, grads, lr: float) -> None:
-        for k, (dw, db) in enumerate(grads):
-            self.weights[k] -= lr * dw
-            self.biases[k] -= lr * db
+    def apply_gradients(self, lr: float) -> None:
+        """One SGD update from the gradient the last :meth:`backward` left."""
+        self.params -= lr * self.grad
 
     def loss_and_grad_output(self, outputs, targets):
         """Half-MSE loss over a batch and its gradient w.r.t. the outputs."""
@@ -154,11 +173,10 @@ class Mlp:
         loss, gout = self.loss_and_grad_output(out, targets)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss: {loss}")
-        grads, _ = self.backward(cache, gout)
-        for dw, db in grads:
-            if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-                raise RuntimeError("non-finite gradient during SGD step")
-        self.apply_gradients(grads, lr)
+        self.backward(cache, gout)
+        if not np.isfinite(self.grad).all():
+            raise RuntimeError("non-finite gradient during SGD step")
+        self.apply_gradients(lr)
         return loss
 
     def save(self, path) -> None:
@@ -182,18 +200,21 @@ class Mlp:
             raise ValueError(f"unsupported activation: {payload.get('activation')!r}")
         net = cls.__new__(cls)  # no random init: every array comes from the file
         net.layer_sizes = _checked_sizes(payload["layer_sizes"])
-        net.weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-        net.biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
+        weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
+        biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
         n = len(net.layer_sizes) - 1
-        if len(net.weights) != n or len(net.biases) != n:
+        if len(weights) != n or len(biases) != n:
             raise ValueError(f"checkpoint needs {n} weight and {n} bias arrays")
-        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        net._bind()
+        for k, (w, b) in enumerate(zip(weights, biases)):
             want = (net.layer_sizes[k + 1], net.layer_sizes[k])
             if w.shape != want or b.shape != want[:1]:
                 raise ValueError(f"layer {k} weights {w.shape} and biases "
                                  f"{b.shape} do not match {want} and {want[:1]}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {k} holds non-finite weights or biases")
+            net.weights[k][:] = w
+            net.biases[k][:] = b
         return net
 
 
@@ -204,10 +225,21 @@ def _checked_sizes(layer_sizes) -> list[int]:
     return sizes
 
 
+def _layer_views(buf: np.ndarray, sizes: list[int]):
+    """``(weights, biases)``, each a tuple of per-layer views into ``buf``:
+    layer ``k``'s row-major weights, then its biases, layer after layer."""
+    weights, biases, o = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(buf[o:o + fan_out * fan_in].reshape(fan_out, fan_in))
+        o += fan_out * fan_in
+        biases.append(buf[o:o + fan_out])
+        o += fan_out
+    return tuple(weights), tuple(biases)
+
+
 def copy_weights(src: Mlp, dst: Mlp) -> None:
     """Copy all parameters from ``src`` into ``dst`` (architectures must match)."""
     if src.layer_sizes != dst.layer_sizes:
         raise ValueError(
             f"architecture mismatch: {src.layer_sizes} vs {dst.layer_sizes}")
-    dst.weights = [w.copy() for w in src.weights]
-    dst.biases = [b.copy() for b in src.biases]
+    dst.params[:] = src.params

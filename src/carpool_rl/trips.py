@@ -218,18 +218,18 @@ class IngestResult(NamedTuple):
     rejections: dict[str, int]
 
 
-def _parse_row(row: dict[str, str], cols: dict[str, str], has_duration_col: bool):
-    origin = GeoPoint(float(row[cols["pickup_latitude"]]),
-                      float(row[cols["pickup_longitude"]]))
-    destination = GeoPoint(float(row[cols["dropoff_latitude"]]),
-                           float(row[cols["dropoff_longitude"]]))
-    pickup_dt = parse_datetime(row[cols["pickup_datetime"]])
-    dropoff_dt = parse_datetime(row[cols["dropoff_datetime"]])
-    distance = float(row[cols["trip_distance"]])
-    passengers = int(float(row[cols["passenger_count"]]))
+def _parse_row(row: list[str], ix: tuple[int, ...], i_reported: int | None):
+    """``ix``: the positions of ``REQUIRED_COLUMNS``, in that order."""
+    i_pu, i_do, i_olon, i_olat, i_dlon, i_dlat, i_dist, i_pass = ix
+    origin = GeoPoint(float(row[i_olat]), float(row[i_olon]))
+    destination = GeoPoint(float(row[i_dlat]), float(row[i_dlon]))
+    pickup_dt = parse_datetime(row[i_pu])
+    dropoff_dt = parse_datetime(row[i_do])
+    distance = float(row[i_dist])
+    passengers = int(float(row[i_pass]))
     reported = None
-    if has_duration_col:
-        reported = float(row[cols["trip_time_in_secs"]])
+    if i_reported is not None:
+        reported = float(row[i_reported])
     duration = reported if reported is not None else (dropoff_dt - pickup_dt).total_seconds()
     return origin, destination, pickup_dt, dropoff_dt, distance, duration, passengers, reported
 
@@ -239,8 +239,10 @@ def ingest_csv(path, rules: OutlierRules | None = None,
     """Read a trip CSV, drop outliers, and build a :class:`TripStore`.
 
     ``schema`` maps canonical column names to the file's actual names;
-    unmapped columns keep their canonical name. Unparsable rows are counted
-    under ``"unparsable"`` and skipped; a missing required column is fatal.
+    unmapped columns keep their canonical name. Unparsable rows (short ones
+    included) are counted under ``"unparsable"`` and skipped; blank lines
+    and extra fields are ignored, a header name given twice means its last
+    column, and a missing required column is fatal.
     """
     rules = rules or OutlierRules()
     cols = {c: c for c in CANONICAL_COLUMNS}
@@ -250,18 +252,21 @@ def ingest_csv(path, rules: OutlierRules | None = None,
     kept: list[TripRecord] = []
     tally = {k: 0 for k in REJECT_KEYS}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if cols[c] not in header]
+        reader = csv.reader(fh)
+        position = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in REQUIRED_COLUMNS if cols[c] not in position]
         if missing:
             raise ConfigError(
                 f"required columns missing from {path}: "
                 + ", ".join(cols[c] for c in missing))
-        has_duration_col = cols["trip_time_in_secs"] in header
+        ix = tuple(position[cols[c]] for c in REQUIRED_COLUMNS)
+        i_reported = position.get(cols["trip_time_in_secs"])
         for row in reader:
+            if not row:  # blank line
+                continue
             try:
-                parsed = _parse_row(row, cols, has_duration_col)
-            except (ValueError, TypeError, KeyError, OverflowError):
+                parsed = _parse_row(row, ix, i_reported)
+            except (ValueError, IndexError, OverflowError):
                 tally["unparsable"] += 1
                 continue
             (origin, destination, pickup_dt, dropoff_dt,

@@ -361,6 +361,24 @@ class TestDqn:
         target_q, _ = agent.target.forward(agent.features(s))
         assert np.array_equal(agent.q_values(s), target_q)
 
+    def test_synced_target_is_an_independent_copy(self):
+        rng = np.random.default_rng(5)
+        agent = make_agent()
+        assert not np.shares_memory(agent.target.params, agent.online.params)
+        batch = as_batch(agent, random_transitions(rng, 16))
+        for _ in range(3):
+            agent.train_step(*batch)
+        agent.sync_target()
+        online, target = agent.online, agent.target
+        assert target.params.tobytes() == online.params.tobytes()
+        assert not np.shares_memory(target.params, online.params)
+        assert not any(np.shares_memory(t, o) for t in target.weights
+                       for o in online.weights)
+        synced = target.params.copy()
+        agent.train_step(*batch)
+        assert target.params.tobytes() == synced.tobytes()
+        assert online.params.tobytes() != synced.tobytes()
+
     def test_sync_counter_resets(self):
         agent = make_agent()
         agent.steps_since_sync = 999

@@ -1,10 +1,15 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import carpool_rl
+from carpool_rl import cli
 from carpool_rl.cli import main
 
 
@@ -287,3 +292,45 @@ class TestErrorContract:
         assert set(payload) == {"error", "message"}
         assert payload["error"] == "ValueError"
         assert "must be finite" in payload["message"]
+
+    def test_overflow_warnings_stay_off_stderr(self, tmp_path, saved_model):
+        # Run as a program, so numpy's RuntimeWarnings reach stderr as they
+        # would for a user: only the JSON line may be there.
+        model_dir = tmp_path / "eta_model"
+        shutil.copytree(saved_model, model_dir)
+        set_last_layer(model_dir, "time_net", [], 1e308)
+        meta = json.loads((model_dir / "meta.json").read_text())
+        meta["y_time_stats"]["std"] = [10.0]
+        (model_dir / "meta.json").write_text(json.dumps(meta))
+        src = os.path.dirname(os.path.dirname(carpool_rl.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run(
+            [sys.executable, "-m", "carpool_rl.cli", "eta", "predict",
+             "--model", str(model_dir), "--origin", "40.72,-74.0",
+             "--dest", "40.73,-73.99", "--time", "30000"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "ValueError"
+
+    def test_warnings_are_dropped_on_failure_and_kept_on_success(
+            self, tmp_path, capsys, monkeypatch):
+        def warn_then(fail):
+            def command(args):
+                warnings.warn("held back", RuntimeWarning)
+                if fail:
+                    raise ValueError("failed")
+                return 0
+            return command
+
+        argv = ["report", "--out", str(tmp_path)]
+        monkeypatch.setattr(cli, "_cmd_report", warn_then(fail=True))
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and shown == []
+        assert json.loads(err)["message"] == "failed"
+        monkeypatch.setattr(cli, "_cmd_report", warn_then(fail=False))
+        with pytest.warns(RuntimeWarning, match="held back"):
+            assert run_cli(capsys, *argv) == (0, "", "")

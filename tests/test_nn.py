@@ -32,8 +32,8 @@ class TestForward:
 
     def test_identity_single_layer(self):
         net = Mlp([3, 3])
-        net.weights[0] = np.eye(3)
-        net.biases[0] = np.zeros(3)
+        net.weights[0][:] = np.eye(3)
+        net.biases[0][:] = np.zeros(3)
         x = np.array([0.5, -1.5, 2.0])
         out, _ = net.forward(x)
         assert np.allclose(out, x)
@@ -236,6 +236,77 @@ class TestCopyWeights:
     def test_architecture_mismatch(self):
         with pytest.raises(ValueError):
             copy_weights(Mlp([2, 2]), Mlp([2, 3]))
+
+
+def assert_on_buffers(net):
+    """Every weight and bias is a view of ``params``, every gradient a view
+    of ``grad``, and the views tile each buffer exactly."""
+    out, cache = net.forward(np.ones((2, net.input_width)))
+    grads, _ = net.backward(cache, np.ones_like(out))
+    for arrays, buf in ((net.weights + net.biases, net.params),
+                        ([a for pair in grads for a in pair], net.grad)):
+        assert all(np.shares_memory(a, buf) for a in arrays)
+        assert sum(a.size for a in arrays) == buf.size
+
+
+class TestFlatBuffer:
+    """One ``params`` and one ``grad`` vector per net; layers are views."""
+
+    def test_views_survive_load_copy_and_training(self, tmp_path):
+        rng = np.random.default_rng(12)
+        net = Mlp([3, 5, 4, 2], rng=rng)
+        assert_on_buffers(net)
+        net.save(tmp_path / "net.json")
+        loaded = Mlp.load(tmp_path / "net.json")
+        assert_on_buffers(loaded)
+        copy_weights(net, loaded)
+        assert_on_buffers(loaded)
+        x, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+        for _ in range(50):
+            loaded.sgd_step(x, y, lr=0.01)
+        assert_on_buffers(loaded)
+
+    def test_layers_cannot_be_rebound(self):
+        net = Mlp([3, 4, 2])
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((4, 3))
+        with pytest.raises(TypeError):
+            net.biases[1] = np.zeros(2)
+
+    def test_update_matches_per_layer_reference_bitwise(self):
+        rng = np.random.default_rng(13)
+        net = random_net([4, 16, 8, 3], rng)
+        x, y, lr = rng.normal(size=(32, 4)), rng.normal(size=(32, 3)), 0.037
+        out, cache = net.forward(x)
+        _, gout = net.loss_and_grad_output(out, y)
+        grads, _ = net.backward(cache, gout)
+        want = [(w - lr * dw, b - lr * db)
+                for w, b, (dw, db) in zip(net.weights, net.biases, grads)]
+        net.apply_gradients(lr)
+        for (w, b), (w_ref, b_ref) in zip(zip(net.weights, net.biases), want):
+            assert w.tobytes() == w_ref.tobytes()
+            assert b.tobytes() == b_ref.tobytes()
+
+    def test_non_finite_gradient_raises(self):
+        # Zero weights keep the outputs and the loss finite; the weight
+        # gradient sums two rows of 1e308 and overflows.
+        net = Mlp([1, 1])
+        net.weights[0][:] = 0.0
+        with np.errstate(over="ignore"):
+            with pytest.raises(RuntimeError, match="non-finite gradient"):
+                net.sgd_step([[1e308], [1e308]], [[2.0], [2.0]], lr=0.1)
+
+    def test_loaded_net_trains_like_the_original(self, tmp_path):
+        rng = np.random.default_rng(14)
+        net = random_net([3, 6, 2], rng)
+        net.save(tmp_path / "net.json")
+        loaded = Mlp.load(tmp_path / "net.json")
+        before = loaded.weights[0].copy()
+        x, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+        for _ in range(5):
+            assert net.sgd_step(x, y, 0.05) == loaded.sgd_step(x, y, 0.05)
+        assert not np.array_equal(loaded.weights[0], before)
+        assert loaded.params.tobytes() == net.params.tobytes()
 
 
 class TestDeterminismAndSerialization:

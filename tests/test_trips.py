@@ -134,6 +134,69 @@ class TestIngest:
             assert rules.bbox.contains(r.origin) and rules.bbox.contains(r.destination)
 
 
+class TestIngestCsvShape:
+    """How the reader treats the shape of the file, as ``csv.DictReader``
+    does: blank lines, short and long rows, repeated header names."""
+
+    HEADER = ",".join(CANONICAL_COLUMNS)
+
+    def write_lines(self, path, lines):
+        path.write_text("".join(line + "\n" for line in lines))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "trips.csv"
+        row = ",".join(csv_row())
+        self.write_lines(p, [self.HEADER, "", row, "", "", row, ""])
+        store, rejected, tally = ingest_csv(p)
+        assert (len(store), rejected) == (2, 0)
+        assert sum(tally.values()) == 0
+
+    def test_whitespace_line_is_unparsable(self, tmp_path):
+        p = tmp_path / "trips.csv"
+        self.write_lines(p, [self.HEADER, " ", ",".join(csv_row())])
+        store, rejected, tally = ingest_csv(p)
+        assert (len(store), rejected, tally["unparsable"]) == (1, 1, 1)
+
+    @pytest.mark.parametrize("cut", [1, 2, 8])
+    def test_short_rows_are_unparsable(self, tmp_path, cut):
+        p = tmp_path / "trips.csv"
+        write_csv(p, [csv_row()[:-cut], csv_row()])
+        store, rejected, tally = ingest_csv(p)
+        assert (len(store), rejected, tally["unparsable"]) == (1, 1, 1)
+
+    def test_extra_fields_are_ignored(self, tmp_path):
+        p = tmp_path / "trips.csv"
+        write_csv(p, [csv_row() + ["extra", "not a number"]])
+        store, rejected, _ = ingest_csv(p)
+        assert (len(store), rejected) == (1, 0)
+        assert store.records[0] == make_trip()
+
+    def test_repeated_header_name_means_its_last_column(self, tmp_path):
+        p = tmp_path / "trips.csv"
+        columns = ["trip_distance", *CANONICAL_COLUMNS]
+        write_csv(p, [["not a number", *csv_row(distance=2.5)],
+                      ["1.0", *csv_row(distance=99.0)]], columns=columns)
+        store, rejected, tally = ingest_csv(p)
+        assert (len(store), rejected, tally["distance"]) == (1, 1, 1)
+        assert store.records[0].distance == 2.5
+
+    @pytest.mark.parametrize("text", ["", "\n" + HEADER + "\n"],
+                             ids=["empty-file", "blank-first-line"])
+    def test_no_header_is_a_missing_column(self, tmp_path, text):
+        p = tmp_path / "trips.csv"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="pickup_datetime"):
+            ingest_csv(p)
+
+    def test_result_fields_by_name(self, tmp_path):
+        p = tmp_path / "trips.csv"
+        write_csv(p, [csv_row(), csv_row(passengers=9)])
+        result = ingest_csv(p)
+        assert len(result.store) == 1
+        assert result.rejected_count == 1
+        assert result.rejections["passengers"] == 1
+
+
 class TestMaskRegion:
     def test_covering_bbox_is_identity(self):
         store = TripStore([make_trip(), make_trip(pickup="2013-01-07 09:00:00")])
