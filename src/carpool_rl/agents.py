@@ -22,7 +22,7 @@ from .config import DqnConfig, TabQConfig
 from .geo import Bbox, GridSpec, SECONDS_PER_DAY, bin_time, cell_index
 # Unused here; kept bound because perfbench/spans.py wraps agents.bin_location.
 from .geo import bin_location  # noqa: F401
-from .nn import Mlp, copy_weights
+from .nn import Mlp, copy_weights, half_mse
 from .simulator import Action, CarpoolEnv, DriverState, Transition, as_rng
 
 Policy = Callable[[DriverState], Action]
@@ -196,16 +196,12 @@ class DqnAgent:
         form :meth:`ReplayMemory.sample` returns; returns the pre-update
         mean loss and the minibatch mean Q of the taken actions."""
         y = self.compute_targets(rewards, next_states, live)
-        n = len(actions)
         q_all, cache = self.online.forward(states)
-        rows = np.arange(n)
+        rows = np.arange(len(actions))
         q_sel = q_all[rows, actions]
-        diff = q_sel - y
-        loss = float(np.sum(diff * diff) / (2.0 * n))
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite DQN loss: {loss}")
+        loss, g_sel = half_mse(q_sel, y)
         grad_out = np.zeros_like(q_all)
-        grad_out[rows, actions] = diff / n
+        grad_out[rows, actions] = g_sel
         self.online.backward(cache, grad_out)
         self.online.apply_gradients(self.cfg.learning_rate)
         return loss, float(q_sel.mean())

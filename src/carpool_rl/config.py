@@ -13,6 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from .geo import Bbox, GeoPoint, GridSpec
+from .synth import PRESETS
 from .trips import ConfigError, WEEKDAY
 
 # Paper-derived evaluation regions for the NYC data.
@@ -137,6 +138,15 @@ class DataConfig(ConfigSection):
         super().__post_init__()
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("data.kind=csv requires data.csv_path")
+        if self.kind == "synthetic":
+            if self.preset not in PRESETS:
+                raise ConfigError(f"data.preset must be one of "
+                                  f"{sorted(PRESETS)}: {self.preset!r}")
+            if self.noisy and self.preset == "sparse":
+                raise ConfigError("data.noisy: the sparse preset has no noisy variant")
+            if self.region is not None:
+                raise ConfigError("data.region applies to csv data only; a "
+                                  "synthetic preset has its own region")
         self.bbox()
 
     def bbox(self) -> Optional[Bbox]:

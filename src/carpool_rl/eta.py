@@ -42,7 +42,7 @@ from .geo import (GeoPoint, GridSpec, SECONDS_PER_DAY, bin_time, cell_index,
                   haversine_miles)
 # Unused here; kept bound because perfbench/spans.py wraps eta.bin_location.
 from .geo import bin_location  # noqa: F401
-from .nn import Mlp, CHECKPOINT_FORMAT
+from .nn import Mlp, CHECKPOINT_FORMAT, half_mse
 from .trips import TripRecord, TripStore
 
 MODEL_FORMAT = "eta-joint/1"
@@ -289,28 +289,22 @@ def train_joint_eta(train, grid: GridSpec, cfg: EtaConfig,
 
     n = len(records)
     lr = cfg.learning_rate
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            nb = len(idx)
             y_time_hat, y_dist_hat, ctx = model._forward(xl[idx], xt[idx])
             z, h, cache_tr, cache_d, cache_t = ctx
-            diff_t = y_time_hat - yt[idx]
-            diff_d = y_dist_hat - yd[idx]
-            loss = float((np.sum(diff_t ** 2) + np.sum(diff_d ** 2)) / (2.0 * nb))
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"joint training diverged at epoch {epoch}: loss={loss}")
-            _, g_in_t = time_net.backward(cache_t, diff_t / nb)
-            _, g_in_d = dist_head.backward(cache_d, diff_d / nb)
-            g_h = g_in_t[:, :trunk.output_width] + g_in_d
+            loss_t, gout_t = half_mse(y_time_hat, yt[idx])
+            loss_d, gout_d = half_mse(y_dist_hat, yd[idx])
+            g_h = (time_net.backward(cache_t, gout_t)[:, :trunk.output_width]
+                   + dist_head.backward(cache_d, gout_d))
             trunk.backward(cache_tr, g_h * (z > 0.0))
             time_net.apply_gradients(lr)
             dist_head.apply_gradients(lr)
             trunk.apply_gradients(lr)
-            batch_losses.append(loss)
+            batch_losses.append(loss_t + loss_d)
         model.epoch_losses.append(float(np.mean(batch_losses)))
     return model
 

@@ -50,11 +50,6 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.data.kind == "synthetic":
-        if cfg.data.preset not in PRESETS:
-            raise ConfigError(f"unknown synthetic preset {cfg.data.preset!r}")
-        if cfg.data.region is not None:
-            raise ConfigError("data.region applies to csv data only; a "
-                              "synthetic preset has its own region")
         records = []
         rejections = {"region": 0}
         for idx, day_type in enumerate(cfg.day_types):

@@ -6,17 +6,19 @@ always linear.
 
 Each net keeps its parameters in one contiguous float64 vector ``params``
 (layer by layer: row-major weights, then biases) and their gradient in a
-twin ``grad``. ``weights``, ``biases`` and the ``(dW, db)`` pairs
-:meth:`Mlp.backward` fills are tuples of views into them, so a layer is
-changed in place, never rebound; an SGD update is one
+twin ``grad``. ``weights``, ``biases`` and ``grads`` (the ``(dW, db)``
+pairs :meth:`Mlp.backward` fills) are tuples of views into them, so a layer
+is changed in place, never rebound; an SGD update is one
 ``params -= lr * grad`` and :func:`copy_weights` one copy. ``copy.deepcopy``
 would not keep the views: build a fresh net and ``copy_weights`` into it.
 
-The loss convention of :meth:`Mlp.loss_and_grad_output`, which
-:meth:`Mlp.sgd_step` trains on, is half mean squared error over the batch,
-``L = sum_i ||pred_i - target_i||^2 / (2N)``.
+Every network in the package trains on one loss, :func:`half_mse`: half
+mean squared error over the batch, ``L = sum_i ||pred_i - target_i||^2 /
+(2N)``. :meth:`Mlp.sgd_step` applies it to the whole output; the joint ETA
+model adds one per head and the DQN applies it to the taken actions' Q.
 
-:meth:`Mlp.forward` keeps the cache :meth:`Mlp.backward` needs (training);
+:meth:`Mlp.forward` and :meth:`Mlp.backward` take ``(N, width)`` batches
+only; ``forward`` keeps the cache ``backward`` needs (training).
 :meth:`Mlp.forward_rows` is the cache-free inference pass, row-exact: its
 row ``i`` equals the one-row ``forward`` of input row ``i`` bit for bit.
 
@@ -65,7 +67,7 @@ class Mlp:
         self.params = np.zeros(sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
         self.grad = np.zeros_like(self.params)
         self.weights, self.biases = _layer_views(self.params, sizes)
-        self._grads = tuple(zip(*_layer_views(self.grad, sizes)))
+        self.grads = tuple(zip(*_layer_views(self.grad, sizes)))
 
     @property
     def n_layers(self) -> int:
@@ -80,18 +82,15 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def forward(self, x):
-        """Run the network on ``x`` (shape ``(in,)`` or ``(N, in)``).
+        """Run the network on the batch ``x`` (shape ``(N, in)``).
 
-        Returns ``(output, cache)``; the cache holds every layer input and
-        pre-activation and is what :meth:`backward` consumes.
+        Returns ``(output, cache)``; the cache is the ``(inputs, zs)`` pair
+        of every layer's input and pre-activation that :meth:`backward`
+        consumes.
         """
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.layer_sizes[0]:
-            raise ValueError(
-                f"input width {x.shape[1]} != expected {self.layer_sizes[0]}")
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ValueError(f"input shape {x.shape} != (N, {self.layer_sizes[0]})")
         inputs = [x]  # post-activation input to each layer
         zs = []
         for w, b in zip(self.weights, self.biases):
@@ -101,9 +100,7 @@ class Mlp:
             z = x @ w.T
             z += b
             zs.append(z)
-        out = zs[-1]
-        cache = {"inputs": inputs, "zs": zs, "squeeze": squeeze}
-        return (out[0] if squeeze else out), cache
+        return zs[-1], (inputs, zs)
 
     def forward_rows(self, x) -> np.ndarray:
         """Outputs for the rows of ``x`` (shape ``(N, in)``); row ``i`` equals
@@ -127,52 +124,37 @@ class Mlp:
         return a.reshape(len(x), self.output_width)
 
     def backward(self, cache, grad_output):
-        """Backpropagate ``dL/d(output)`` through the cached forward pass.
+        """Backpropagate ``dL/d(output)`` (shape ``(N, out)``) through the
+        cached forward pass.
 
-        Writes every layer's ``(dW, db)`` into ``grad`` and returns
-        ``(grads, grad_input)``: ``grads`` is the tuple of those ``(dW, db)``
-        views, aligned with the layers and overwritten by the next call, and
-        ``grad_input`` is ``dL/d(input)`` with the same leading shape as the
-        forward input.
+        Writes every layer's ``(dW, db)`` into ``grad``, where ``grads``
+        views them, and returns ``dL/d(input)``, shaped like the forward
+        input.
         """
         g = np.asarray(grad_output, dtype=float)
-        if g.ndim == 1:
-            g = g[None, :]
+        if g.ndim != 2:
+            raise ValueError(f"grad_output shape {g.shape} is not (N, out)")
         last = len(self.weights) - 1
-        zs, inputs = cache["zs"], cache["inputs"]
+        inputs, zs = cache
         for k in range(last, -1, -1):
             if k < last:  # g is this pass's own array here
                 g *= zs[k] > 0.0
-            dw, db = self._grads[k]
+            dw, db = self.grads[k]
             np.matmul(g.T, inputs[k], out=dw)
             g.sum(axis=0, out=db)
             g = g @ self.weights[k]
-        return self._grads, (g[0] if cache["squeeze"] else g)
+        return g
 
     def apply_gradients(self, lr: float) -> None:
         """One SGD update from the gradient the last :meth:`backward` left."""
         self.params -= lr * self.grad
 
-    def loss_and_grad_output(self, outputs, targets):
-        """Half-MSE loss over a batch and its gradient w.r.t. the outputs."""
-        t = np.asarray(targets, dtype=float)
-        if t.ndim == 1:
-            t = t[None, :]
-        y = outputs if outputs.ndim == 2 else outputs[None, :]
-        n = y.shape[0]
-        diff = y - t
-        loss = float(np.sum(diff * diff) / (2.0 * n))
-        return loss, diff / n
-
     def sgd_step(self, inputs, targets, lr: float) -> float:
         """One plain SGD step on a batch; returns the pre-update loss."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if inputs.shape[0] == 0:
-            raise ValueError("empty batch")
         out, cache = self.forward(inputs)
-        loss, gout = self.loss_and_grad_output(out, targets)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite training loss: {loss}")
+        if len(out) == 0:
+            raise ValueError("empty batch")
+        loss, gout = half_mse(out, targets)
         self.backward(cache, gout)
         if not np.isfinite(self.grad).all():
             raise RuntimeError("non-finite gradient during SGD step")
@@ -216,6 +198,22 @@ class Mlp:
             net.weights[k][:] = w
             net.biases[k][:] = b
         return net
+
+
+def half_mse(pred, target):
+    """The training loss of every network here: ``(loss, dL/d(pred))`` with
+    ``loss = sum(d*d) / (2N)`` and gradient ``d / N``, for ``d = pred -
+    target`` and ``N = len(pred)`` rows. The shapes must match exactly (no
+    broadcasting); a non-finite loss raises ``RuntimeError``."""
+    target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape:
+        raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
+    n = len(pred)
+    d = pred - target
+    loss = float(np.sum(d * d) / (2.0 * n))
+    if not np.isfinite(loss):
+        raise RuntimeError(f"non-finite training loss: {loss}")
+    return loss, d / n
 
 
 def _checked_sizes(layer_sizes) -> list[int]:

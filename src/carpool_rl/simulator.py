@@ -19,7 +19,6 @@ whenever nothing was served.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, Optional
@@ -308,39 +307,3 @@ class CarpoolEnv:
         done = nxt.time_of_day >= SECONDS_PER_DAY
         return Transition(state, action, reward, nxt, done, info)
 
-
-# -- trace export ------------------------------------------------------------
-
-def _state_dict(s: DriverState) -> dict:
-    return {"lat": s.location.lat, "lon": s.location.lon,
-            "t": s.time_of_day, "day_type": s.day_type}
-
-
-def _trip_dict(r: TripRecord) -> dict:
-    return {"o_lat": r.origin.lat, "o_lon": r.origin.lon,
-            "d_lat": r.destination.lat, "d_lon": r.destination.lon,
-            "pickup_s": r.pickup_seconds, "duration": r.duration,
-            "distance": r.distance}
-
-
-def transition_to_dict(tr: Transition) -> dict:
-    return {
-        "state": _state_dict(tr.state),
-        "action": tr.action.name,
-        "reward": tr.reward,
-        "next_state": _state_dict(tr.next_state),
-        "done": tr.done,
-        "info": {
-            "trips": [_trip_dict(t) for t in tr.info.trips],
-            "path": tr.info.path,
-            "total_extra_one": tr.info.total_extra_one,
-            "total_extra_two": tr.info.total_extra_two,
-        },
-    }
-
-
-def write_trace_jsonl(transitions, path) -> None:
-    """One JSON object per line, one line per transition."""
-    with open(path, "w") as fh:
-        for tr in transitions:
-            fh.write(json.dumps(transition_to_dict(tr)) + "\n")

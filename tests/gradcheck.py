@@ -3,12 +3,12 @@ the acceptance suite (criterion 4) and ``test_nn.py``."""
 
 import numpy as np
 
-from carpool_rl.nn import Mlp
+from carpool_rl.nn import Mlp, half_mse
 
 
 def gradient_check(net: Mlp, x, y, step: float = 1e-5) -> float:
     """Max relative error of backprop vs. central finite differences of the
-    half-MSE loss (:meth:`Mlp.loss_and_grad_output`).
+    half-MSE loss (:func:`carpool_rl.nn.half_mse`).
 
     Relative error per parameter is
     ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.
@@ -17,17 +17,17 @@ def gradient_check(net: Mlp, x, y, step: float = 1e-5) -> float:
 
     def loss_at():
         out, _ = net.forward(x)
-        loss, _ = net.loss_and_grad_output(out, y)
+        loss, _ = half_mse(out, y)
         return loss
 
     out, cache = net.forward(x)
-    _, gout = net.loss_and_grad_output(out, y)
-    grads, _ = net.backward(cache, gout)
+    _, gout = half_mse(out, y)
+    net.backward(cache, gout)
 
     worst = 0.0
     for k in range(net.n_layers):
-        for arr, g in ((net.weights[k], grads[k][0]),
-                       (net.biases[k], grads[k][1])):
+        for arr, g in ((net.weights[k], net.grads[k][0]),
+                       (net.biases[k], net.grads[k][1])):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index

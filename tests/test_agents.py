@@ -346,6 +346,17 @@ class TestDqn:
         losses = [agent.train_step(*batch)[0] for _ in range(60)]
         assert losses[-1] < losses[0]
 
+    def test_train_step_loss_is_half_mse_of_the_taken_actions(self):
+        rng = np.random.default_rng(6)
+        agent = make_agent()
+        batch = as_batch(agent, random_transitions(rng, 32))
+        states, actions, rewards, ns, live = batch
+        y = agent.compute_targets(rewards, ns, live)
+        q_sel = agent.online.forward(states)[0][np.arange(32), actions]
+        d = q_sel - y
+        n = len(d)
+        assert agent.train_step(*batch)[0] == float(np.sum(d * d) / (2.0 * n))
+
     def test_sync_target_aligns_and_freezes(self):
         rng = np.random.default_rng(4)
         agent = make_agent()
@@ -355,11 +366,11 @@ class TestDqn:
             agent.train_step(*batch)
         s = transitions[0].state
         online_q = agent.q_values(s)
-        target_q, _ = agent.target.forward(agent.features(s))
-        assert not np.array_equal(online_q, target_q)  # target lagging
+        target_q, _ = agent.target.forward(agent.features(s)[None])
+        assert not np.array_equal(online_q, target_q[0])  # target lagging
         agent.sync_target()
-        target_q, _ = agent.target.forward(agent.features(s))
-        assert np.array_equal(agent.q_values(s), target_q)
+        target_q, _ = agent.target.forward(agent.features(s)[None])
+        assert np.array_equal(agent.q_values(s), target_q[0])
 
     def test_synced_target_is_an_independent_copy(self):
         rng = np.random.default_rng(5)

@@ -94,6 +94,14 @@ RANGE_VIOLATIONS = [
     (TabQConfig, "train_episodes", -3),
 ]
 
+# One data section breaking each rule that ties the synthetic-data keys
+# together, and the key its error names.
+DATA_RULE_VIOLATIONS = [
+    ({"preset": "bogus"}, "data.preset"),
+    ({"preset": "sparse", "noisy": True}, "data.noisy"),
+    ({"region": "downtown"}, "data.region"),
+]
+
 # Fields whose rule must also reject infinity, which a plain "positive"
 # rule lets through: json reads both Infinity and 1e400 as inf.
 FINITE_FIELDS = [(GridConfig, "cell_lat"), (GridConfig, "cell_lon"),
@@ -236,6 +244,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{cls.section}.{key}"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("doc, key", DATA_RULE_VIOLATIONS,
+                             ids=[k for _, k in DATA_RULE_VIOLATIONS])
+    def test_data_rules_hold_when_the_config_loads(self, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            DataConfig(**doc)
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({"data": doc})
+        # csv data reads no preset keys, so the same keys load there.
+        csv = {**doc, "kind": "csv", "csv_path": "trips.csv"}
+        assert DataConfig.from_dict(csv) == DataConfig(**csv)
+
     def test_range_violations_cover_every_rule(self):
         covered = {(cls, key) for cls, key, _ in RANGE_VIOLATIONS}
         assert covered == {(cls, key) for cls in (ExperimentConfig, *SECTIONS)
@@ -313,10 +332,8 @@ class TestPrepareData:
         assert data.region.contains(data.store.records[0].origin)
 
     def test_unknown_preset(self, tmp_path):
-        cfg = tiny_policy_config(tmp_path)
-        cfg.data.preset = "mega"
-        with pytest.raises(ConfigError):
-            prepare_data(cfg)
+        with pytest.raises(ConfigError, match="data.preset"):
+            tiny_policy_config(tmp_path, preset="mega")
 
     def test_grid_section_applies_to_synthetic_data(self, tmp_path):
         cfg = tiny_policy_config(tmp_path)
@@ -326,9 +343,8 @@ class TestPrepareData:
         assert (grid.cell_lat, grid.cell_lon, grid.time_bin) == (0.004, 0.002, 1200)
 
     def test_region_is_for_csv_data_only(self, tmp_path):
-        cfg = apply_overrides(tiny_policy_config(tmp_path), region="uptown")
         with pytest.raises(ConfigError, match="data.region"):
-            prepare_data(cfg)
+            apply_overrides(tiny_policy_config(tmp_path), region="uptown")
 
     def test_csv_rejections_count_rules_and_region(self, tmp_path):
         row = ["2013-01-07 08:00:00", "2013-01-07 08:10:00", "-74.0", "40.72",

@@ -9,7 +9,7 @@ from gradcheck import gradient_check
 from carpool_rl.agents import DqnAgent
 from carpool_rl.config import DqnConfig
 from carpool_rl.geo import Bbox, GeoPoint
-from carpool_rl.nn import Mlp, copy_weights
+from carpool_rl.nn import Mlp, copy_weights, half_mse
 from carpool_rl.simulator import DriverState
 
 
@@ -27,7 +27,7 @@ class TestForward:
         net = Mlp([3, 4, 2])
         for w in net.weights:
             w[:] = 0.0
-        out, _ = net.forward([1.0, -2.0, 3.0])
+        out, _ = net.forward([[1.0, -2.0, 3.0]])
         assert np.all(out == 0.0)
 
     def test_identity_single_layer(self):
@@ -35,16 +35,16 @@ class TestForward:
         net.weights[0][:] = np.eye(3)
         net.biases[0][:] = np.zeros(3)
         x = np.array([0.5, -1.5, 2.0])
-        out, _ = net.forward(x)
-        assert np.allclose(out, x)
+        out, _ = net.forward(x[None])
+        assert np.allclose(out[0], x)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(42)
         net = Mlp([4, 8, 8, 1], rng=rng)
         for _ in range(10):
             x = rng.normal(size=4)
-            out, _ = net.forward(x)
-            assert np.allclose(out, straight_line_forward(net, x), atol=1e-10)
+            out, _ = net.forward(x[None])
+            assert np.allclose(out[0], straight_line_forward(net, x), atol=1e-10)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
@@ -52,16 +52,53 @@ class TestForward:
         xs = rng.normal(size=(5, 4))
         batch_out, _ = net.forward(xs)
         for i in range(5):
-            single, _ = net.forward(xs[i])
-            assert np.allclose(batch_out[i], single)
+            single, _ = net.forward(xs[i][None])
+            assert np.allclose(batch_out[i], single[0])
 
     def test_shape_mismatch_raises(self):
         net = Mlp([3, 2])
         with pytest.raises(ValueError):
-            net.forward([1.0, 2.0])
+            net.forward([[1.0, 2.0]])
         for x in (np.ones((4, 2)), np.ones(3), np.ones((2, 1, 3))):
             with pytest.raises(ValueError):
                 net.forward_rows(x)
+
+    def test_forward_and_backward_take_batches_only(self):
+        net = Mlp([3, 4, 2])
+        with pytest.raises(ValueError, match=r"\(3,\)"):
+            net.forward(np.ones(3))
+        out, cache = net.forward(np.ones((1, 3)))
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            net.backward(cache, np.ones(2))
+
+
+class TestHalfMse:
+    """The one training loss: shapes must match, the loss must be finite."""
+
+    def test_value_and_gradient(self):
+        pred = np.array([[1.0, 2.0], [3.0, 5.0]])
+        target = np.array([[0.0, 2.0], [3.0, 3.0]])
+        loss, grad = half_mse(pred, target)
+        assert loss == (1.0 + 4.0) / 4.0
+        assert np.array_equal(grad, (pred - target) / 2.0)
+
+    def test_column_against_flat_target_raises(self):
+        # Broadcasting would compare every pair: a 3x3 difference.
+        with pytest.raises(ValueError, match=r"\(3, 1\).*\(3,\)"):
+            half_mse(np.zeros((3, 1)), np.array([0.0, 0.5, 0.0]))
+
+    def test_sgd_step_rejects_a_broadcast_target(self):
+        rng = np.random.default_rng(2)
+        net = Mlp([2, 4, 3], rng=rng)
+        before = net.params.copy()
+        with pytest.raises(ValueError, match=r"\(4, 3\).*\(1, 3\)"):
+            net.sgd_step(rng.normal(size=(4, 2)), rng.normal(size=(1, 3)), 0.1)
+        assert np.array_equal(net.params, before)
+
+    def test_overflowing_prediction_raises(self):
+        with np.errstate(over="ignore"):  # overflow is the point here
+            with pytest.raises(RuntimeError, match="non-finite training loss"):
+                half_mse(np.array([[1e200], [0.0]]), np.zeros((2, 1)))
 
 
 # The layer stacks the package builds: the DQN (3 features, 3 actions), the
@@ -123,8 +160,8 @@ class TestForwardRows:
         agent.online = random_net(agent.online.layer_sizes,
                                   np.random.default_rng(3))
         s = DriverState(GeoPoint(lat, lon), t)
-        want, _ = agent.online.forward(agent.features(s))
-        assert agent.q_values(s).tobytes() == want.tobytes()
+        want, _ = agent.online.forward(agent.features(s)[None])
+        assert agent.q_values(s).tobytes() == want[0].tobytes()
 
 
 class TestSgdStep:
@@ -211,8 +248,8 @@ class TestCopyWeights:
         copy_weights(a, b)
         for _ in range(5):
             x = rng.normal(size=3)
-            ya, _ = a.forward(x)
-            yb, _ = b.forward(x)
+            ya, _ = a.forward(x[None])
+            yb, _ = b.forward(x[None])
             assert np.array_equal(ya, yb)
 
     def test_copies_are_independent(self):
@@ -242,9 +279,9 @@ def assert_on_buffers(net):
     """Every weight and bias is a view of ``params``, every gradient a view
     of ``grad``, and the views tile each buffer exactly."""
     out, cache = net.forward(np.ones((2, net.input_width)))
-    grads, _ = net.backward(cache, np.ones_like(out))
+    net.backward(cache, np.ones_like(out))
     for arrays, buf in ((net.weights + net.biases, net.params),
-                        ([a for pair in grads for a in pair], net.grad)):
+                        ([a for pair in net.grads for a in pair], net.grad)):
         assert all(np.shares_memory(a, buf) for a in arrays)
         assert sum(a.size for a in arrays) == buf.size
 
@@ -278,10 +315,10 @@ class TestFlatBuffer:
         net = random_net([4, 16, 8, 3], rng)
         x, y, lr = rng.normal(size=(32, 4)), rng.normal(size=(32, 3)), 0.037
         out, cache = net.forward(x)
-        _, gout = net.loss_and_grad_output(out, y)
-        grads, _ = net.backward(cache, gout)
+        _, gout = half_mse(out, y)
+        net.backward(cache, gout)
         want = [(w - lr * dw, b - lr * db)
-                for w, b, (dw, db) in zip(net.weights, net.biases, grads)]
+                for w, b, (dw, db) in zip(net.weights, net.biases, net.grads)]
         net.apply_gradients(lr)
         for (w, b), (w_ref, b_ref) in zip(zip(net.weights, net.biases), want):
             assert w.tobytes() == w_ref.tobytes()
@@ -324,7 +361,7 @@ class TestDeterminismAndSerialization:
             y = rng.normal(size=(10, 1))
             for _ in range(20):
                 net.sgd_step(x, y, lr=0.05)
-            return net.forward(np.ones(2))[0]
+            return net.forward(np.ones(2)[None])[0][0]
 
         assert np.array_equal(run(), run())
 
@@ -335,7 +372,7 @@ class TestDeterminismAndSerialization:
         net.save(path)
         loaded = Mlp.load(path)
         x = rng.normal(size=3)
-        assert np.array_equal(net.forward(x)[0], loaded.forward(x)[0])
+        assert np.array_equal(net.forward(x[None])[0][0], loaded.forward(x[None])[0][0])
 
     def test_load_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"

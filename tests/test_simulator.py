@@ -1,4 +1,3 @@
-import json
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -11,7 +10,7 @@ from carpool_rl.eta import (ConstantSpeedEta, EtaQuery, ModelEta,
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
 from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
                                   EpisodeOver, PATH_ONE, PATH_TWO,
-                                  extra_travel_times, write_trace_jsonl)
+                                  extra_travel_times)
 from carpool_rl.synth import dense_preset, generate_synthetic
 from carpool_rl.trips import TripRecord, TripStore, ingest_csv
 
@@ -438,20 +437,3 @@ class TestLearnedEta:
                 total += tr.reward
             assert total == memo_totals[ep]
 
-
-class TestTraceExport:
-    def test_round_trips_through_json(self, tmp_path):
-        trip = make_trip((40.72, -74.0), (40.73, -73.99), pickup_s=1200)
-        env = make_env([trip])
-        s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        transitions = [env.step(s, Action.TAKE_ONE),
-                       env.step(s, Action.WAIT)]
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(transitions, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["action"] == "TAKE_ONE"
-        assert first["reward"] == trip.distance
-        assert first["info"]["path"] == "none"
-        assert len(first["info"]["trips"]) == 1
