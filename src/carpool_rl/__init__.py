@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .geo import Bbox, GeoPoint, GridSpec, bin_location, bin_time, haversine_km
 from .nn import Mlp, copy_weights
-from .trips import OutlierRules, TripRecord, TripStore, ingest_csv
+from .trips import TripRecord, TripStore, ingest_csv
 from .eta import (ConstantSpeedEta, EtaMetrics, EtaQuery, JointEtaModel,
                   compute_metrics, evaluate, train_joint_eta,
                   train_linear_time, train_time_only)

@@ -18,8 +18,7 @@ import sys
 import warnings
 
 from .agents import FixedPolicy, evaluate_policy, save_qtable
-from .config import (ExperimentConfig, apply_overrides, load_config,
-                     parse_region)
+from .config import ExperimentConfig, load_config, parse_region
 from .eta import EtaQuery, JointEtaModel, evaluate, train_joint_eta
 from .experiments import (build_env, build_eta_source, curve_set, emit_curves,
                           fit_dqn, fit_tabq, prepare_data, run_eta_experiment,
@@ -30,11 +29,10 @@ from .trips import ConfigError, ingest_csv
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    return apply_overrides(cfg, seed=getattr(args, "seed", None),
-                           region=getattr(args, "region", None),
-                           day=getattr(args, "day", None),
-                           out=getattr(args, "out", None))
+    return load_config(args.config, seed=getattr(args, "seed", None),
+                       region=getattr(args, "region", None),
+                       day=getattr(args, "day", None),
+                       out=getattr(args, "out", None))
 
 
 def _cmd_data_ingest(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 from .geo import Bbox, GeoPoint, GridSpec
@@ -138,6 +138,8 @@ class DataConfig(ConfigSection):
         super().__post_init__()
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("data.kind=csv requires data.csv_path")
+        if self.kind == "csv" and self.region is None:
+            raise ConfigError("data.kind=csv requires data.region")
         if self.kind == "synthetic":
             if self.preset not in PRESETS:
                 raise ConfigError(f"data.preset must be one of "
@@ -262,17 +264,22 @@ class ExperimentConfig(ConfigSection):
         return asdict(self)
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+def load_config(path=None, **overrides) -> ExperimentConfig:
+    """The JSON file ``path`` (defaults if none) through :func:`apply_overrides`."""
+    doc = {}
+    if path:
+        with open(path) as fh:
+            doc = json.load(fh)
+    return apply_overrides(doc, **overrides)
 
 
-def apply_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
+def apply_overrides(doc, *, seed: Optional[int] = None,
                     region: Optional[str] = None, day: Optional[str] = None,
                     out: Optional[str] = None) -> ExperimentConfig:
-    """CLI flags take precedence over config file keys. The result is
-    rebuilt from its sections, so the overridden values pass the same
-    checks as values read from the file."""
+    """The config the JSON object ``doc`` describes, with CLI flags taking
+    precedence over its keys. The flags are merged into ``doc`` before the
+    one ``from_dict``, so they pass the same checks as keys read from a
+    file, and ``region`` can complete a csv config that names none."""
     top, data = {}, {}
     if seed is not None:
         top["seeds"] = [seed]
@@ -284,4 +291,8 @@ def apply_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
         top["day_types"] = [day]
     if out is not None:
         top["out_dir"] = out
-    return replace(cfg, data=replace(cfg.data, **data), **top)
+    if isinstance(doc, dict):  # else from_dict names the bad type
+        doc = {**doc, **top}
+        if data and isinstance(doc.get("data", {}), dict):
+            doc["data"] = {**doc.get("data", {}), **data}
+    return ExperimentConfig.from_dict(doc)

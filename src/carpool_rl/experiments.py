@@ -22,7 +22,7 @@ from .eta import (ConstantSpeedEta, ModelEta, evaluate, train_joint_eta,
 from .geo import Bbox, GridSpec
 from .simulator import CarpoolEnv, EnvConfig
 from .synth import PRESETS, generate_synthetic
-from .trips import ConfigError, TripStore, ingest_csv
+from .trips import TripStore, ingest_csv
 
 ETA_METHODS = ("linear", "time_only", "joint")
 METRIC_NAMES = ("mae", "mre", "medae", "medre", "r2")
@@ -64,8 +64,6 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
         store, region = TripStore(records), spec.region
     else:
         region = cfg.data.bbox()
-        if region is None:
-            raise ConfigError("data.kind=csv requires data.region")
         ingested, _, rejections = ingest_csv(cfg.data.csv_path)
         store = ingested.mask_region(region)
         rejections["region"] = len(ingested) - len(store)
@@ -155,13 +153,12 @@ class EvalReport:
 
     policies: dict = field(default_factory=dict)
     curves: dict = field(default_factory=dict)
-    eta: dict | None = None
     config: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"policies": self.policies, "curves": self.curves,
-                "eta": self.eta, "config": self.config, "data": self.data}
+                "config": self.config, "data": self.data}
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -172,8 +169,7 @@ class EvalReport:
         with open(path) as fh:
             d = json.load(fh)
         return cls(policies=d["policies"], curves=d["curves"],
-                   eta=d.get("eta"), config=d.get("config", {}),
-                   data=d.get("data", {}))
+                   config=d.get("config", {}), data=d.get("data", {}))
 
 
 def emit_curves(curves: dict[str, list[float]], out_dir) -> dict[str, str]:

@@ -180,19 +180,16 @@ class CarpoolEnv:
             raise EpisodeOver(
                 f"episode already over at t={state.time_of_day}")
         if action == Action.WAIT:
-            return self.wait(state)
+            return self._idle(state, Action.WAIT)
         if action == Action.TAKE_ONE:
-            return self.take_one(state)
+            return self._take_one(state)
         if action == Action.TAKE_TWO:
-            return self.take_two(state)
+            return self._take_two(state)
         raise ValueError(f"unknown action {action!r}")
 
     # -- actions -----------------------------------------------------------
 
-    def wait(self, state: DriverState) -> Transition:
-        return self._idle(state, Action.WAIT)
-
-    def take_one(self, state: DriverState) -> Transition:
+    def _take_one(self, state: DriverState) -> Transition:
         trip = self._first_assignment(state)
         if trip is None:
             return self._idle(state, Action.TAKE_ONE)
@@ -203,7 +200,7 @@ class CarpoolEnv:
         info = TransitionInfo(trips=(trip,))
         return self._finish(state, Action.TAKE_ONE, trip.distance, nxt, info)
 
-    def take_two(self, state: DriverState) -> Transition:
+    def _take_two(self, state: DriverState) -> Transition:
         candidates = self._second_candidates(state)
         if not candidates:
             # Literal rollback: a failed second assignment yields nothing,

@@ -1,4 +1,4 @@
-"""Synthetic trip demand in the ingestion CSV schema.
+"""Synthetic trip demand in the trip CSV format.
 
 Arrivals are Poisson per grid cell per hour. Each trip's destination is a
 random displacement from its origin (lognormal length, uniform bearing,
@@ -9,7 +9,7 @@ durations equal distance/speed exactly (up to whole-second rounding), which
 makes the data perfectly learnable.
 
 Output is deterministic per seed, byte for byte, and every generated row
-passes the default outlier rules.
+passes the ingest rules.
 
 Two presets mirror distinct demand regimes at desk scale: ``dense`` is a
 small busy box with uniform demand, ``sparse`` is a larger box whose demand
@@ -26,11 +26,11 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from .geo import Bbox, GeoPoint, GridSpec, haversine_miles
+from .geo import (EARTH_RADIUS_KM, KM_PER_MILE, Bbox, GeoPoint, GridSpec,
+                  haversine_miles)
 from .trips import CANONICAL_COLUMNS, DATETIME_FORMAT, WEEKDAY, WEEKEND
 
-_KM_PER_DEG_LAT = 111.19492664455873  # 6371 km * pi / 180
-_MILES_PER_DEG_LAT = _KM_PER_DEG_LAT / 1.609344
+_MILES_PER_DEG_LAT = EARTH_RADIUS_KM * math.pi / 180 / KM_PER_MILE
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Historical trip ingestion, outlier rejection, and pickup-window queries.
 
-The canonical CSV schema matches the public NYC trip files:
+The canonical CSV columns match the public NYC trip files:
 ``pickup_datetime, dropoff_datetime, pickup_longitude, pickup_latitude,
 dropoff_longitude, dropoff_latitude, trip_distance, trip_time_in_secs,
 passenger_count`` with datetimes formatted ``YYYY-MM-DD HH:MM:SS``.
@@ -114,51 +114,24 @@ class TripRecord:
         return WEEKEND if self.is_weekend else WEEKDAY
 
 
-@dataclass(frozen=True)
-class OutlierRules:
-    """Configurable filters applied during ingestion.
-
-    ``max_duration_gap`` rejects rows whose reported trip time disagrees
-    with the dropoff-pickup difference by more than the given seconds (only
-    checked when the file carries both).
-    """
-
-    min_passengers: int = 1
-    max_passengers: int = 7
-    min_duration: float = 60.0
-    max_duration: float = 7200.0
-    min_distance: float = 0.0   # exclusive lower bound
-    max_distance: float = 50.0
-    bbox: Bbox = field(default_factory=lambda: NYC_BBOX)
-    max_duration_gap: float = 60.0
-
-    def __post_init__(self):
-        if self.min_passengers > self.max_passengers:
-            raise ValueError("min_passengers > max_passengers")
-        if self.min_duration >= self.max_duration:
-            raise ValueError("min_duration >= max_duration")
-        if self.min_distance >= self.max_distance:
-            raise ValueError("min_distance >= max_distance")
-
-    def failed_rule(self, origin: GeoPoint, destination: GeoPoint,
-                    pickup_dt: datetime, dropoff_dt: datetime,
-                    distance: float, duration: float, passengers: int,
-                    reported_duration: Optional[float]) -> Optional[str]:
-        """Name of the first violated rule, or None if the row is clean."""
-        if not self.min_passengers <= passengers <= self.max_passengers:
-            return "passengers"
-        if not (self.min_duration <= duration <= self.max_duration
-                and dropoff_dt > pickup_dt):
-            return "duration"
-        if not self.min_distance < distance <= self.max_distance:
-            return "distance"
-        if not (self.bbox.contains(origin) and self.bbox.contains(destination)):
-            return "bbox"
-        if reported_duration is not None:
-            wall = (dropoff_dt - pickup_dt).total_seconds()
-            if abs(reported_duration - wall) > self.max_duration_gap:
-                return "duration_mismatch"
-        return None
+def _failed_rule(origin: GeoPoint, destination: GeoPoint, pickup_dt: datetime,
+                 dropoff_dt: datetime, distance: float, duration: float,
+                 passengers: int, reported: Optional[float]) -> Optional[str]:
+    """The ``REJECT_KEYS`` name of the first rule a parsed row breaks, or
+    None. ``reported``, the file's ``trip_time_in_secs`` (None when it has
+    no such column), must lie within 60 s of dropoff - pickup."""
+    if not 1 <= passengers <= 7:
+        return "passengers"
+    if not (60.0 <= duration <= 7200.0 and dropoff_dt > pickup_dt):
+        return "duration"
+    if not 0.0 < distance <= 50.0:
+        return "distance"
+    if not (NYC_BBOX.contains(origin) and NYC_BBOX.contains(destination)):
+        return "bbox"
+    if reported is not None:
+        if abs(reported - (dropoff_dt - pickup_dt).total_seconds()) > 60.0:
+            return "duration_mismatch"
+    return None
 
 
 class TripStore:
@@ -234,33 +207,26 @@ def _parse_row(row: list[str], ix: tuple[int, ...], i_reported: int | None):
     return origin, destination, pickup_dt, dropoff_dt, distance, duration, passengers, reported
 
 
-def ingest_csv(path, rules: OutlierRules | None = None,
-               schema: dict[str, str] | None = None) -> IngestResult:
-    """Read a trip CSV, drop outliers, and build a :class:`TripStore`.
+def ingest_csv(path) -> IngestResult:
+    """Read a trip CSV, drop the rows :func:`_failed_rule` rejects, and
+    build a :class:`TripStore`.
 
-    ``schema`` maps canonical column names to the file's actual names;
-    unmapped columns keep their canonical name. Unparsable rows (short ones
-    included) are counted under ``"unparsable"`` and skipped; blank lines
-    and extra fields are ignored, a header name given twice means its last
-    column, and a missing required column is fatal.
+    Header names are the canonical ones (``CANONICAL_COLUMNS``). Unparsable
+    rows (short ones included) are counted under ``"unparsable"`` and
+    skipped; blank lines and extra fields are ignored, a header name given
+    twice means its last column, and a missing required column is fatal.
     """
-    rules = rules or OutlierRules()
-    cols = {c: c for c in CANONICAL_COLUMNS}
-    if schema:
-        cols.update(schema)
-
     kept: list[TripRecord] = []
     tally = {k: 0 for k in REJECT_KEYS}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         position = {name: i for i, name in enumerate(next(reader, []))}
-        missing = [c for c in REQUIRED_COLUMNS if cols[c] not in position]
+        missing = [c for c in REQUIRED_COLUMNS if c not in position]
         if missing:
-            raise ConfigError(
-                f"required columns missing from {path}: "
-                + ", ".join(cols[c] for c in missing))
-        ix = tuple(position[cols[c]] for c in REQUIRED_COLUMNS)
-        i_reported = position.get(cols["trip_time_in_secs"])
+            raise ConfigError(f"required columns missing from {path}: "
+                              + ", ".join(missing))
+        ix = tuple(position[c] for c in REQUIRED_COLUMNS)
+        i_reported = position.get("trip_time_in_secs")
         for row in reader:
             if not row:  # blank line
                 continue
@@ -271,12 +237,11 @@ def ingest_csv(path, rules: OutlierRules | None = None,
                 continue
             (origin, destination, pickup_dt, dropoff_dt,
              distance, duration, passengers, reported) = parsed
-            failed = rules.failed_rule(origin, destination, pickup_dt, dropoff_dt,
-                                       distance, duration, passengers, reported)
+            failed = _failed_rule(origin, destination, pickup_dt, dropoff_dt,
+                                  distance, duration, passengers, reported)
             if failed is not None:
                 tally[failed] += 1
                 continue
             kept.append(TripRecord(origin, destination, pickup_dt, dropoff_dt,
                                    distance, duration, passengers))
-    rejected = sum(tally.values())
-    return IngestResult(TripStore(kept), rejected, tally)
+    return IngestResult(TripStore(kept), sum(tally.values()), tally)

@@ -11,6 +11,7 @@ import pytest
 import carpool_rl
 from carpool_rl import cli
 from carpool_rl.cli import main
+from carpool_rl.synth import DENSE_REGION
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +138,35 @@ class TestTrainAndEval:
         assert (f"data  kept {data['kept']}  rejected "
                 f"{sum(data['rejected'].values())} (") in out
 
+
+    def test_region_flag_completes_a_csv_config(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "data", "synth", "--preset", "dense",
+                               "--seed", "5", "--out", str(tmp_path))
+        cfg = write_tiny_config(tmp_path, data={"kind": "csv",
+                                                "csv_path": json.loads(out)["path"]})
+        code, out, err = run_cli(capsys, "train", "fixed", "--config", str(cfg))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert "data.region" in payload["message"]
+        assert not os.path.exists(tmp_path / "run")
+        b = DENSE_REGION
+        code, out, _ = run_cli(capsys, "train", "fixed", "--config", str(cfg),
+                               "--region", f"bbox={b.lat_min},{b.lat_max},"
+                               f"{b.lon_min},{b.lon_max}")
+        assert code == 0
+        assert "mean_cumulative_reward" in json.loads(out)
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3"],
+                                       ["--region", "downtown"]])
+    def test_non_object_data_is_a_config_error(self, tmp_path, capsys, flags):
+        cfg = write_tiny_config(tmp_path, data=5)
+        code, out, err = run_cli(capsys, "train", "fixed", "--config",
+                                 str(cfg), *flags)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert "data must be a JSON object" in payload["message"]
 
     def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)

@@ -135,7 +135,8 @@ class TestConfig:
         assert cfg.data.preset == "sparse"
         assert cfg.dqn.train_episodes == 9
         assert cfg.tabq.train_episodes == 150  # untouched default
-        cfg = apply_overrides(cfg, seed=11, day="weekend", out="elsewhere")
+        cfg = apply_overrides(json.loads(path.read_text()), seed=11,
+                              day="weekend", out="elsewhere")
         assert cfg.seeds == [11] and cfg.day_types == ["weekend"]
         assert cfg.out_dir == "elsewhere"
 
@@ -252,7 +253,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({"data": doc})
         # csv data reads no preset keys, so the same keys load there.
-        csv = {**doc, "kind": "csv", "csv_path": "trips.csv"}
+        csv = {"region": "downtown", **doc, "kind": "csv",
+               "csv_path": "trips.csv"}
         assert DataConfig.from_dict(csv) == DataConfig(**csv)
 
     def test_range_violations_cover_every_rule(self):
@@ -281,6 +283,17 @@ class TestConfig:
     def test_csv_kind_requires_path(self):
         with pytest.raises(ConfigError):
             DataConfig.from_dict({"kind": "csv"})
+
+    def test_csv_kind_requires_region_when_the_config_loads(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"data": {"kind": "csv",
+                                             "csv_path": "trips.csv"}}))
+        with pytest.raises(ConfigError, match="data.region"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="data.region"):
+            DataConfig(kind="csv", csv_path="trips.csv")
+        cfg = load_config(path, region="downtown")
+        assert cfg.data.bbox() == parse_region("downtown")
 
     def test_readme_config_block_shows_the_defaults(self):
         readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -344,7 +357,8 @@ class TestPrepareData:
 
     def test_region_is_for_csv_data_only(self, tmp_path):
         with pytest.raises(ConfigError, match="data.region"):
-            apply_overrides(tiny_policy_config(tmp_path), region="uptown")
+            apply_overrides(tiny_policy_config(tmp_path).to_dict(),
+                            region="uptown")
 
     def test_csv_rejections_count_rules_and_region(self, tmp_path):
         row = ["2013-01-07 08:00:00", "2013-01-07 08:10:00", "-74.0", "40.72",

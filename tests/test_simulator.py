@@ -89,7 +89,7 @@ class TestWait:
     def test_wait_advances_clock_only(self):
         env = make_env()
         s = DriverState(GeoPoint(40.72, -74.0), 0.0)
-        tr = env.wait(s)
+        tr = env.step(s, Action.WAIT)
         assert tr.next_state.location == s.location
         assert tr.next_state.time_of_day == 600.0
         assert tr.reward == 0.0
@@ -98,7 +98,7 @@ class TestWait:
         env = make_env(wait_delay=450.0)
         s = DriverState(GeoPoint(40.72, -74.0), 0.0)
         for k in range(1, 6):
-            tr = env.wait(s)
+            tr = env.step(s, Action.WAIT)
             assert tr.next_state.time_of_day == k * 450.0
             s = tr.next_state
 
@@ -107,7 +107,7 @@ class TestTakeOne:
     def test_no_candidates_falls_back(self):
         env = make_env()
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        tr = env.take_one(s)
+        tr = env.step(s, Action.TAKE_ONE)
         assert tr.reward == 0.0
         assert tr.next_state.location == s.location
         assert tr.next_state.time_of_day == 1600.0
@@ -118,7 +118,7 @@ class TestTakeOne:
                          duration=480.0, distance=3.2)
         env = make_env([trip])
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        tr = env.take_one(s)
+        tr = env.step(s, Action.TAKE_ONE)
         assert tr.reward == 3.2
         assert tr.next_state.location == trip.destination
         assert tr.next_state.time_of_day == trip.pickup_seconds + 480.0
@@ -129,7 +129,7 @@ class TestTakeOne:
         earlier = make_trip((40.72, -74.0), (40.725, -73.995), pickup_s=1100)
         env = make_env([later, earlier])
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        tr = env.take_one(s)
+        tr = env.step(s, Action.TAKE_ONE)
         assert tr.info.trips == (earlier,)
 
     def test_unreachable_trip_skipped(self):
@@ -138,7 +138,7 @@ class TestTakeOne:
         near = make_trip((40.72, -74.0), (40.73, -73.99), pickup_s=1300)
         env = make_env([far, near])
         s = DriverState(GeoPoint(40.715, -74.0094), 1000.0)
-        tr = env.take_one(s)
+        tr = env.step(s, Action.TAKE_ONE)
         assert tr.info.trips == (near,)
 
     def test_result_independent_of_carpool_fraction(self):
@@ -147,7 +147,7 @@ class TestTakeOne:
         results = []
         for tc in (0.2, 0.5, 0.9):
             env = make_env([trip], carpool_fraction=tc)
-            results.append(env.take_one(s))
+            results.append(env.step(s, Action.TAKE_ONE))
         assert results[0] == results[1] == results[2]
 
 
@@ -163,7 +163,7 @@ class TestTakeTwo:
     def test_no_first_trip(self):
         env = make_env()
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        tr = env.take_two(s)
+        tr = env.step(s, Action.TAKE_TWO)
         assert tr.reward == 0.0
         assert tr.next_state.time_of_day == 1600.0
 
@@ -171,7 +171,7 @@ class TestTakeTwo:
         trip1, _ = self.trips_for_carpool()
         env = make_env([trip1])
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        tr = env.take_two(s)
+        tr = env.step(s, Action.TAKE_TWO)
         assert tr.reward == 0.0
         assert tr.next_state.location == s.location
         assert tr.next_state.time_of_day == 1600.0
@@ -182,7 +182,7 @@ class TestTakeTwo:
         env = make_env([trip1, trip2])
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
         assert env.can_take_two(s)
-        tr = env.take_two(s)
+        tr = env.step(s, Action.TAKE_TWO)
         assert tr.reward == 5.0
         assert len(tr.info.trips) == 2
         assert tr.info.path in (PATH_ONE, PATH_TWO)
@@ -191,7 +191,7 @@ class TestTakeTwo:
         trip1, trip2 = self.trips_for_carpool()
         env = make_env([trip1, trip2])
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        tr = env.take_two(s)
+        tr = env.step(s, Action.TAKE_TWO)
         expected = trip2.destination if tr.info.path == PATH_ONE else trip1.destination
         assert tr.next_state.location == expected
 
@@ -199,7 +199,7 @@ class TestTakeTwo:
         trip1, trip2 = self.trips_for_carpool()
         env = make_env([trip1, trip2])
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        tr = env.take_two(s)
+        tr = env.step(s, Action.TAKE_TWO)
         t0 = trip1.pickup_seconds
 
         def est(a, b):
@@ -221,8 +221,8 @@ class TestTakeTwo:
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
         roomy = make_env([trip1, trip2], carpool_fraction=0.5)   # horizon 1650
         tight = make_env([trip1, trip2], carpool_fraction=0.25)  # horizon 1425
-        assert roomy.take_two(s).reward == 5.0
-        assert tight.take_two(s).reward == 0.0
+        assert roomy.step(s, Action.TAKE_TWO).reward == 5.0
+        assert tight.step(s, Action.TAKE_TWO).reward == 0.0
 
     def test_min_total_extra_candidate_chosen(self):
         trip1 = make_trip((40.72, -74.0), (40.733, -73.991), pickup_s=1200,
@@ -234,7 +234,7 @@ class TestTakeTwo:
                         duration=600.0, distance=1.0)
         env = make_env([trip1, near, far])
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        tr = env.take_two(s)
+        tr = env.step(s, Action.TAKE_TWO)
         assert tr.info.trips[1] is near
 
 
@@ -248,7 +248,7 @@ class TestLegsByRole:
         env = CarpoolEnv(TripStore([trip1, trip2]), eta,
                          EnvConfig(region=REGION, grid=GRID))
         s = DriverState(GeoPoint(*a), 1000.0)
-        tr = env.take_two(s)
+        tr = env.step(s, Action.TAKE_TWO)
         assert tr.info.trips == (trip1, trip2)
 
         x = eta.travel_time(trip1.origin, trip1.destination, 1200.0, False)
@@ -279,14 +279,6 @@ class TestStepAndReset:
         cells = {(round(env.reset(rng).location.lat, 4),
                   round(env.reset(rng).location.lon, 4)) for _ in range(400)}
         assert len(cells) > 50  # 10x10 grid, should hit most cells
-
-    def test_step_dispatch(self):
-        trip = make_trip((40.72, -74.0), (40.73, -73.99), pickup_s=1200)
-        env = make_env([trip])
-        s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        assert env.step(s, Action.WAIT) == env.wait(s)
-        assert env.step(s, Action.TAKE_ONE) == env.take_one(s)
-        assert env.step(s, Action.TAKE_TWO) == env.take_two(s)
 
     def test_take_one_empty_store_reward_zero(self):
         env = make_env()

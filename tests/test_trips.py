@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from carpool_rl.geo import Bbox, GeoPoint
-from carpool_rl.trips import (CANONICAL_COLUMNS, DATETIME_FORMAT, ConfigError,
-                              OutlierRules, TripRecord, TripStore, ingest_csv,
-                              parse_datetime)
+from carpool_rl.trips import (CANONICAL_COLUMNS, DATETIME_FORMAT, NYC_BBOX,
+                              REJECT_KEYS, ConfigError, TripRecord, TripStore,
+                              ingest_csv, parse_datetime)
 
 UPTOWN = Bbox(lat_min=40.805, lat_max=40.8438, lon_min=-73.9694, lon_max=-73.9274)
 DOWNTOWN = Bbox(lat_min=40.715, lat_max=40.7438, lon_min=-74.0094, lon_max=-73.9774)
@@ -102,16 +102,6 @@ class TestIngest:
         assert len(store) == 1
         assert store.records[0].duration == 600.0
 
-    def test_schema_mapping(self, tmp_path):
-        p = tmp_path / "trips.csv"
-        cols = list(CANONICAL_COLUMNS)
-        cols[0] = "tpep_pickup_datetime"
-        write_csv(p, [csv_row()], columns=cols)
-        with pytest.raises(ConfigError):
-            ingest_csv(p)
-        store, _, _ = ingest_csv(p, schema={"pickup_datetime": "tpep_pickup_datetime"})
-        assert len(store) == 1
-
     def test_no_survivor_violates_rules(self, tmp_path):
         rng = np.random.default_rng(0)
         p = tmp_path / "trips.csv"
@@ -126,12 +116,46 @@ class TestIngest:
                 passengers=int(rng.integers(0, 10))))
         write_csv(p, rows)
         store, _, _ = ingest_csv(p)
-        rules = OutlierRules()
         for r in store.records:
-            assert rules.min_passengers <= r.passengers <= rules.max_passengers
-            assert rules.min_duration <= r.duration <= rules.max_duration
-            assert rules.min_distance < r.distance <= rules.max_distance
-            assert rules.bbox.contains(r.origin) and rules.bbox.contains(r.destination)
+            assert 1 <= r.passengers <= 7
+            assert 60.0 <= r.duration <= 7200.0
+            assert 0.0 < r.distance <= 50.0
+            assert NYC_BBOX.contains(r.origin) and NYC_BBOX.contains(r.destination)
+
+    # (csv_row arguments, the rule the row fails or None if it is kept)
+    RULE_EDGES = [
+        (dict(passengers=0), "passengers"),
+        (dict(passengers=1), None),
+        (dict(passengers=7), None),
+        (dict(passengers=8), "passengers"),
+        (dict(duration=59), "duration"),
+        (dict(duration=60), None),
+        (dict(duration=7200), None),
+        (dict(duration=7201), "duration"),
+        (dict(distance=0.0), "distance"),
+        (dict(distance=50.0), None),
+        (dict(distance=50.01), "distance"),
+        (dict(o=(NYC_BBOX.lat_min - 0.001, -74.0)), "bbox"),
+        (dict(d=(40.73, NYC_BBOX.lon_max + 0.001)), "bbox"),
+        (dict(o=(NYC_BBOX.lat_min, NYC_BBOX.lon_min)), None),
+        (dict(reported=660), None),   # 600 s dropoff - pickup
+        (dict(reported=661), "duration_mismatch"),
+        (dict(reported=539), "duration_mismatch"),
+        (dict(passengers=0, distance=0.0), "passengers"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, rule", RULE_EDGES,
+                             ids=[",".join(f"{k}={v}" for k, v in kw.items())
+                                  for kw, _ in RULE_EDGES])
+    def test_rule_edges(self, tmp_path, kwargs, rule):
+        p = tmp_path / "trips.csv"
+        write_csv(p, [csv_row(**kwargs)])
+        store, rejected, tally = ingest_csv(p)
+        expected = dict.fromkeys(REJECT_KEYS, 0)
+        if rule is not None:
+            expected[rule] = 1
+        assert tally == expected
+        assert (len(store), rejected) == (rule is None, rule is not None)
 
 
 class TestIngestCsvShape:
