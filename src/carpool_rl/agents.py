@@ -23,7 +23,7 @@ from .geo import Bbox, GridSpec, SECONDS_PER_DAY, bin_time, cell_index
 # Unused here; kept bound because perfbench/spans.py wraps agents.bin_location.
 from .geo import bin_location  # noqa: F401
 from .nn import Mlp, copy_weights, half_mse
-from .simulator import Action, CarpoolEnv, DriverState, Transition, as_rng
+from .simulator import Action, CarpoolEnv, DriverState, Transition
 
 Policy = Callable[[DriverState], Action]
 Curves = dict[str, list[float]]  # per-episode values keyed by curve metric
@@ -236,7 +236,8 @@ def greedy(q_values: Callable[[DriverState], np.ndarray]) -> Policy:
     return lambda state: Action(int(np.argmax(q_values(state))))
 
 
-def rollout(env: CarpoolEnv, policy: Policy, rng=None) -> Iterator[Transition]:
+def rollout(env: CarpoolEnv, policy: Policy,
+            rng: np.random.Generator) -> Iterator[Transition]:
     """Reset the env with ``rng`` and yield each transition of the day under
     ``policy``, ending with the one that closes it. The policy acts before
     each step; a caller's work on a yielded transition runs after it."""
@@ -253,13 +254,14 @@ def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else float("nan")
 
 
-def train_dqn(env: CarpoolEnv, agent: DqnAgent, seed=None) -> Curves:
+def train_dqn(env: CarpoolEnv, agent: DqnAgent,
+              rng: np.random.Generator) -> Curves:
     """``agent.cfg.train_episodes`` epsilon-greedy rollouts feeding the
     replay, one train step per environment step once the replay holds a
     full batch, with a target sync every ``agent.cfg.sync_period`` train
     steps. Curves: ``mean_q`` and ``loss`` averaged over the episode's
     train steps (nan before the first), and the episode ``reward``."""
-    rng, cfg = as_rng(seed), agent.cfg
+    cfg = agent.cfg
 
     def policy(state: DriverState) -> Action:
         return agent.act(state, epsilon(cfg, agent.env_steps), rng)
@@ -285,11 +287,12 @@ def train_dqn(env: CarpoolEnv, agent: DqnAgent, seed=None) -> Curves:
     return curves
 
 
-def train_tabular(env: CarpoolEnv, table: QTable, seed=None) -> Curves:
+def train_tabular(env: CarpoolEnv, table: QTable,
+                  rng: np.random.Generator) -> Curves:
     """``table.cfg.train_episodes`` episodes of epsilon-greedy tabular
     Q-learning over grid cells. Curves: ``mean_q`` averaged over the
     episode's backed-up values, and the episode ``reward``."""
-    rng, cfg = as_rng(seed), table.cfg
+    cfg = table.cfg
     step = 0
 
     def policy(state: DriverState) -> Action:

@@ -33,7 +33,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,18 +43,19 @@ from .geo import (GeoPoint, GridSpec, SECONDS_PER_DAY, bin_time, cell_index,
 # Unused here; kept bound because perfbench/spans.py wraps eta.bin_location.
 from .geo import bin_location  # noqa: F401
 from .nn import Mlp, CHECKPOINT_FORMAT, half_mse
-from .trips import TripRecord, TripStore
+from .trips import TripStore
 
 MODEL_FORMAT = "eta-joint/1"
 
 
 @dataclass(frozen=True)
 class EtaQuery:
-    """One estimation request: endpoints plus seconds-of-day."""
+    """One estimation request: endpoints plus seconds-of-day. A
+    :class:`~carpool_rl.trips.TripRecord` has these fields, so is a query."""
 
     origin: GeoPoint
     destination: GeoPoint
-    seconds_of_day: float
+    pickup_seconds: float
     is_weekend: bool = False
 
 
@@ -67,32 +68,20 @@ class EtaMetrics:
     r2: float
 
 
-def query_from_trip(r: TripRecord) -> EtaQuery:
-    return EtaQuery(r.origin, r.destination, r.pickup_seconds, r.is_weekend)
-
-
-# (origin, destination, seconds_of_day, is_weekend) of a query or of a trip:
-# the four values every featurization reads.
-_query_fields = attrgetter("origin", "destination", "seconds_of_day",
-                           "is_weekend")
-_trip_fields = attrgetter("origin", "destination", "pickup_seconds",
+# The four values every featurization reads, from a query or a trip.
+_query_tuple = attrgetter("origin", "destination", "pickup_seconds",
                           "is_weekend")
 
 
-def _records(data) -> tuple[TripRecord, ...]:
-    return data.records if isinstance(data, TripStore) else tuple(data)
-
-
-def _feature_matrix(items, grid: GridSpec, fields=_query_fields):
+def _feature_matrix(queries, grid: GridSpec):
     """Binned endpoint features ``[o_lat, o_lon, d_lat, d_lon]`` and the
-    time-bin feature (weekend offset applied), one row per query (or per
-    trip, with ``fields=_trip_fields``).
+    time-bin feature (weekend offset applied), one row per query.
 
     Binning is scalar Python arithmetic, one tuple per item, put into a
     single array; a bad item raises the error its own binning would.
     """
     rows = [(*cell_index(o, grid), *cell_index(d, grid), bin_time(t, w, grid))
-            for o, d, t, w in map(fields, items)]
+            for o, d, t, w in map(_query_tuple, queries)]
     x = np.array(rows, dtype=float).reshape(len(rows), 5)
     return x[:, :4], x[:, 4:]
 
@@ -106,7 +95,6 @@ class Standardizer:
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return cls(x.mean(axis=0), np.maximum(x.std(axis=0), 1e-8))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -135,8 +123,7 @@ class JointEtaModel:
 
     def __init__(self, trunk: Mlp, dist_head: Mlp, time_net: Mlp,
                  grid: GridSpec, loc_stats: Standardizer, t_stats: Standardizer,
-                 y_time_stats: Standardizer, y_dist_stats: Standardizer,
-                 epoch_losses: Optional[list[float]] = None):
+                 y_time_stats: Standardizer, y_dist_stats: Standardizer):
         if trunk.input_width != 4:
             raise ValueError(f"trunk input width must be 4, not "
                              f"{trunk.input_width}")
@@ -166,7 +153,7 @@ class JointEtaModel:
         self.t_stats = t_stats
         self.y_time_stats = y_time_stats
         self.y_dist_stats = y_dist_stats
-        self.epoch_losses = epoch_losses or []
+        self.epoch_losses: list[float] = []
 
     def _forward(self, x_loc_std: np.ndarray, x_t_std: np.ndarray):
         """Training pass over a standardized batch, keeping every cache."""
@@ -249,13 +236,13 @@ class JointEtaModel:
 
 
 def _training_arrays(records, grid):
-    x_loc, x_t = _feature_matrix(records, grid, _trip_fields)
+    x_loc, x_t = _feature_matrix(records, grid)
     y_time = np.array([r.duration for r in records], dtype=float)
     y_dist = np.array([r.distance for r in records], dtype=float)
     return x_loc, x_t, y_time, y_dist
 
 
-def train_joint_eta(train, grid: GridSpec, cfg: EtaConfig,
+def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,
                     seed: int) -> JointEtaModel:
     """Fit the joint time/distance model with minibatch SGD.
 
@@ -266,7 +253,7 @@ def train_joint_eta(train, grid: GridSpec, cfg: EtaConfig,
     squared errors over standardized targets; both heads' gradients reach
     the shared trunk. Raises if the loss goes non-finite.
     """
-    records = _records(train)
+    records = train.records
     if not records:
         raise ValueError("empty training set")
     x_loc, x_t, y_time, y_dist = _training_arrays(records, grid)
@@ -326,11 +313,11 @@ class TimeOnlyModel:
         return np.maximum(self.y_stats.inverse(self.net.forward_rows(x))[:, 0], 0.0)
 
 
-def train_time_only(train, grid: GridSpec, cfg: EtaConfig, seed: int,
-                    hidden: tuple[int, ...] = (64, 64)) -> TimeOnlyModel:
-    """Fit the time-only MLP baseline (same loss machinery and SGD settings
-    as the joint model)."""
-    records = _records(train)
+def train_time_only(train: TripStore, grid: GridSpec, cfg: EtaConfig,
+                    seed: int) -> TimeOnlyModel:
+    """Fit the time-only MLP baseline, hidden widths 64 and 64 (same loss
+    machinery and SGD settings as the joint model)."""
+    records = train.records
     if not records:
         raise ValueError("empty training set")
     x_loc, x_t, y_time, _ = _training_arrays(records, grid)
@@ -341,7 +328,7 @@ def train_time_only(train, grid: GridSpec, cfg: EtaConfig, seed: int,
     ys = y_stats.transform(y_time[:, None])
 
     rng = np.random.default_rng(seed)
-    net = Mlp([5, *hidden, 1], rng=rng)
+    net = Mlp([5, 64, 64, 1], rng=rng)
     n = len(records)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -365,25 +352,25 @@ class LinearTimeModel:
         return w0 + (x[:, None, :] @ w)[:, 0]
 
 
-def _raw_features(items, fields=_query_fields) -> np.ndarray:
-    """Unbinned ``[o_lat, o_lon, d_lat, d_lon, t]`` per query (or trip),
-    ``t`` the seconds of day plus one day on weekends."""
+def _raw_features(queries) -> np.ndarray:
+    """Unbinned ``[o_lat, o_lon, d_lat, d_lon, t]`` per query, ``t`` the
+    seconds of day plus one day on weekends."""
     rows = [(o.lat, o.lon, d.lat, d.lon, t + (SECONDS_PER_DAY if w else 0.0))
-            for o, d, t, w in map(fields, items)]
+            for o, d, t, w in map(_query_tuple, queries)]
     return np.array(rows, dtype=float).reshape(len(rows), 5)
 
 
-def train_linear_time(train) -> LinearTimeModel:
+def train_linear_time(train: TripStore) -> LinearTimeModel:
     """Closed-form normal-equations fit of travel time on raw features.
 
     Features are standardized internally for conditioning; a singular
     normal matrix falls back to a tiny ridge term (1e-8 of the mean
     diagonal), which is the documented behavior for degenerate designs.
     """
-    records = _records(train)
+    records = train.records
     if not records:
         raise ValueError("empty training set")
-    raw = _raw_features(records, _trip_fields)
+    raw = _raw_features(records)
     x_stats = Standardizer.fit(raw)
     x = x_stats.transform(raw)
     design = np.concatenate([np.ones((len(records), 1)), x], axis=1)
@@ -429,16 +416,15 @@ def compute_metrics(y_true, y_pred) -> EtaMetrics:
     return EtaMetrics(mae=mae, mre=mre, medae=medae, medre=medre, r2=r2)
 
 
-def evaluate(predict_batch_fn: Callable[[list[EtaQuery]], np.ndarray],
-             test) -> EtaMetrics:
+def evaluate(predict_batch_fn: Callable[[Sequence[EtaQuery]], np.ndarray],
+             test: TripStore) -> EtaMetrics:
     """Score a batch travel-time predictor on held-out trips: one call with
-    every trip's query, in order, returning one time per query."""
-    records = _records(test)
+    the trips themselves as queries, in order, returning one time each."""
+    records = test.records
     if not records:
         raise ValueError("empty test set")
     y = np.array([r.duration for r in records], dtype=float)
-    f = np.asarray(predict_batch_fn([query_from_trip(r) for r in records]),
-                   dtype=float)
+    f = np.asarray(predict_batch_fn(records), dtype=float)
     return compute_metrics(y, f)
 
 

@@ -168,8 +168,9 @@ class EvalReport:
     def load(cls, path) -> "EvalReport":
         with open(path) as fh:
             d = json.load(fh)
+        validate_report(d)
         return cls(policies=d["policies"], curves=d["curves"],
-                   config=d.get("config", {}), data=d.get("data", {}))
+                   config=d["config"], data=d.get("data", {}))
 
 
 def emit_curves(curves: dict[str, list[float]], out_dir) -> dict[str, str]:

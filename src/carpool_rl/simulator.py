@@ -133,13 +133,6 @@ def extra_travel_times(t_o1_d1: float, t_o2_d2: float, t_o1_o2: float,
                             total_one, total_two, chosen)
 
 
-def as_rng(seed) -> np.random.Generator:
-    """``seed`` itself when it is a Generator, else a new one seeded by it."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 class CarpoolEnv:
     """Single-taxi carpool environment over an immutable trip store.
 
@@ -165,9 +158,8 @@ class CarpoolEnv:
 
     # -- episode control ---------------------------------------------------
 
-    def reset(self, seed=None) -> DriverState:
-        """Start a new day: time 0, location uniform over the region's cells."""
-        rng = as_rng(seed)
+    def reset(self, rng: np.random.Generator) -> DriverState:
+        """Start a new day: time 0, a cell drawn uniformly by ``rng``."""
         i = int(rng.integers(self._n_lat))
         j = int(rng.integers(self._n_lon))
         origin = self.config.grid.origin_corner

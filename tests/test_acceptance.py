@@ -238,7 +238,7 @@ def test_criterion_6_simulator_invariants(tmp_path):
             failures.append((k, "done flag inconsistent"))
 
     # termination from a fresh reset
-    s = env.reset(0)
+    s = env.reset(np.random.default_rng(0))
     steps = 0
     while True:
         tr = env.step(s, Action(int(rng.integers(3))))

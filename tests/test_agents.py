@@ -475,7 +475,7 @@ class TestTrainingLoops:
         env = make_env(self._demand(np.random.default_rng(0)))
         agent = make_agent(train_episodes=0)
         before = [w.copy() for w in agent.online.weights]
-        curves = train_dqn(env, agent, seed=0)
+        curves = train_dqn(env, agent, np.random.default_rng(0))
         assert curves == {"mean_q": [], "loss": [], "reward": []}
         for w, b in zip(agent.online.weights, before):
             assert np.array_equal(w, b)
@@ -483,7 +483,7 @@ class TestTrainingLoops:
     def test_curves_have_one_entry_per_episode(self):
         env = make_env(self._demand(np.random.default_rng(1)))
         agent = make_agent(train_episodes=3)
-        curves = train_dqn(env, agent, seed=0)
+        curves = train_dqn(env, agent, np.random.default_rng(0))
         assert sorted(curves) == ["loss", "mean_q", "reward"]
         assert all(len(v) == 3 for v in curves.values())
 
@@ -491,7 +491,7 @@ class TestTrainingLoops:
         def run():
             env = make_env(self._demand(np.random.default_rng(2)))
             agent = make_agent(seed=5, train_episodes=2)
-            curves = train_dqn(env, agent, seed=9)
+            curves = train_dqn(env, agent, np.random.default_rng(9))
             return curves["mean_q"], agent.online.weights[0].copy()
 
         (q1, w1), (q2, w2) = run(), run()
@@ -501,7 +501,7 @@ class TestTrainingLoops:
     def test_train_tabular_runs_and_records(self):
         env = make_env(self._demand(np.random.default_rng(3)))
         table = QTable(replace(TEST_TABQ, alpha=0.2, train_episodes=3), GRID)
-        curves = train_tabular(env, table, seed=0)
+        curves = train_tabular(env, table, np.random.default_rng(0))
         assert sorted(curves) == ["mean_q", "reward"]
         assert all(len(v) == 3 for v in curves.values())
         assert len(table.values) > 0
@@ -514,7 +514,7 @@ class TestTrainingLoops:
         agent = make_agent(seed=6, replay_capacity=64, sync_period=40,
                            train_episodes=2, eps_start=1.0, eps_end=0.05,
                            eps_decay_steps=100)
-        dqn = train_dqn(env, agent, seed=13)
+        dqn = train_dqn(env, agent, np.random.default_rng(13))
         assert agent.env_steps == 301 and len(agent.replay) == 64
         assert repr(dqn) == (
             "{'mean_q': [0.2367386802871895, 0.6617328212310634], "
@@ -542,9 +542,9 @@ class TestTrainingLoops:
         env = make_env(self._demand(np.random.default_rng(3), 300))
         sched = dict(eps_start=1.0, eps_end=0.05, eps_decay_steps=100)
         table = QTable(TabQConfig(alpha=0.5, train_episodes=6, **sched), GRID)
-        tab = train_tabular(env, table, seed=11)
+        tab = train_tabular(env, table, np.random.default_rng(11))
         agent = make_agent(seed=5, sync_period=50, train_episodes=2, **sched)
-        dqn = train_dqn(env, agent, seed=12)
+        dqn = train_dqn(env, agent, np.random.default_rng(12))
         assert repr(tab) == (
             "{'mean_q': [0.03131916401707506, 0.0021480566231308023, "
             "0.0034198642397571745, 0.003767630769101513, "

@@ -254,16 +254,21 @@ class TestErrorContract:
         (["eta", "predict", "--model", "{model}", "--origin", "a,b",
           "--dest", "40.73,-73.99", "--time", "30000"], "ValueError"),
         (["report", "--out", "{tmp}"], "FileNotFoundError"),
+        (["report", "--out", "{tmp}/no_policies"], "ValueError"),
         (["data", "ingest", "--csv", "{tmp}/no_passengers.csv"],
          "ConfigError"),
     ], ids=["missing-config", "missing-model", "origin-one-number",
-            "origin-not-numbers", "report-empty-dir", "csv-missing-column"])
+            "origin-not-numbers", "report-empty-dir", "report-no-policies",
+            "csv-missing-column"])
     def test_runtime_failure_is_one_json_line(self, tmp_path, capsys,
                                               saved_model, argv, error):
         (tmp_path / "no_passengers.csv").write_text(
             "pickup_datetime,dropoff_datetime,pickup_longitude,"
             "pickup_latitude,dropoff_longitude,dropoff_latitude,"
             "trip_distance\n")
+        (tmp_path / "no_policies").mkdir()
+        (tmp_path / "no_policies" / "report.json").write_text(
+            json.dumps({"curves": {}, "config": {}}))
         argv = [a.format(tmp=tmp_path, model=saved_model) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code != 0 and out == ""

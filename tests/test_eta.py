@@ -10,9 +10,8 @@ from hypothesis import example, given, strategies as st
 from carpool_rl.config import EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaQuery,
                             JointEtaModel, ModelEta, _feature_matrix,
-                            _raw_features, _training_arrays, _trip_fields,
-                            compute_metrics, evaluate, query_from_trip,
-                            train_joint_eta, train_linear_time,
+                            _raw_features, _training_arrays,
+                            compute_metrics, evaluate, train_joint_eta, train_linear_time,
                             train_time_only)
 from carpool_rl.geo import (GeoPoint, GridSpec, OutOfGridError, bin_location,
                             bin_time, haversine_miles)
@@ -63,7 +62,7 @@ def reference_features(queries, grid):
         oi, oj, _ = bin_location(q.origin, grid)
         di, dj, _ = bin_location(q.destination, grid)
         x_loc[row] = [oi, oj, di, dj]
-        x_t[row, 0] = bin_time(q.seconds_of_day, q.is_weekend, grid)
+        x_t[row, 0] = bin_time(q.pickup_seconds, q.is_weekend, grid)
     return x_loc, x_t
 
 
@@ -138,13 +137,14 @@ class TestTrainingFeatures:
 
     @given(st.lists(TRIPS, max_size=20))
     def test_record_matrices_equal_query_matrices(self, trips):
-        queries = [query_from_trip(r) for r in trips]
+        queries = [EtaQuery(r.origin, r.destination, r.pickup_seconds,
+                            r.is_weekend) for r in trips]
         x_loc, x_t, y_time, y_dist = _training_arrays(trips, GRID)
         q_loc, q_t = _feature_matrix(queries, GRID)
         assert np.array_equal(x_loc, q_loc) and np.array_equal(x_t, q_t)
         assert y_time.tolist() == [r.duration for r in trips]
         assert y_dist.tolist() == [r.distance for r in trips]
-        raw = _raw_features(trips, _trip_fields)
+        raw = _raw_features(trips)
         assert raw.shape == (len(trips), 5)
         assert np.array_equal(raw, _raw_features(queries))
         assert raw[:, 4].tolist() == [r.pickup_seconds + 86400 * r.is_weekend
@@ -203,7 +203,7 @@ class TestJointModel:
         cfg = EtaConfig(learning_rate=0.1, batch_size=4, epochs=200,
                         dist_hidden=[8, 8], time_hidden=[8])
         model = train_joint_eta(store, GRID, cfg, 0)
-        t, d = predict_one(model, query_from_trip(trip))
+        t, d = predict_one(model, trip)
         assert t == pytest.approx(800.0, rel=0.01)
         assert d == pytest.approx(2.5, rel=0.01)
 
@@ -214,7 +214,7 @@ class TestJointModel:
         cfg = EtaConfig(learning_rate=0.05, batch_size=8, epochs=50,
                         dist_hidden=[8, 8], time_hidden=[8])
         model = train_joint_eta(TripStore(trips), GRID, cfg, 1)
-        t, d = predict_one(model, query_from_trip(trips[3]))
+        t, d = predict_one(model, trips[3])
         assert t == pytest.approx(700.0, rel=0.01)
         assert d == pytest.approx(2.0, rel=0.01)
 
@@ -353,14 +353,14 @@ class TestLinearBaseline:
         store = TripStore(trips)
         model = train_linear_time(store)
         for r in store.records:
-            assert abs(model.predict_batch([query_from_trip(r)])[0]
+            assert abs(model.predict_batch([r])[0]
                        - r.duration) < 1e-6
 
     def test_constant_target_predicts_mean(self):
         trips = [make_trip((40.71, -74.0 + 0.001 * i), (40.73, -73.98),
                            pickup_s=100 * i, duration=500.0) for i in range(10)]
         model = train_linear_time(TripStore(trips))
-        q = query_from_trip(trips[0])
+        q = trips[0]
         assert model.predict_batch([q])[0] == pytest.approx(500.0, abs=1e-3)
 
     def test_singular_design_uses_ridge(self):
@@ -369,7 +369,7 @@ class TestLinearBaseline:
         trips = [make_trip((40.71, -74.0), (40.73, -73.98), 500, 600.0)
                  for _ in range(5)]
         model = train_linear_time(TripStore(trips))
-        assert (model.predict_batch([query_from_trip(trips[0])])[0]
+        assert (model.predict_batch([trips[0]])[0]
                 == pytest.approx(600.0, rel=1e-6))
 
 
@@ -377,16 +377,16 @@ class TestTimeOnlyBaseline:
     def test_memorizes_single_sample(self):
         trip = make_trip((40.71, -74.0), (40.73, -73.98), duration=800.0)
         cfg = EtaConfig(learning_rate=0.1, batch_size=4, epochs=200)
-        model = train_time_only(TripStore([trip]), GRID, cfg, 0, hidden=(8, 8))
-        assert (model.predict_batch([query_from_trip(trip)])[0]
+        model = train_time_only(TripStore([trip]), GRID, cfg, 0)
+        assert (model.predict_batch([trip])[0]
                 == pytest.approx(800.0, rel=0.01))
 
     def test_deterministic_given_seed(self):
         store = synthetic_store(100, seed=9)
         cfg = EtaConfig(learning_rate=0.02, batch_size=16, epochs=5)
-        a = train_time_only(store, GRID, cfg, 11, hidden=(8,))
-        b = train_time_only(store, GRID, cfg, 11, hidden=(8,))
-        q = query_from_trip(store.records[0])
+        a = train_time_only(store, GRID, cfg, 11)
+        b = train_time_only(store, GRID, cfg, 11)
+        q = store.records[0]
         assert a.predict_batch([q])[0] == b.predict_batch([q])[0]
 
 
@@ -407,7 +407,7 @@ class TestRowExactBatch:
         cfg = EtaConfig(learning_rate=0.02, batch_size=16, epochs=3,
                         dist_hidden=[8, 8], time_hidden=[8])
         cls.joint = train_joint_eta(store, GRID, cfg, 1)
-        cls.time_only = train_time_only(store, GRID, cfg, 1, hidden=(8, 8))
+        cls.time_only = train_time_only(store, GRID, cfg, 1)
         cls.linear = train_linear_time(store)
 
     def scorers(self):
@@ -450,8 +450,11 @@ class TestRowExactBatch:
 
         m = evaluate(score, store)
         assert calls == [len(store)]
-        per_row = [self.linear.predict_batch([query_from_trip(r)])[0]
-                   for r in store.records]
+        queries = [EtaQuery(r.origin, r.destination, r.pickup_seconds,
+                            r.is_weekend) for r in store.records]
+        per_row = [self.linear.predict_batch([q])[0] for q in queries]
+        assert (np.array(per_row).tobytes()
+                == self.linear.predict_batch(store.records).tobytes())
         assert m == compute_metrics([r.duration for r in store.records],
                                     per_row)
 
@@ -459,7 +462,7 @@ class TestRowExactBatch:
 class TestEvaluate:
     def test_perfect_oracle_scores_zero_error(self):
         store = synthetic_store(100, seed=13)
-        durations = {query_from_trip(r): r.duration for r in store.records}
+        durations = {r: r.duration for r in store.records}
         m = evaluate(lambda qs: [durations[q] for q in qs], store)
         assert m.mae == 0.0 and m.r2 == 1.0
 
@@ -543,7 +546,7 @@ class TestModelEtaMemo:
         src = ModelEta(self.model)
         want = self.model.predict_batch([q])[0][0]
         for _ in range(2):  # a memo miss, then a hit
-            got = src.travel_time(q.origin, q.destination, q.seconds_of_day,
+            got = src.travel_time(q.origin, q.destination, q.pickup_seconds,
                                   q.is_weekend)
             assert np.float64(got).tobytes() == want.tobytes()
 
@@ -559,7 +562,7 @@ class TestModelEtaMemo:
         for _ in range(3):
             for q in queries:
                 got = src.travel_time(q.origin, q.destination,
-                                      q.seconds_of_day, q.is_weekend)
+                                      q.pickup_seconds, q.is_weekend)
                 assert got == predict_one(self.model, q)[0]
 
     def test_bad_inputs_raise_after_caching(self):

@@ -264,12 +264,13 @@ class TestLegsByRole:
 class TestStepAndReset:
     def test_reset_deterministic(self):
         env = make_env()
-        assert env.reset(7) == env.reset(7)
+        assert (env.reset(np.random.default_rng(7))
+                == env.reset(np.random.default_rng(7)))
 
     def test_reset_time_zero_and_in_region(self):
         env = make_env()
         for seed in range(20):
-            s = env.reset(seed)
+            s = env.reset(np.random.default_rng(seed))
             assert s.time_of_day == 0.0
             assert REGION.contains(s.location)
 
@@ -341,7 +342,7 @@ class TestInvariants:
     def test_episode_terminates(self):
         rng = np.random.default_rng(5)
         env = make_env(self.random_store(rng, 100).records)
-        s = env.reset(0)
+        s = env.reset(np.random.default_rng(0))
         steps = 0
         while True:
             tr = env.step(s, Action(int(rng.integers(3))))
