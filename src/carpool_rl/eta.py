@@ -11,14 +11,16 @@ Baselines: an ordinary-least-squares linear regressor on raw coordinates and
 a time-only MLP fed the binned endpoints plus time. Every MLP uses ReLU on
 its hidden layers.
 
-Each estimator's ``predict_batch`` featurizes and scales a whole batch at
-once and runs each layer as one matmul over the ``(N, 1, in)`` row stack
-(:meth:`Mlp.forward_rows`), which numpy computes one-row slice by slice, so
-row ``i`` equals ``predict_batch([q_i])`` bit for bit (a 2-D batch matmul
-may round otherwise); one query is a batch of one. :func:`evaluate` scores
-a held-out split with one such call. :meth:`JointEtaModel.cell_time` runs
-one cell key through the same trunk and time head, without the distance
-head; :class:`ModelEta` times the simulator's legs with it.
+The learned estimators see a leg only through its cell key ``(oi, oj, di,
+dj, time_bin)``, built in one place. Each ``predict_batch`` featurizes and
+scales a whole batch at once and runs each layer as one matmul over the
+``(N, 1, in)`` row stack (:meth:`Mlp.forward_rows`), which numpy computes
+one-row slice by slice, so row ``i`` equals ``predict_batch([q_i])`` bit for
+bit (a 2-D batch matmul may round otherwise); one query is a batch of one.
+:func:`evaluate` scores a held-out split with one such call.
+:meth:`JointEtaModel.cell_time` runs one cell key through the same trunk and
+time head, without the distance head; :class:`ModelEta` times the
+simulator's legs with it.
 
 The SGD trainers take an :class:`~carpool_rl.config.EtaConfig` (learning
 rate, batch size, epochs and the joint model's hidden widths) and a seed,
@@ -73,17 +75,27 @@ _query_tuple = attrgetter("origin", "destination", "pickup_seconds",
                           "is_weekend")
 
 
-def _feature_matrix(queries, grid: GridSpec):
-    """Binned endpoint features ``[o_lat, o_lon, d_lat, d_lon]`` and the
-    time-bin feature (weekend offset applied), one row per query.
+def _cell_key(origin, destination, seconds_of_day, is_weekend, grid):
+    """A leg's cell key ``(oi, oj, di, dj, time_bin)``: its endpoints' grid
+    cells and its time bin, weekend offset applied."""
+    (oi, oj), (di, dj) = cell_index(origin, grid), cell_index(destination, grid)
+    return oi, oj, di, dj, bin_time(seconds_of_day, is_weekend, grid)
 
-    Binning is scalar Python arithmetic, one tuple per item, put into a
-    single array; a bad item raises the error its own binning would.
-    """
-    rows = [(*cell_index(o, grid), *cell_index(d, grid), bin_time(t, w, grid))
+
+def _feature_matrix(queries, grid: GridSpec) -> np.ndarray:
+    """The ``(N, 5)`` float matrix of the queries' cell keys, one row each;
+    a bad item raises the error its own binning would."""
+    rows = [_cell_key(o, d, t, w, grid)
             for o, d, t, w in map(_query_tuple, queries)]
-    x = np.array(rows, dtype=float).reshape(len(rows), 5)
-    return x[:, :4], x[:, 4:]
+    return np.array(rows, dtype=float).reshape(len(rows), 5)
+
+
+def _trips(store: TripStore, what: str):
+    """A store's trips and their durations; an empty store raises."""
+    records = store.records
+    if not records:
+        raise ValueError(f"empty {what} set")
+    return records, np.array([r.duration for r in records], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -155,27 +167,36 @@ class JointEtaModel:
         self.y_dist_stats = y_dist_stats
         self.epoch_losses: list[float] = []
 
-    def _forward(self, x_loc_std: np.ndarray, x_t_std: np.ndarray):
-        """Training pass over a standardized batch, keeping every cache."""
-        z, cache_tr = self.trunk.forward(x_loc_std)
+    def _sgd_step(self, xl, xt, yt, yd, lr: float) -> float:
+        """One SGD step of the summed two-head half-MSE on a standardized
+        batch; returns the pre-update loss."""
+        z, cache_tr = self.trunk.forward(xl)
         h = np.maximum(z, 0.0)  # trunk output counts as a hidden layer
         y_dist, cache_d = self.dist_head.forward(h)
-        y_time, cache_t = self.time_net.forward(np.concatenate([h, x_t_std], axis=1))
-        return y_time, y_dist, (z, h, cache_tr, cache_d, cache_t)
+        y_time, cache_t = self.time_net.forward(np.concatenate([h, xt], axis=1))
+        loss_t, gout_t = half_mse(y_time, yt)
+        loss_d, gout_d = half_mse(y_dist, yd)
+        g_h = (self.time_net.backward(cache_t, gout_t)[:, :self.trunk.output_width]
+               + self.dist_head.backward(cache_d, gout_d))
+        self.trunk.backward(cache_tr, g_h * (z > 0.0))
+        self.time_net.apply_gradients(lr)
+        self.dist_head.apply_gradients(lr)
+        self.trunk.apply_gradients(lr)
+        return loss_t + loss_d
 
-    def _trunk_and_time(self, x_loc: np.ndarray, x_t: np.ndarray):
+    def _trunk_and_time(self, x: np.ndarray):
         """The trunk's output after its ReLU and the travel times clamped at
-        0, for binned feature rows, each row computed alone (row-exact)."""
-        h = np.maximum(self.trunk.forward_rows(self.loc_stats.transform(x_loc)), 0.0)
+        0, for cell-key rows, each row computed alone (row-exact)."""
+        h = np.maximum(self.trunk.forward_rows(self.loc_stats.transform(x[:, :4])), 0.0)
         y = self.time_net.forward_rows(
-            np.concatenate([h, self.t_stats.transform(x_t)], axis=1))
+            np.concatenate([h, self.t_stats.transform(x[:, 4:])], axis=1))
         return h, np.maximum(self.y_time_stats.inverse(y)[:, 0], 0.0)
 
     def predict_batch(self, queries: Sequence[EtaQuery]):
         """Returns (times, distances) arrays, clamped at 0. Row-exact: row
         ``i`` equals ``predict_batch([queries[i]])`` bit for bit, and its
         time equals :meth:`cell_time` of the row's cell key."""
-        h, times = self._trunk_and_time(*_feature_matrix(queries, self.grid))
+        h, times = self._trunk_and_time(_feature_matrix(queries, self.grid))
         dists = self.y_dist_stats.inverse(self.dist_head.forward_rows(h))[:, 0]
         return times, np.maximum(dists, 0.0)
 
@@ -183,8 +204,7 @@ class JointEtaModel:
         """Travel time, clamped at 0, of the cell key ``(oi, oj, di, dj,
         time_bin)``: the time column of ``predict_batch`` for any query
         with that key, bit for bit, without the distance head."""
-        x = np.array([key], dtype=float)
-        return float(self._trunk_and_time(x[:, :4], x[:, 4:])[1][0])
+        return float(self._trunk_and_time(np.array([key], dtype=float))[1][0])
 
     def save(self, directory) -> None:
         os.makedirs(directory, exist_ok=True)
@@ -235,13 +255,6 @@ class JointEtaModel:
         )
 
 
-def _training_arrays(records, grid):
-    x_loc, x_t = _feature_matrix(records, grid)
-    y_time = np.array([r.duration for r in records], dtype=float)
-    y_dist = np.array([r.distance for r in records], dtype=float)
-    return x_loc, x_t, y_time, y_dist
-
-
 def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,
                     seed: int) -> JointEtaModel:
     """Fit the joint time/distance model with minibatch SGD.
@@ -253,17 +266,16 @@ def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,
     squared errors over standardized targets; both heads' gradients reach
     the shared trunk. Raises if the loss goes non-finite.
     """
-    records = train.records
-    if not records:
-        raise ValueError("empty training set")
-    x_loc, x_t, y_time, y_dist = _training_arrays(records, grid)
+    records, y_time = _trips(train, "training")
+    y_dist = np.array([r.distance for r in records], dtype=float)
+    x = _feature_matrix(records, grid)
 
-    loc_stats = Standardizer.fit(x_loc)
-    t_stats = Standardizer.fit(x_t)
+    loc_stats = Standardizer.fit(x[:, :4])
+    t_stats = Standardizer.fit(x[:, 4:])
     y_time_stats = Standardizer.fit(y_time[:, None])
     y_dist_stats = Standardizer.fit(y_dist[:, None])
-    xl = loc_stats.transform(x_loc)
-    xt = t_stats.transform(x_t)
+    xl = loc_stats.transform(x[:, :4])
+    xt = t_stats.transform(x[:, 4:])
     yt = y_time_stats.transform(y_time[:, None])
     yd = y_dist_stats.transform(y_dist[:, None])
 
@@ -275,23 +287,13 @@ def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,
                           loc_stats, t_stats, y_time_stats, y_dist_stats)
 
     n = len(records)
-    lr = cfg.learning_rate
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            y_time_hat, y_dist_hat, ctx = model._forward(xl[idx], xt[idx])
-            z, h, cache_tr, cache_d, cache_t = ctx
-            loss_t, gout_t = half_mse(y_time_hat, yt[idx])
-            loss_d, gout_d = half_mse(y_dist_hat, yd[idx])
-            g_h = (time_net.backward(cache_t, gout_t)[:, :trunk.output_width]
-                   + dist_head.backward(cache_d, gout_d))
-            trunk.backward(cache_tr, g_h * (z > 0.0))
-            time_net.apply_gradients(lr)
-            dist_head.apply_gradients(lr)
-            trunk.apply_gradients(lr)
-            batch_losses.append(loss_t + loss_d)
+            batch_losses.append(model._sgd_step(xl[idx], xt[idx], yt[idx],
+                                                yd[idx], cfg.learning_rate))
         model.epoch_losses.append(float(np.mean(batch_losses)))
     return model
 
@@ -308,8 +310,7 @@ class TimeOnlyModel:
 
     def predict_batch(self, queries: Sequence[EtaQuery]) -> np.ndarray:
         """Travel times clamped at 0; row-exact like the joint model's."""
-        x_loc, x_t = _feature_matrix(queries, self.grid)
-        x = self.x_stats.transform(np.concatenate([x_loc, x_t], axis=1))
+        x = self.x_stats.transform(_feature_matrix(queries, self.grid))
         return np.maximum(self.y_stats.inverse(self.net.forward_rows(x))[:, 0], 0.0)
 
 
@@ -317,11 +318,8 @@ def train_time_only(train: TripStore, grid: GridSpec, cfg: EtaConfig,
                     seed: int) -> TimeOnlyModel:
     """Fit the time-only MLP baseline, hidden widths 64 and 64 (same loss
     machinery and SGD settings as the joint model)."""
-    records = train.records
-    if not records:
-        raise ValueError("empty training set")
-    x_loc, x_t, y_time, _ = _training_arrays(records, grid)
-    x = np.concatenate([x_loc, x_t], axis=1)
+    records, y_time = _trips(train, "training")
+    x = _feature_matrix(records, grid)
     x_stats = Standardizer.fit(x)
     y_stats = Standardizer.fit(y_time[:, None])
     xs = x_stats.transform(x)
@@ -367,14 +365,11 @@ def train_linear_time(train: TripStore) -> LinearTimeModel:
     normal matrix falls back to a tiny ridge term (1e-8 of the mean
     diagonal), which is the documented behavior for degenerate designs.
     """
-    records = train.records
-    if not records:
-        raise ValueError("empty training set")
+    records, y = _trips(train, "training")
     raw = _raw_features(records)
     x_stats = Standardizer.fit(raw)
     x = x_stats.transform(raw)
     design = np.concatenate([np.ones((len(records), 1)), x], axis=1)
-    y = np.array([r.duration for r in records], dtype=float)
     xtx = design.T @ design
     xty = design.T @ y
     try:
@@ -408,8 +403,7 @@ def compute_metrics(y_true, y_pred) -> EtaMetrics:
         mre = float(err[nz].sum() / y[nz].sum())
         medre = float(np.median(err[nz] / y[nz]))
     else:
-        mre = float("nan")
-        medre = float("nan")
+        mre = medre = float("nan")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum((y - f) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
@@ -420,10 +414,7 @@ def evaluate(predict_batch_fn: Callable[[Sequence[EtaQuery]], np.ndarray],
              test: TripStore) -> EtaMetrics:
     """Score a batch travel-time predictor on held-out trips: one call with
     the trips themselves as queries, in order, returning one time each."""
-    records = test.records
-    if not records:
-        raise ValueError("empty test set")
-    y = np.array([r.duration for r in records], dtype=float)
+    records, y = _trips(test, "test")
     f = np.asarray(predict_batch_fn(records), dtype=float)
     return compute_metrics(y, f)
 
@@ -463,9 +454,8 @@ class ModelEta:
         self._memo: dict[tuple[int, int, int, int, int], float] = {}
 
     def travel_time(self, origin, destination, seconds_of_day, is_weekend) -> float:
-        grid = self.model.grid
-        key = (*cell_index(origin, grid), *cell_index(destination, grid),
-               bin_time(seconds_of_day, is_weekend, grid))
+        key = _cell_key(origin, destination, seconds_of_day, is_weekend,
+                        self.model.grid)
         t = self._memo.get(key)
         if t is None:
             t = self.model.cell_time(key)

@@ -10,22 +10,22 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .agents import (Curves, DqnAgent, FixedPolicy, QTable, evaluate_policy,
                      greedy, train_dqn, train_tabular, wait_policy)
 from .config import ExperimentConfig
-from .eta import (ConstantSpeedEta, ModelEta, evaluate, train_joint_eta,
-                  train_linear_time, train_time_only)
+from .eta import (ConstantSpeedEta, EtaMetrics, ModelEta, evaluate,
+                  train_joint_eta, train_linear_time, train_time_only)
 from .geo import Bbox, GridSpec
 from .simulator import CarpoolEnv, EnvConfig
 from .synth import PRESETS, generate_synthetic
 from .trips import TripStore, ingest_csv
 
 ETA_METHODS = ("linear", "time_only", "joint")
-METRIC_NAMES = ("mae", "mre", "medae", "medre", "r2")
+METRIC_NAMES = tuple(f.name for f in fields(EtaMetrics))
 POLICY_NAMES = ("wait", "fixed", "tabq", "dqn")
 CURVE_METRICS = ("mean_q", "loss", "reward")
 
@@ -121,9 +121,7 @@ def run_eta_experiment(cfg: ExperimentConfig) -> dict:
         for name, fn in (("linear", linear.predict_batch),
                          ("time_only", time_only.predict_batch),
                          ("joint", lambda qs: joint.predict_batch(qs)[0])):
-            m = evaluate(fn, test)
-            results[name]["per_seed"].append(
-                {k: getattr(m, k) for k in METRIC_NAMES})
+            results[name]["per_seed"].append(asdict(evaluate(fn, test)))
     for name in ETA_METHODS:
         per_seed = results[name]["per_seed"]
         results[name]["mean"] = {
@@ -157,8 +155,7 @@ class EvalReport:
     data: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"policies": self.policies, "curves": self.curves,
-                "config": self.config, "data": self.data}
+        return asdict(self)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -220,15 +217,27 @@ def validate_report(d: dict) -> None:
     for key in ("policies", "curves", "config"):
         if key not in d:
             raise ValueError(f"report missing key {key!r}")
-    for policy, per_day in d["policies"].items():
+    for policy, per_day in _items(d["policies"], "policies"):
         if policy not in POLICY_NAMES:
             raise ValueError(f"unexpected policy {policy!r}")
-        for day, cell in per_day.items():
+        for day, cell in _items(per_day, f"policies/{policy}"):
+            path = f"policies/{policy}/{day}"
+            _items(cell, path)
             for k in ("mean", "std", "per_seed"):
                 if k not in cell:
-                    raise ValueError(f"policy {policy}/{day} missing {k!r}")
-            if not all(isinstance(v, float) for v in cell["per_seed"]):
-                raise ValueError(f"policy {policy}/{day} per_seed not floats")
+                    raise ValueError(f"report {path} missing {k!r}")
+            per_seed = cell["per_seed"]
+            if not (isinstance(per_seed, list)
+                    and all(isinstance(v, float) for v in per_seed)):
+                raise ValueError(f"report {path} per_seed is not a list of floats")
+
+
+def _items(value, path: str):
+    """The items of the report's JSON object at ``path``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"report {path} must be an object, not "
+                         f"{type(value).__name__}")
+    return value.items()
 
 
 def run_policy_experiment(cfg: ExperimentConfig) -> EvalReport:

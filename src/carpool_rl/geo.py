@@ -83,10 +83,10 @@ class GridSpec:
     time_bin: float = 600.0
 
     def __post_init__(self):
-        if self.cell_lat <= 0 or self.cell_lon <= 0:
-            raise ValueError("cell sizes must be positive")
-        if self.time_bin <= 0:
-            raise ValueError("time_bin must be positive")
+        for name in ("cell_lat", "cell_lon", "time_bin"):
+            v = getattr(self, name)
+            if not 0 < v < math.inf:  # false for nan as well
+                raise ValueError(f"{name} must be finite and positive: {v!r}")
 
 
 def cell_index(p: GeoPoint, spec: GridSpec) -> tuple[int, int]:

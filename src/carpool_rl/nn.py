@@ -114,7 +114,7 @@ class Mlp:
         if len(x) > ROW_BLOCK:
             return np.concatenate([self.forward_rows(x[s:s + ROW_BLOCK])
                                    for s in range(0, len(x), ROW_BLOCK)])
-        a = x if len(x) == 1 else x[:, None, :]  # 1 row: same routine, no stack
+        a = x[:, None, :]
         last = self.n_layers - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w.T

@@ -244,31 +244,44 @@ class TestErrorContract:
         assert captured.err.startswith("usage: carpool-rl")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("argv, error", [
-        (["eval", "--config", "{tmp}/missing.json"], "FileNotFoundError"),
+    @pytest.mark.parametrize("argv, error, names", [
+        (["eval", "--config", "{tmp}/missing.json"], "FileNotFoundError", ""),
         (["eta", "predict", "--model", "{tmp}/no_model", "--origin",
           "40.72,-74.0", "--dest", "40.73,-73.99", "--time", "30000"],
-         "FileNotFoundError"),
+         "FileNotFoundError", ""),
         (["eta", "predict", "--model", "{model}", "--origin", "40.7",
-          "--dest", "40.73,-73.99", "--time", "30000"], "ValueError"),
+          "--dest", "40.73,-73.99", "--time", "30000"], "ValueError", ""),
         (["eta", "predict", "--model", "{model}", "--origin", "a,b",
-          "--dest", "40.73,-73.99", "--time", "30000"], "ValueError"),
-        (["report", "--out", "{tmp}"], "FileNotFoundError"),
-        (["report", "--out", "{tmp}/no_policies"], "ValueError"),
+          "--dest", "40.73,-73.99", "--time", "30000"], "ValueError", ""),
+        (["report", "--out", "{tmp}"], "FileNotFoundError", ""),
+        (["report", "--out", "{tmp}/no_policies"], "ValueError", ""),
+        (["report", "--out", "{tmp}/policies_list"], "ValueError",
+         "policies"),
+        (["report", "--out", "{tmp}/fixed_list"], "ValueError",
+         "policies/fixed"),
+        (["report", "--out", "{tmp}/per_seed_float"], "ValueError",
+         "policies/fixed/weekday"),
         (["data", "ingest", "--csv", "{tmp}/no_passengers.csv"],
-         "ConfigError"),
+         "ConfigError", ""),
     ], ids=["missing-config", "missing-model", "origin-one-number",
             "origin-not-numbers", "report-empty-dir", "report-no-policies",
-            "csv-missing-column"])
+            "report-policies-list", "report-policy-list",
+            "report-per-seed-float", "csv-missing-column"])
     def test_runtime_failure_is_one_json_line(self, tmp_path, capsys,
-                                              saved_model, argv, error):
+                                              saved_model, argv, error, names):
         (tmp_path / "no_passengers.csv").write_text(
             "pickup_datetime,dropoff_datetime,pickup_longitude,"
             "pickup_latitude,dropoff_longitude,dropoff_latitude,"
             "trip_distance\n")
-        (tmp_path / "no_policies").mkdir()
-        (tmp_path / "no_policies" / "report.json").write_text(
-            json.dumps({"curves": {}, "config": {}}))
+        cell = {"mean": 1.0, "std": 0.0, "per_seed": 1.0}
+        for name, report in (
+                ("no_policies", {}),
+                ("policies_list", {"policies": []}),
+                ("fixed_list", {"policies": {"fixed": []}}),
+                ("per_seed_float", {"policies": {"fixed": {"weekday": cell}}})):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "report.json").write_text(
+                json.dumps({**report, "curves": {}, "config": {}}))
         argv = [a.format(tmp=tmp_path, model=saved_model) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code != 0 and out == ""
@@ -276,6 +289,7 @@ class TestErrorContract:
         payload = json.loads(line)
         assert set(payload) == {"error", "message"}
         assert payload["error"] == error and payload["message"]
+        assert names in payload["message"]
 
     @pytest.mark.parametrize("field, stats", [
         ("loc_stats", {"mean": [0.0] * 4, "std": [float("nan")] * 4}),
@@ -297,6 +311,25 @@ class TestErrorContract:
         payload = json.loads(line)
         assert set(payload) == {"error", "message"}
         assert payload["error"] == "ValueError" and field in payload["message"]
+
+    def test_non_finite_time_bin_is_one_json_line(self, tmp_path, capsys,
+                                                  saved_model):
+        # json writes an infinite time_bin as Infinity, and reads it back.
+        model_dir = tmp_path / "eta_model"
+        shutil.copytree(saved_model, model_dir)
+        meta = json.loads((model_dir / "meta.json").read_text())
+        meta["grid"]["time_bin"] = float("inf")
+        (model_dir / "meta.json").write_text(json.dumps(meta))
+        assert '"time_bin": Infinity' in (model_dir / "meta.json").read_text()
+        code, out, err = run_cli(capsys, "eta", "predict", "--model",
+                                 str(model_dir), "--origin", "40.72,-74.0",
+                                 "--dest", "40.73,-73.99", "--time", "30000")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ValueError"
+        assert "time_bin" in payload["message"]
 
     @pytest.mark.parametrize("case", ["time-inf", "distance-inf", "distance-nan"])
     def test_non_finite_estimate_is_one_json_line(self, tmp_path, capsys,

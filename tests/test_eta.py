@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from carpool_rl.config import EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaQuery,
                             JointEtaModel, ModelEta, _feature_matrix,
-                            _raw_features, _training_arrays,
+                            _raw_features, _trips,
                             compute_metrics, evaluate, train_joint_eta, train_linear_time,
                             train_time_only)
 from carpool_rl.geo import (GeoPoint, GridSpec, OutOfGridError, bin_location,
@@ -101,10 +101,10 @@ BAD_QUERIES = st.builds(EtaQuery, st.one_of(IN_GRID, OUT_OF_GRID),
 class TestFeatureMatrix:
     @given(st.lists(QUERIES, max_size=20))
     def test_equals_per_query_binning(self, queries):
-        x_loc, x_t = _feature_matrix(queries, GRID)
+        x = _feature_matrix(queries, GRID)
         ref_loc, ref_t = reference_features(queries, GRID)
-        assert x_loc.shape == (len(queries), 4) and x_t.shape == (len(queries), 1)
-        assert np.array_equal(x_loc, ref_loc) and np.array_equal(x_t, ref_t)
+        assert x.shape == (len(queries), 5)
+        assert np.array_equal(x[:, :4], ref_loc) and np.array_equal(x[:, 4:], ref_t)
 
     @given(st.lists(QUERIES, max_size=5), BAD_QUERIES,
            st.lists(st.one_of(QUERIES, BAD_QUERIES), max_size=5))
@@ -119,9 +119,9 @@ class TestFeatureMatrix:
     def test_weekend_corner_query(self):
         corner = GeoPoint(40.70 + 3 * 0.002, -74.02 + 7 * 0.002)
         q = EtaQuery(corner, corner, 86399.0, True)
-        x_loc, x_t = _feature_matrix([q], GRID)
-        assert x_loc.tolist() == [[3.0, 7.0, 3.0, 7.0]]
-        assert x_t.tolist() == [[287.0]]
+        x = _feature_matrix([q], GRID)
+        assert x[:, :4].tolist() == [[3.0, 7.0, 3.0, 7.0]]
+        assert x[:, 4:].tolist() == [[287.0]]
 
 
 # Trips anywhere in the grid, on a Monday or a Saturday, at any second.
@@ -139,11 +139,17 @@ class TestTrainingFeatures:
     def test_record_matrices_equal_query_matrices(self, trips):
         queries = [EtaQuery(r.origin, r.destination, r.pickup_seconds,
                             r.is_weekend) for r in trips]
-        x_loc, x_t, y_time, y_dist = _training_arrays(trips, GRID)
-        q_loc, q_t = _feature_matrix(queries, GRID)
-        assert np.array_equal(x_loc, q_loc) and np.array_equal(x_t, q_t)
-        assert y_time.tolist() == [r.duration for r in trips]
-        assert y_dist.tolist() == [r.distance for r in trips]
+        x = _feature_matrix(trips, GRID)
+        q = _feature_matrix(queries, GRID)
+        assert np.array_equal(x[:, :4], q[:, :4]) and np.array_equal(x[:, 4:], q[:, 4:])
+        store = TripStore(trips)
+        if trips:
+            records, y_time = _trips(store, "training")
+            assert records == store.records
+            assert y_time.tolist() == [r.duration for r in records]
+        else:
+            with pytest.raises(ValueError, match="empty training set"):
+                _trips(store, "training")
         raw = _raw_features(trips)
         assert raw.shape == (len(trips), 5)
         assert np.array_equal(raw, _raw_features(queries))
@@ -256,6 +262,18 @@ class TestJointModel:
         losses = model.epoch_losses
         increases = sum(b > a for a, b in zip(losses, losses[1:]))
         assert increases <= 0.05 * len(losses)
+
+    def test_small_seeded_fit_keeps_its_bits(self):
+        # Pinned bits: any change to the order of the joint training step's
+        # float operations, or to its distance or time targets, shows here.
+        cfg = EtaConfig(learning_rate=0.05, batch_size=16, epochs=3,
+                        dist_hidden=[8, 8], time_hidden=[8])
+        model = train_joint_eta(synthetic_store(60, seed=11), GRID, cfg, 4)
+        assert repr(model.epoch_losses) == (
+            "[1.0561745261454902, 1.0265240051229818, 0.9457356146521865]")
+        q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 30000.0)
+        assert repr(predict_one(model, q)) == (
+            "(639.3394548312817, 1.876195936480556)")
 
     def test_batch_matches_single_prediction(self):
         model = self._small_model()

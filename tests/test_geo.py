@@ -153,3 +153,7 @@ class TestTypes:
             GridSpec(GeoPoint(0, 0), cell_lat=0.0)
         with pytest.raises(ValueError):
             GridSpec(GeoPoint(0, 0), time_bin=-1)
+        for field in ("cell_lat", "cell_lon", "time_bin"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=field):
+                    GridSpec(GeoPoint(0, 0), **{field: bad})
