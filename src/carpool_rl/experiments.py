@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -213,7 +214,10 @@ def validate_curve_csv(path) -> int:
     return n
 
 
-def validate_report(d: dict) -> None:
+def validate_report(d) -> None:
+    """Check a loaded ``report.json``: a ``ValueError`` names the path of
+    the first part that :meth:`EvalReport.save` would not have written."""
+    _items(d, "top level")
     for key in ("policies", "curves", "config"):
         if key not in d:
             raise ValueError(f"report missing key {key!r}")
@@ -226,10 +230,19 @@ def validate_report(d: dict) -> None:
             for k in ("mean", "std", "per_seed"):
                 if k not in cell:
                     raise ValueError(f"report {path} missing {k!r}")
+            for k in ("mean", "std"):
+                if not _finite_float(cell[k]):
+                    raise ValueError(f"report {path}/{k} is not a finite "
+                                     f"float: {cell[k]!r}")
             per_seed = cell["per_seed"]
             if not (isinstance(per_seed, list)
-                    and all(isinstance(v, float) for v in per_seed)):
-                raise ValueError(f"report {path} per_seed is not a list of floats")
+                    and all(map(_finite_float, per_seed))):
+                raise ValueError(f"report {path}/per_seed is not a list of "
+                                 f"finite floats")
+
+
+def _finite_float(value) -> bool:
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def _items(value, path: str):

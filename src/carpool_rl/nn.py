@@ -19,6 +19,10 @@ model adds one per head and the DQN applies it to the taken actions' Q.
 
 :meth:`Mlp.forward` and :meth:`Mlp.backward` take ``(N, width)`` batches
 only; ``forward`` keeps the cache ``backward`` needs (training).
+``backward`` returns ``dL/d(input)`` only when asked (``input_grad``, on by
+default, as the joint ETA heads need it); a caller that drops it passes
+``input_grad=False`` and the pass stops at layer 0's ``(dW, db)``, with the
+same ``grad`` bytes.
 :meth:`Mlp.forward_rows` is the cache-free inference pass, row-exact: its
 row ``i`` equals the one-row ``forward`` of input row ``i`` bit for bit.
 
@@ -35,6 +39,7 @@ travel-time estimators, ``DqnConfig`` for the Double-DQN).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -123,13 +128,14 @@ class Mlp:
                 np.maximum(a, 0.0, out=a)
         return a.reshape(len(x), self.output_width)
 
-    def backward(self, cache, grad_output):
+    def backward(self, cache, grad_output, input_grad: bool = True):
         """Backpropagate ``dL/d(output)`` (shape ``(N, out)``) through the
         cached forward pass.
 
         Writes every layer's ``(dW, db)`` into ``grad``, where ``grads``
-        views them, and returns ``dL/d(input)``, shaped like the forward
-        input.
+        views them. With ``input_grad`` it returns ``dL/d(input)``, shaped
+        like the forward input; without, it stops at layer 0's ``(dW, db)``
+        and returns ``None``, leaving the same ``grad`` bytes.
         """
         g = np.asarray(grad_output, dtype=float)
         if g.ndim != 2:
@@ -137,13 +143,13 @@ class Mlp:
         last = len(self.weights) - 1
         inputs, zs = cache
         for k in range(last, -1, -1):
-            if k < last:  # g is this pass's own array here
+            if k < last:  # g becomes this pass's own array here
+                g = g @ self.weights[k + 1]
                 g *= zs[k] > 0.0
             dw, db = self.grads[k]
             np.matmul(g.T, inputs[k], out=dw)
             g.sum(axis=0, out=db)
-            g = g @ self.weights[k]
-        return g
+        return g @ self.weights[0] if input_grad else None
 
     def apply_gradients(self, lr: float) -> None:
         """One SGD update from the gradient the last :meth:`backward` left."""
@@ -155,7 +161,7 @@ class Mlp:
         if len(out) == 0:
             raise ValueError("empty batch")
         loss, gout = half_mse(out, targets)
-        self.backward(cache, gout)
+        self.backward(cache, gout, input_grad=False)
         if not np.isfinite(self.grad).all():
             raise RuntimeError("non-finite gradient during SGD step")
         self.apply_gradients(lr)
@@ -210,8 +216,8 @@ def half_mse(pred, target):
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
     n = len(pred)
     d = pred - target
-    loss = float(np.sum(d * d) / (2.0 * n))
-    if not np.isfinite(loss):
+    loss = float(np.add.reduce(d * d, axis=None)) / (2.0 * n)
+    if not math.isfinite(loss):
         raise RuntimeError(f"non-finite training loss: {loss}")
     return loss, d / n
 

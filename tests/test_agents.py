@@ -357,6 +357,44 @@ class TestDqn:
         n = len(d)
         assert agent.train_step(*batch)[0] == float(np.sum(d * d) / (2.0 * n))
 
+    def test_train_step_keeps_the_two_forward_bytes(self):
+        """The fused 64-row online forward and the backward without the
+        input gradient change no bit against two 32-row forwards, the full
+        backward and the update, step after step, across a target sync."""
+
+        def reference_step(agent, states, actions, rewards, ns, live):
+            n = len(actions)
+            rows = np.arange(n)
+            online_next, _ = agent.online.forward(ns)
+            target_next, _ = agent.target.forward(ns)
+            best = np.argmax(online_next, axis=1)
+            y = rewards + agent.cfg.gamma * target_next[rows, best] * live
+            q_all, cache = agent.online.forward(states)
+            q_sel = q_all[rows, actions]
+            d = q_sel - y
+            grad_out = np.zeros_like(q_all)
+            grad_out[rows, actions] = d / n
+            agent.online.backward(cache, grad_out)
+            agent.online.apply_gradients(agent.cfg.learning_rate)
+            return float(np.sum(d * d) / (2.0 * n)), float(q_sel.mean())
+
+        agent, ref = (make_agent(seed=7, hidden=[64, 64]) for _ in range(2))
+        assert agent.online.params.tobytes() == ref.online.params.tobytes()
+        for tr in random_transitions(np.random.default_rng(8), 200,
+                                     terminal_fraction=0.2):
+            agent.remember(tr)
+        sample_rng = np.random.default_rng(9)
+        for step in range(60):
+            if step == 25:
+                agent.sync_target()
+                ref.sync_target()
+            batch = agent.replay.sample(32, sample_rng)
+            got = agent.train_step(*batch)
+            want = reference_step(ref, *batch)
+            assert got == want, step
+            assert (agent.online.params.tobytes()
+                    == ref.online.params.tobytes()), step
+
     def test_sync_target_aligns_and_freezes(self):
         rng = np.random.default_rng(4)
         agent = make_agent()

@@ -261,12 +261,18 @@ class TestErrorContract:
          "policies/fixed"),
         (["report", "--out", "{tmp}/per_seed_float"], "ValueError",
          "policies/fixed/weekday"),
+        (["report", "--out", "{tmp}/top_int"], "ValueError", "top level"),
+        (["report", "--out", "{tmp}/mean_str"], "ValueError",
+         "policies/fixed/weekday/mean"),
+        (["report", "--out", "{tmp}/mean_nan"], "ValueError",
+         "policies/fixed/weekday/mean"),
         (["data", "ingest", "--csv", "{tmp}/no_passengers.csv"],
          "ConfigError", ""),
     ], ids=["missing-config", "missing-model", "origin-one-number",
             "origin-not-numbers", "report-empty-dir", "report-no-policies",
             "report-policies-list", "report-policy-list",
-            "report-per-seed-float", "csv-missing-column"])
+            "report-per-seed-float", "report-top-level-int",
+            "report-mean-string", "report-mean-nan", "csv-missing-column"])
     def test_runtime_failure_is_one_json_line(self, tmp_path, capsys,
                                               saved_model, argv, error, names):
         (tmp_path / "no_passengers.csv").write_text(
@@ -274,14 +280,21 @@ class TestErrorContract:
             "pickup_latitude,dropoff_longitude,dropoff_latitude,"
             "trip_distance\n")
         cell = {"mean": 1.0, "std": 0.0, "per_seed": 1.0}
+        good = {**cell, "per_seed": [1.0]}
         for name, report in (
                 ("no_policies", {}),
                 ("policies_list", {"policies": []}),
                 ("fixed_list", {"policies": {"fixed": []}}),
-                ("per_seed_float", {"policies": {"fixed": {"weekday": cell}}})):
+                ("per_seed_float", {"policies": {"fixed": {"weekday": cell}}}),
+                ("mean_str", {"policies": {"fixed": {
+                    "weekday": {**good, "mean": "x"}}}}),
+                ("mean_nan", {"policies": {"fixed": {
+                    "weekday": {**good, "mean": float("nan")}}}})):
             (tmp_path / name).mkdir()
             (tmp_path / name / "report.json").write_text(
                 json.dumps({**report, "curves": {}, "config": {}}))
+        (tmp_path / "top_int").mkdir()
+        (tmp_path / "top_int" / "report.json").write_text("1")
         argv = [a.format(tmp=tmp_path, model=saved_model) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code != 0 and out == ""

@@ -469,6 +469,41 @@ class TestEtaExperiment:
         assert sorted(both) == sorted(set(alone))
 
 
+def report_with(cell) -> dict:
+    return {"policies": {"fixed": {"weekday": cell}}, "curves": {},
+            "config": {}}
+
+
+class TestValidateReport:
+    """A malformed ``report.json`` fails validation with a ``ValueError``
+    naming its path, before any reader formats it."""
+
+    GOOD = {"mean": 1.5, "std": 0.25, "per_seed": [1.25, 1.75]}
+
+    def test_well_formed_report_passes(self):
+        validate_report(report_with(self.GOOD))
+
+    @pytest.mark.parametrize("top", [1, [], "report", None])
+    def test_top_level_must_be_an_object(self, top):
+        with pytest.raises(ValueError, match="top level must be an object"):
+            validate_report(top)
+
+    @pytest.mark.parametrize("key", ["mean", "std"])
+    @pytest.mark.parametrize("value", ["x", 1, True, None, [1.0],
+                                       float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_mean_and_std_must_be_finite_floats(self, key, value):
+        with pytest.raises(ValueError, match=f"policies/fixed/weekday/{key}"):
+            validate_report(report_with({**self.GOOD, key: value}))
+
+    @pytest.mark.parametrize("per_seed", [1.0, [1.0, 1], [float("nan")],
+                                          [1.0, float("inf")]])
+    def test_per_seed_must_be_a_list_of_finite_floats(self, per_seed):
+        with pytest.raises(ValueError,
+                           match="policies/fixed/weekday/per_seed"):
+            validate_report(report_with({**self.GOOD, "per_seed": per_seed}))
+
+
 class TestPolicyExperiment:
     def test_report_written_and_valid(self, tmp_path):
         report = run_policy_experiment(tiny_policy_config(tmp_path))
