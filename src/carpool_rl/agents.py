@@ -47,15 +47,12 @@ class QTable:
     grid: GridSpec
     values: dict = field(default_factory=dict)
 
-    def cell_values(self, state: DriverState) -> tuple[float, float, float]:
-        """The stored values of the WAIT, TAKE_ONE and TAKE_TWO keys at the
-        grid cell of ``state``."""
+    def q_values(self, state: DriverState) -> tuple[float, float, float]:
+        """The values of WAIT, TAKE_ONE and TAKE_TWO at the grid cell of
+        ``state``."""
         cell = state_cell(state, self.grid)
         get = self.values.get
         return get((cell, 0), 0.0), get((cell, 1), 0.0), get((cell, 2), 0.0)
-
-    def q_values(self, state: DriverState) -> np.ndarray:
-        return np.array(self.cell_values(state))
 
 
 def tabular_update(table: QTable, tr: Transition) -> float:
@@ -65,7 +62,7 @@ def tabular_update(table: QTable, tr: Transition) -> float:
     """
     key = (state_cell(tr.state, table.grid), int(tr.action))
     q = table.values.get(key, 0.0)
-    boot = 0.0 if tr.done else max(table.cell_values(tr.next_state))
+    boot = 0.0 if tr.done else max(table.q_values(tr.next_state))
     new = q + table.cfg.alpha * (tr.reward + table.cfg.gamma * boot - q)
     table.values[key] = new
     return new
@@ -208,13 +205,10 @@ class DqnAgent:
 
         One online forward runs over ``[states; next_states]``: rows ``n:``
         pick the targets' actions, and the backward runs on the cache cut
-        to rows ``:n``, without the unused input gradient. That is
-        bit-identical to two ``n``-row forwards only where the BLAS rounds
-        each row of the ``2n``-row product as in the ``n``-row one. It does
-        at the 32-row batch of every shipped config, which the benchmark
-        digests and the pin test in ``tests/test_agents.py`` check; with
-        OpenBLAS and a 64-64 net, 12 or 16 rows and most counts that are
-        not a multiple of 4 differ in the last bits."""
+        to rows ``:n``. That equals two ``n``-row forwards bit for bit only
+        at the batch sizes where the BLAS rounds each row of the ``2n``-row
+        product as in the ``n``-row one; ``tests/test_agents.py`` pins the
+        sizes the package and its tests train with."""
         n = len(actions)
         q_all, (inputs, zs) = self.online.forward(
             np.concatenate([states, next_states]))
@@ -225,7 +219,7 @@ class DqnAgent:
         grad_out = np.zeros((n, N_ACTIONS))
         grad_out[rows, actions] = g_sel
         self.online.backward(([a[:n] for a in inputs], [z[:n] for z in zs]),
-                             grad_out, input_grad=False)
+                             grad_out)
         self.online.apply_gradients(self.cfg.learning_rate)
         return loss, float(np.add.reduce(q_sel) / n)
 

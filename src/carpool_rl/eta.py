@@ -178,7 +178,7 @@ class JointEtaModel:
         loss_d, gout_d = half_mse(y_dist, yd)
         g_h = (self.time_net.backward(cache_t, gout_t)[:, :self.trunk.output_width]
                + self.dist_head.backward(cache_d, gout_d))
-        self.trunk.backward(cache_tr, g_h * (z > 0.0), input_grad=False)
+        self.trunk.backward(cache_tr, g_h * (z > 0.0))
         self.time_net.apply_gradients(lr)
         self.dist_head.apply_gradients(lr)
         self.trunk.apply_gradients(lr)

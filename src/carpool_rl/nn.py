@@ -19,10 +19,6 @@ model adds one per head and the DQN applies it to the taken actions' Q.
 
 :meth:`Mlp.forward` and :meth:`Mlp.backward` take ``(N, width)`` batches
 only; ``forward`` keeps the cache ``backward`` needs (training).
-``backward`` returns ``dL/d(input)`` only when asked (``input_grad``, on by
-default, as the joint ETA heads need it); a caller that drops it passes
-``input_grad=False`` and the pass stops at layer 0's ``(dW, db)``, with the
-same ``grad`` bytes.
 :meth:`Mlp.forward_rows` is the cache-free inference pass, row-exact: its
 row ``i`` equals the one-row ``forward`` of input row ``i`` bit for bit.
 
@@ -128,14 +124,13 @@ class Mlp:
                 np.maximum(a, 0.0, out=a)
         return a.reshape(len(x), self.output_width)
 
-    def backward(self, cache, grad_output, input_grad: bool = True):
+    def backward(self, cache, grad_output):
         """Backpropagate ``dL/d(output)`` (shape ``(N, out)``) through the
         cached forward pass.
 
         Writes every layer's ``(dW, db)`` into ``grad``, where ``grads``
-        views them. With ``input_grad`` it returns ``dL/d(input)``, shaped
-        like the forward input; without, it stops at layer 0's ``(dW, db)``
-        and returns ``None``, leaving the same ``grad`` bytes.
+        views them, and returns ``dL/d(input)``, shaped like the forward
+        input.
         """
         g = np.asarray(grad_output, dtype=float)
         if g.ndim != 2:
@@ -143,13 +138,13 @@ class Mlp:
         last = len(self.weights) - 1
         inputs, zs = cache
         for k in range(last, -1, -1):
-            if k < last:  # g becomes this pass's own array here
-                g = g @ self.weights[k + 1]
+            if k < last:  # g is this pass's own array here
                 g *= zs[k] > 0.0
             dw, db = self.grads[k]
             np.matmul(g.T, inputs[k], out=dw)
             g.sum(axis=0, out=db)
-        return g @ self.weights[0] if input_grad else None
+            g = g @ self.weights[k]
+        return g
 
     def apply_gradients(self, lr: float) -> None:
         """One SGD update from the gradient the last :meth:`backward` left."""
@@ -161,7 +156,7 @@ class Mlp:
         if len(out) == 0:
             raise ValueError("empty batch")
         loss, gout = half_mse(out, targets)
-        self.backward(cache, gout, input_grad=False)
+        self.backward(cache, gout)
         if not np.isfinite(self.grad).all():
             raise RuntimeError("non-finite gradient during SGD step")
         self.apply_gradients(lr)

@@ -357,10 +357,14 @@ class TestDqn:
         n = len(d)
         assert agent.train_step(*batch)[0] == float(np.sum(d * d) / (2.0 * n))
 
-    def test_train_step_keeps_the_two_forward_bytes(self):
-        """The fused 64-row online forward and the backward without the
-        input gradient change no bit against two 32-row forwards, the full
-        backward and the update, step after step, across a target sync."""
+    @pytest.mark.parametrize("hidden, batch_size", [([64, 64], 32),
+                                                    ([16, 16], 8)],
+                             ids=["shipped", "test-dqn"])
+    def test_train_step_keeps_the_two_forward_bytes(self, hidden, batch_size):
+        """At the batch sizes the package and these tests train with, the
+        fused ``2n``-row online forward changes no bit against two ``n``-row
+        forwards, the backward and the update, step after step, across a
+        target sync."""
 
         def reference_step(agent, states, actions, rewards, ns, live):
             n = len(actions)
@@ -378,7 +382,7 @@ class TestDqn:
             agent.online.apply_gradients(agent.cfg.learning_rate)
             return float(np.sum(d * d) / (2.0 * n)), float(q_sel.mean())
 
-        agent, ref = (make_agent(seed=7, hidden=[64, 64]) for _ in range(2))
+        agent, ref = (make_agent(seed=7, hidden=hidden) for _ in range(2))
         assert agent.online.params.tobytes() == ref.online.params.tobytes()
         for tr in random_transitions(np.random.default_rng(8), 200,
                                      terminal_fraction=0.2):
@@ -388,7 +392,7 @@ class TestDqn:
             if step == 25:
                 agent.sync_target()
                 ref.sync_target()
-            batch = agent.replay.sample(32, sample_rng)
+            batch = agent.replay.sample(batch_size, sample_rng)
             got = agent.train_step(*batch)
             want = reference_step(ref, *batch)
             assert got == want, step

@@ -240,25 +240,6 @@ class TestGradientCheck:
         assert gradient_check(net, [[0.0, 0.0]], [[0.0]]) < 1e-7
 
 
-class TestInputGrad:
-    """``backward`` without the input gradient stops at layer 0's ``(dW,
-    db)`` and leaves the same ``grad`` bytes as the full pass."""
-
-    @pytest.mark.parametrize("sizes", [[3, 64, 64, 3], [5, 64, 64, 1]],
-                             ids=["dqn", "time-only"])
-    def test_same_grad_bytes_as_the_full_backward(self, sizes):
-        rng = np.random.default_rng(14)
-        net = random_net(sizes, rng)
-        x = rng.normal(size=(32, sizes[0]))
-        out, cache = net.forward(x)
-        _, gout = half_mse(out, rng.normal(size=out.shape))
-        assert net.backward(cache, gout).shape == x.shape
-        full = net.grad.tobytes()
-        net.grad[:] = np.nan
-        assert net.backward(cache, gout, input_grad=False) is None
-        assert net.grad.tobytes() == full
-
-
 class TestCopyWeights:
     def test_forward_agreement_after_copy(self):
         rng = np.random.default_rng(1)
