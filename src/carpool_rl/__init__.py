@@ -9,8 +9,8 @@ from .trips import TripRecord, TripStore, ingest_csv
 from .eta import (ConstantSpeedEta, EtaMetrics, EtaQuery, JointEtaModel,
                   compute_metrics, evaluate, train_joint_eta,
                   train_linear_time, train_time_only)
-from .simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
-                        ExtraTravelTimes, Transition, extra_travel_times)
+from .simulator import (Action, CarpoolEnv, DriverState, ExtraTravelTimes,
+                        Transition, extra_travel_times)
 from .agents import (DqnAgent, FixedPolicy, QTable, ReplayMemory, epsilon,
                      greedy, rollout, select_action, tabular_update, train_dqn,
                      train_tabular)

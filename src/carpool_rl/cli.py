@@ -25,7 +25,7 @@ from .experiments import (build_env, build_eta_source, curve_set, emit_curves,
                           run_policy_experiment, EvalReport)
 from .geo import GeoPoint
 from .synth import PRESETS, generate_synthetic
-from .trips import ConfigError, ingest_csv
+from .trips import ConfigError, DAY_TYPES, WEEKDAY, ingest_csv
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -51,7 +51,7 @@ def _cmd_data_synth(args) -> int:
         raise ConfigError(f"--days must be at least 1: {args.days}")
     if seed < 0:
         raise ConfigError(f"--seed must be non-negative: {seed}")
-    spec = PRESETS[args.preset](args.days, args.noisy, args.day or "weekday")
+    spec = PRESETS[args.preset](args.days, args.noisy, args.day)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"synthetic_{args.preset}.csv")
@@ -98,10 +98,9 @@ def _cmd_eta_predict(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     data = prepare_data(cfg)
-    day_type = cfg.day_types[0]
-    env = build_env(cfg, data, build_eta_source(cfg, data, cfg.seeds[0]), day_type)
     seed = cfg.seeds[0]
-    out = {"policy": args.policy, "day_type": day_type}
+    env = build_env(cfg, data, build_eta_source(cfg, data, seed), cfg.day_types[0])
+    out = {"policy": args.policy, "day_type": env.day_type}
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     if args.policy == "fixed":
@@ -151,7 +150,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override all seeds")
     p.add_argument("--region", help="uptown | downtown | bbox=lat0,lat1,lon0,lon1 "
                    "(csv data only)")
-    p.add_argument("--day", choices=["weekday", "weekend"])
+    p.add_argument("--day", choices=DAY_TYPES)
     p.add_argument("--out", help="output directory")
 
 
@@ -170,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--days", type=int, default=1)
     synth.add_argument("--noisy", action="store_true")
     synth.add_argument("--seed", type=int)
-    synth.add_argument("--day", choices=["weekday", "weekend"])
+    synth.add_argument("--day", choices=DAY_TYPES, default=WEEKDAY)
     synth.add_argument("--out")
     synth.set_defaults(func=_cmd_data_synth)
 

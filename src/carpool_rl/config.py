@@ -14,7 +14,7 @@ from typing import Optional
 
 from .geo import Bbox, GeoPoint, GridSpec
 from .synth import PRESETS
-from .trips import ConfigError, WEEKDAY
+from .trips import ConfigError, DAY_TYPES, WEEKDAY
 
 # Paper-derived evaluation regions for the NYC data.
 REGION_PRESETS = {
@@ -242,8 +242,8 @@ class ExperimentConfig(ConfigSection):
     ranges = {"seeds": list_of("non-negative ints",
                                lambda s: type(s) is int and s >= 0),
               "eval_episodes": POSITIVE,
-              "day_types": list_of("weekday/weekend",
-                                   lambda d: d in ("weekday", "weekend"))}
+              "day_types": list_of("/".join(DAY_TYPES),
+                                   lambda d: d in DAY_TYPES)}
     out_dir: str = "runs/experiment"
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     eval_episodes: int = 20

@@ -41,10 +41,10 @@ import numpy as np
 
 from .config import EtaConfig
 from .geo import (GeoPoint, GridSpec, SECONDS_PER_DAY, bin_time, cell_index,
-                  haversine_miles)
+                  haversine_miles, shifted_time)
 # Unused here; kept bound because perfbench/spans.py wraps eta.bin_location.
 from .geo import bin_location  # noqa: F401
-from .nn import Mlp, CHECKPOINT_FORMAT, half_mse
+from .nn import Mlp, CHECKPOINT_FORMAT, half_mse, json_object
 from .trips import TripStore
 
 MODEL_FORMAT = "eta-joint/1"
@@ -231,11 +231,15 @@ class JointEtaModel:
 
     @classmethod
     def load(cls, directory) -> "JointEtaModel":
-        with open(os.path.join(directory, "meta.json")) as fh:
-            meta = json.load(fh)
+        path = os.path.join(directory, "meta.json")
+        with open(path) as fh:
+            meta = json_object(json.load(fh), path)
         if meta.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {meta.get('format')!r}")
-        g = dict(meta["grid"])
+        stats = ("loc_stats", "t_stats", "y_time_stats", "y_dist_stats")
+        json_object(meta, path, "grid", *stats)
+        g = dict(json_object(meta["grid"], f"{path} grid", "origin_lat",
+                             "origin_lon", "cell_lat", "cell_lon", "time_bin"))
         grid = GridSpec(GeoPoint(g.pop("origin_lat"), g.pop("origin_lon")),
                         cell_lat=g.pop("cell_lat"), cell_lon=g.pop("cell_lon"),
                         time_bin=g.pop("time_bin"))
@@ -248,10 +252,9 @@ class JointEtaModel:
             Mlp.load(os.path.join(directory, "dist_head.json")),
             Mlp.load(os.path.join(directory, "time_net.json")),
             grid,
-            Standardizer.from_dict(meta["loc_stats"]),
-            Standardizer.from_dict(meta["t_stats"]),
-            Standardizer.from_dict(meta["y_time_stats"]),
-            Standardizer.from_dict(meta["y_dist_stats"]),
+            *(Standardizer.from_dict(json_object(meta[k], f"{path} {k}",
+                                                 "mean", "std"))
+              for k in stats),
         )
 
 
@@ -353,7 +356,7 @@ class LinearTimeModel:
 def _raw_features(queries) -> np.ndarray:
     """Unbinned ``[o_lat, o_lon, d_lat, d_lon, t]`` per query, ``t`` the
     seconds of day plus one day on weekends."""
-    rows = [(o.lat, o.lon, d.lat, d.lon, t + (SECONDS_PER_DAY if w else 0.0))
+    rows = [(o.lat, o.lon, d.lat, d.lon, shifted_time(t, w))
             for o, d, t, w in map(_query_tuple, queries)]
     return np.array(rows, dtype=float).reshape(len(rows), 5)
 

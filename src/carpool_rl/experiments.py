@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .eta import (ConstantSpeedEta, EtaMetrics, ModelEta, evaluate,
                   train_joint_eta, train_linear_time, train_time_only)
 from .geo import Bbox, GridSpec
-from .simulator import CarpoolEnv, EnvConfig
+from .simulator import CarpoolEnv
 from .synth import PRESETS, generate_synthetic
 from .trips import TripStore, ingest_csv
 
@@ -80,20 +80,20 @@ def build_eta_source(cfg: ExperimentConfig, data: PreparedData, seed: int):
 
 def build_env(cfg: ExperimentConfig, data: PreparedData, eta_source,
               day_type: str) -> CarpoolEnv:
-    return CarpoolEnv(data.store, eta_source, EnvConfig(
-        data.region, data.grid, cfg.env, day_type))
+    return CarpoolEnv(data.store, eta_source, data.region, data.grid, cfg.env,
+                      day_type)
 
 
 def curve_set(policy: str, env: CarpoolEnv, seed: int, curves: Curves) -> Curves:
     """Name each curve ``<policy>_<metric>_<day type>_seed<seed>``."""
-    tag = f"{env.config.day_type}_seed{seed}"
+    tag = f"{env.day_type}_seed{seed}"
     return {f"{policy}_{metric}_{tag}": v for metric, v in curves.items()}
 
 
 def fit_tabq(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
     """Train the config's tabular Q-learner for one seed on ``env``;
     returns the table and its named learning curves."""
-    table = QTable(cfg.tabq, env.config.grid)
+    table = QTable(cfg.tabq, env.grid)
     curves = train_tabular(env, table, np.random.default_rng([seed, 1]))
     return table, curve_set("tabq", env, seed, curves)
 
@@ -101,7 +101,7 @@ def fit_tabq(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
 def fit_dqn(cfg: ExperimentConfig, env: CarpoolEnv, seed: int):
     """Train the config's Double-DQN for one seed on ``env``; returns the
     agent and its named learning curves."""
-    agent = DqnAgent(env.config.region, cfg.dqn, seed)
+    agent = DqnAgent(env.region, cfg.dqn, seed)
     curves = train_dqn(env, agent, np.random.default_rng([seed, 2]))
     return agent, curve_set("dqn", env, seed, curves)
 

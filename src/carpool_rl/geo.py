@@ -122,8 +122,14 @@ def bin_time(seconds_of_day: float, is_weekend: bool, spec: GridSpec) -> int:
     """
     if not 0 <= seconds_of_day < SECONDS_PER_DAY:
         raise ValueError(f"seconds_of_day out of [0, 86400): {seconds_of_day}")
-    effective = seconds_of_day + (SECONDS_PER_DAY if is_weekend else 0.0)
+    effective = shifted_time(seconds_of_day, is_weekend)
     return int(math.floor(effective / spec.time_bin + _BIN_EPS))
+
+
+def shifted_time(seconds_of_day: float, is_weekend: bool) -> float:
+    """Seconds of day plus one day on weekends, so that weekday and weekend
+    times never meet."""
+    return seconds_of_day + (SECONDS_PER_DAY if is_weekend else 0.0)
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -176,11 +176,12 @@ class Mlp:
     @classmethod
     def load(cls, path) -> "Mlp":
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = json_object(json.load(fh), path)
         if payload.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format: {payload.get('format')!r}")
         if payload.get("activation") != ACTIVATION:
             raise ValueError(f"unsupported activation: {payload.get('activation')!r}")
+        json_object(payload, path, "layer_sizes", "weights", "biases")
         net = cls.__new__(cls)  # no random init: every array comes from the file
         net.layer_sizes = _checked_sizes(payload["layer_sizes"])
         weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
@@ -215,6 +216,18 @@ def half_mse(pred, target):
     if not math.isfinite(loss):
         raise RuntimeError(f"non-finite training loss: {loss}")
     return loss, d / n
+
+
+def json_object(value, where, *keys) -> dict:
+    """``value``, read from ``where``, if it is a JSON object holding ``keys``;
+    else a ``ValueError`` naming ``where`` and the wrong type or missing key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected a JSON object, not "
+                         f"{type(value).__name__}")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ValueError(f"{where}: missing key {missing[0]!r}")
+    return value
 
 
 def _checked_sizes(layer_sizes) -> list[int]:

@@ -52,29 +52,7 @@ class EpisodeOver(RuntimeError):
 class DriverState:
     location: GeoPoint
     time_of_day: float  # seconds; may pass day end on the final transition
-    day_type: str = WEEKDAY
-
-    def __post_init__(self):
-        if self.day_type not in DAY_TYPES:
-            raise ValueError(f"unknown day type {self.day_type!r}")
-
-    @property
-    def is_weekend(self) -> bool:
-        return self.day_type == WEEKEND
-
-
-@dataclass(frozen=True)
-class EnvConfig:
-    """The env's region, grid and day type, and its ``env`` config section."""
-
-    region: Bbox
-    grid: GridSpec
-    params: EnvParamsConfig = field(default_factory=EnvParamsConfig)
-    day_type: str = WEEKDAY
-
-    def __post_init__(self):
-        if self.day_type not in DAY_TYPES:
-            raise ValueError(f"unknown day type {self.day_type!r}")
+    is_weekend: bool = field(default=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -137,17 +115,26 @@ class CarpoolEnv:
     """Single-taxi carpool environment over an immutable trip store.
 
     Trips are never consumed: the store models ambient demand, not a queue
-    shared with other drivers.
+    shared with other drivers. ``params`` is the ``env`` config section
+    (defaults when None); ``day_type`` names the day simulated.
     """
 
-    def __init__(self, store: TripStore, eta_source, config: EnvConfig):
+    def __init__(self, store: TripStore, eta_source, region: Bbox,
+                 grid: GridSpec, params: Optional[EnvParamsConfig] = None,
+                 day_type: str = WEEKDAY):
+        if day_type not in DAY_TYPES:
+            raise ValueError(f"unknown day type {day_type!r}")
         self.store = store
         self.eta = eta_source
-        self.config = config
-        span_lat = config.region.lat_max - config.region.lat_min
-        span_lon = config.region.lon_max - config.region.lon_min
-        self._n_lat = int(np.floor(span_lat / config.grid.cell_lat + 1e-9))
-        self._n_lon = int(np.floor(span_lon / config.grid.cell_lon + 1e-9))
+        self.region = region
+        self.grid = grid
+        self.params = EnvParamsConfig() if params is None else params
+        self.day_type = day_type
+        self.is_weekend = day_type == WEEKEND
+        span_lat = region.lat_max - region.lat_min
+        span_lon = region.lon_max - region.lon_min
+        self._n_lat = int(np.floor(span_lat / grid.cell_lat + 1e-9))
+        self._n_lon = int(np.floor(span_lon / grid.cell_lon + 1e-9))
         if self._n_lat < 1 or self._n_lon < 1:
             raise ValueError("region smaller than one grid cell")
         # The searches made for the last state asked about; see
@@ -162,10 +149,10 @@ class CarpoolEnv:
         """Start a new day: time 0, a cell drawn uniformly by ``rng``."""
         i = int(rng.integers(self._n_lat))
         j = int(rng.integers(self._n_lon))
-        origin = self.config.grid.origin_corner
-        loc = GeoPoint(origin.lat + i * self.config.grid.cell_lat,
-                       origin.lon + j * self.config.grid.cell_lon)
-        return DriverState(loc, 0.0, self.config.day_type)
+        origin = self.grid.origin_corner
+        loc = GeoPoint(origin.lat + i * self.grid.cell_lat,
+                       origin.lon + j * self.grid.cell_lon)
+        return DriverState(loc, 0.0, is_weekend=self.is_weekend)
 
     def step(self, state: DriverState, action: Action) -> Transition:
         if state.time_of_day >= SECONDS_PER_DAY:
@@ -188,7 +175,7 @@ class CarpoolEnv:
         nxt = DriverState(trip.destination,
                           max(trip.dropoff_seconds,
                               state.time_of_day + _MIN_PROGRESS),
-                          state.day_type)
+                          is_weekend=state.is_weekend)
         info = TransitionInfo(trips=(trip,))
         return self._finish(state, Action.TAKE_ONE, trip.distance, nxt, info)
 
@@ -223,7 +210,7 @@ class CarpoolEnv:
             last_drop, travel = d1, t_o1_o2 + t_o2_d2 + t_d2_d1
         nxt = DriverState(last_drop,
                           max(t_o1 + travel, state.time_of_day + _MIN_PROGRESS),
-                          state.day_type)
+                          is_weekend=state.is_weekend)
         info = TransitionInfo(trips=(trip1, trip2), path=ett.chosen,
                               total_extra_one=ett.total_one,
                               total_extra_two=ett.total_two)
@@ -251,7 +238,7 @@ class CarpoolEnv:
         if state is not self._searched:
             self._searched = state
             t0 = state.time_of_day
-            window = self.config.params.search_window
+            window = self.params.search_window
             self._trip1 = next(self._reachable(
                 state, state.location, t0, t0 + window), None)
             self._candidates = None
@@ -265,7 +252,7 @@ class CarpoolEnv:
             return []
         if self._candidates is None:
             t_o1 = trip1.pickup_seconds
-            horizon = t_o1 + self.config.params.carpool_fraction * trip1.duration
+            horizon = t_o1 + self.params.carpool_fraction * trip1.duration
             self._candidates = list(self._reachable(
                 state, trip1.origin, t_o1, horizon, skip=trip1))
         return self._candidates
@@ -276,7 +263,7 @@ class CarpoolEnv:
         """Trips picked up in ``[t0, horizon]`` that a taxi leaving ``start``
         at ``t0`` reaches in time, in ascending pickup order; ``skip`` is
         passed over before any travel-time query."""
-        for trip in self.store.query_window(t0, horizon, state.day_type):
+        for trip in self.store.query_window(t0, horizon, state.is_weekend):
             if trip is skip:
                 continue
             approach = self.eta.travel_time(start, trip.origin, t0,
@@ -288,8 +275,8 @@ class CarpoolEnv:
         """Stay in place for ``wait_delay`` with no reward: a wait, or a take
         action that found nothing to serve."""
         nxt = DriverState(state.location,
-                          state.time_of_day + self.config.params.wait_delay,
-                          state.day_type)
+                          state.time_of_day + self.params.wait_delay,
+                          is_weekend=state.is_weekend)
         return self._finish(state, action, 0.0, nxt, TransitionInfo())
 
     def _finish(self, state, action, reward, nxt, info) -> Transition:

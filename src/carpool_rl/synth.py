@@ -81,17 +81,14 @@ def effective_speed_mph(spec: SyntheticDemandSpec, hour: float) -> float:
 
 
 def _dates(day_type: str, n_days: int) -> list[date]:
+    """The first ``n_days`` dates of the day type on or after Saturday
+    2013-01-05 (weekend) or Monday 2013-01-07 (weekday)."""
     if day_type == WEEKEND:
-        base = date(2013, 1, 5)  # a Saturday
-        return [base + timedelta(days=7 * (k // 2) + (k % 2)) for k in range(n_days)]
-    base = date(2013, 1, 7)  # a Monday
-    out = []
-    d = base
-    while len(out) < n_days:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+        base, per_week = date(2013, 1, 5), 2
+    else:
+        base, per_week = date(2013, 1, 7), 5
+    return [base + timedelta(days=7 * (k // per_week) + k % per_week)
+            for k in range(n_days)]
 
 
 def _offset(p: GeoPoint, length_miles: float, bearing: float) -> GeoPoint:

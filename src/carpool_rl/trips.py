@@ -52,6 +52,8 @@ REJECT_KEYS = ("unparsable", "passengers", "duration", "distance", "bbox",
 # a GPS glitch for this dataset.
 NYC_BBOX = Bbox(lat_min=40.40, lat_max=41.10, lon_min=-74.35, lon_max=-73.55)
 
+# The day names of configs, the CLI, report keys, curve names and synthetic
+# presets. Inside the package the day is the bool ``is_weekend``.
 WEEKDAY = "weekday"
 WEEKEND = "weekend"
 DAY_TYPES = (WEEKDAY, WEEKEND)
@@ -109,10 +111,6 @@ class TripRecord:
         """Pickup seconds-of-day plus duration; may run past midnight."""
         return self.pickup_seconds + self.duration
 
-    @property
-    def day_type(self) -> str:
-        return WEEKEND if self.is_weekend else WEEKDAY
-
 
 def _failed_rule(origin: GeoPoint, destination: GeoPoint, pickup_dt: datetime,
                  dropoff_dt: datetime, distance: float, duration: float,
@@ -136,15 +134,14 @@ def _failed_rule(origin: GeoPoint, destination: GeoPoint, pickup_dt: datetime,
 
 class TripStore:
     """Immutable collection of filtered trips, sorted by pickup seconds-of-day
-    within each day type."""
+    within each day, weekday (``is_weekend`` False) or weekend."""
 
     def __init__(self, records: Iterable[TripRecord]):
-        by_day: dict[str, list[TripRecord]] = {WEEKDAY: [], WEEKEND: []}
+        by_day: dict[bool, list[TripRecord]] = {False: [], True: []}
         for r in records:
-            by_day[r.day_type].append(r)
-        for day in DAY_TYPES:
-            by_day[day].sort(key=lambda r: r.pickup_seconds)
-        self._by_day = {day: tuple(rs) for day, rs in by_day.items()}
+            by_day[r.is_weekend].append(r)
+        self._by_day = {day: tuple(sorted(rs, key=lambda r: r.pickup_seconds))
+                        for day, rs in by_day.items()}
         self._pickups = {day: [r.pickup_seconds for r in rs]
                          for day, rs in self._by_day.items()}
 
@@ -153,17 +150,17 @@ class TripStore:
 
     @property
     def records(self) -> tuple[TripRecord, ...]:
-        return self._by_day[WEEKDAY] + self._by_day[WEEKEND]
+        return self._by_day[False] + self._by_day[True]
 
-    def query_window(self, t0: float, t1: float, day_type: str) -> list[TripRecord]:
-        """Trips of the given day type with pickup seconds in [t0, t1],
-        ascending by pickup time."""
+    def query_window(self, t0: float, t1: float, is_weekend: bool) -> list[TripRecord]:
+        """Trips of the given day with pickup seconds in [t0, t1], ascending
+        by pickup time."""
         if t0 > t1:
             raise ValueError(f"t0 > t1: {t0} > {t1}")
-        pickups = self._pickups[day_type]
+        pickups = self._pickups[is_weekend]
         lo = bisect.bisect_left(pickups, t0)
         hi = bisect.bisect_right(pickups, t1)
-        return list(self._by_day[day_type][lo:hi])
+        return list(self._by_day[is_weekend][lo:hi])
 
     def mask_region(self, bbox: Bbox) -> "TripStore":
         """Keep trips whose origin AND destination lie inside ``bbox``."""
@@ -192,7 +189,8 @@ class IngestResult(NamedTuple):
 
 
 def _parse_row(row: list[str], ix: tuple[int, ...], i_reported: int | None):
-    """``ix``: the positions of ``REQUIRED_COLUMNS``, in that order."""
+    """:func:`_failed_rule`'s arguments, the first seven :class:`TripRecord`'s.
+    ``ix``: the positions of ``REQUIRED_COLUMNS``, in that order."""
     i_pu, i_do, i_olon, i_olat, i_dlon, i_dlat, i_dist, i_pass = ix
     origin = GeoPoint(float(row[i_olat]), float(row[i_olon]))
     destination = GeoPoint(float(row[i_dlat]), float(row[i_dlon]))
@@ -235,13 +233,9 @@ def ingest_csv(path) -> IngestResult:
             except (ValueError, IndexError, OverflowError):
                 tally["unparsable"] += 1
                 continue
-            (origin, destination, pickup_dt, dropoff_dt,
-             distance, duration, passengers, reported) = parsed
-            failed = _failed_rule(origin, destination, pickup_dt, dropoff_dt,
-                                  distance, duration, passengers, reported)
+            failed = _failed_rule(*parsed)
             if failed is not None:
                 tally[failed] += 1
                 continue
-            kept.append(TripRecord(origin, destination, pickup_dt, dropoff_dt,
-                                   distance, duration, passengers))
+            kept.append(TripRecord(*parsed[:7]))
     return IngestResult(TripStore(kept), sum(tally.values()), tally)

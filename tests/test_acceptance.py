@@ -21,8 +21,8 @@ from carpool_rl.eta import (compute_metrics, evaluate, train_joint_eta,
 from carpool_rl.experiments import run_eta_experiment, run_policy_experiment
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec
 from carpool_rl.nn import Mlp
-from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
-                                  PATH_ONE, PATH_TWO, Transition,
+from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, PATH_ONE,
+                                  PATH_TWO, Transition,
                                   TransitionInfo, extra_travel_times)
 from carpool_rl.synth import dense_preset, generate_synthetic
 from carpool_rl.trips import TripRecord, TripStore, ingest_csv
@@ -214,8 +214,8 @@ def test_criterion_6_simulator_invariants(tmp_path):
     path = tmp_path / "trips.csv"
     generate_synthetic(spec, 99, path)
     store, _, _ = ingest_csv(path)
-    env = CarpoolEnv(store, ConstantSpeedEta(spec.speed_mph),
-                     EnvConfig(region=spec.region, grid=spec.grid))
+    env = CarpoolEnv(store, ConstantSpeedEta(spec.speed_mph), spec.region,
+                     spec.grid)
     rng = np.random.default_rng(6)
     failures = []
     for k in range(10_000):
@@ -246,7 +246,7 @@ def test_criterion_6_simulator_invariants(tmp_path):
         s = tr.next_state
         if tr.done:
             break
-    if steps > 86400 / min(env.config.params.wait_delay, 1.0):
+    if steps > 86400 / min(env.params.wait_delay, 1.0):
         failures.append((-1, "episode exceeded termination bound"))
     ok = not failures
     check(6, "simulator invariants over 10k random steps", ok,

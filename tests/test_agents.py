@@ -13,8 +13,8 @@ from carpool_rl.agents import (DqnAgent, FixedPolicy, QTable, ReplayMemory,
 from carpool_rl.config import DqnConfig, EnvParamsConfig, TabQConfig
 from carpool_rl.eta import ConstantSpeedEta
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
-from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
-                                  Transition, TransitionInfo)
+from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, Transition,
+                                  TransitionInfo)
 from carpool_rl.trips import TripRecord, TripStore
 
 REGION = Bbox(40.715, 40.735, -74.0094, -73.9894)
@@ -33,7 +33,7 @@ def make_trip(o, d, pickup_s, duration=None, distance=None):
 
 def make_env(trips=(), **overrides):
     return CarpoolEnv(TripStore(trips), ConstantSpeedEta(12.0),
-                      EnvConfig(REGION, GRID, EnvParamsConfig(**overrides)))
+                      REGION, GRID, EnvParamsConfig(**overrides))
 
 
 def cell_state(i, j, t=0.0):
@@ -485,7 +485,7 @@ class TestPolicies:
     def test_episode_step_bound(self):
         env = make_env()
         transitions = list(rollout(env, wait_policy, np.random.default_rng(2)))
-        assert len(transitions) <= 86400 / min(env.config.params.wait_delay, 1.0)
+        assert len(transitions) <= 86400 / min(env.params.wait_delay, 1.0)
 
     def test_greedy_tabular_matches_argmax(self):
         table = QTable(TabQConfig(), GRID)

@@ -325,6 +325,30 @@ class TestErrorContract:
         assert set(payload) == {"error", "message"}
         assert payload["error"] == "ValueError" and field in payload["message"]
 
+    @pytest.mark.parametrize("drop, names", [
+        ("grid", "'grid'"), ("origin_lat", "'origin_lat'"),
+        ("top-level list", "not list")])
+    def test_malformed_meta_is_one_json_line(self, tmp_path, capsys,
+                                             saved_model, drop, names):
+        model_dir = tmp_path / "eta_model"
+        shutil.copytree(saved_model, model_dir)
+        meta = json.loads((model_dir / "meta.json").read_text())
+        if drop == "grid":
+            del meta["grid"]
+        elif drop == "origin_lat":
+            del meta["grid"]["origin_lat"]
+        else:
+            meta = [meta]
+        (model_dir / "meta.json").write_text(json.dumps(meta))
+        code, out, err = run_cli(capsys, "eta", "predict", "--model",
+                                 str(model_dir), "--origin", "40.72,-74.0",
+                                 "--dest", "40.73,-73.99", "--time", "30000")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ValueError"
+        assert "meta.json" in payload["message"] and names in payload["message"]
+
     def test_non_finite_time_bin_is_one_json_line(self, tmp_path, capsys,
                                                   saved_model):
         # json writes an infinite time_bin as Infinity, and reads it back.

@@ -21,6 +21,16 @@ from carpool_rl.trips import TripRecord, TripStore
 GRID = GridSpec(origin_corner=GeoPoint(40.70, -74.02))
 
 
+def without(doc: dict, *path) -> dict:
+    """``doc`` with the key at ``path`` (outer key first) deleted."""
+    *parents, key = path
+    node = doc
+    for p in parents:
+        node = node[p]
+    del node[key]
+    return doc
+
+
 def make_trip(o, d, pickup_s=28800, duration=600.0, distance=1.5,
               weekend=False):
     day = "2013-01-05" if weekend else "2013-01-07"
@@ -310,6 +320,28 @@ class TestJointModel:
         else:
             with pytest.raises(ValueError, match="weekend"):
                 JointEtaModel.load(tmp_path / "model")
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda meta: [meta], "meta.json: expected a JSON object, not list"),
+        (lambda meta: without(meta, "grid"), "meta.json: missing key 'grid'"),
+        (lambda meta: without(meta, "grid", "origin_lat"),
+         "meta.json grid: missing key 'origin_lat'"),
+        (lambda meta: without(meta, "loc_stats"),
+         "meta.json: missing key 'loc_stats'"),
+        (lambda meta: {**meta, "t_stats": [0.0]},
+         "meta.json t_stats: expected a JSON object, not list"),
+        (lambda meta: without(meta, "y_dist_stats", "std"),
+         "meta.json y_dist_stats: missing key 'std'"),
+    ], ids=["list", "no-grid", "no-origin-lat", "no-loc-stats",
+            "t-stats-list", "no-std"])
+    def test_load_rejects_malformed_meta(self, tmp_path, corrupt, match):
+        self._small_model().save(tmp_path / "model")
+        meta_path = tmp_path / "model" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps(corrupt(meta)))
+        with pytest.raises(ValueError, match=match) as info:
+            JointEtaModel.load(tmp_path / "model")
+        assert str(meta_path) in str(info.value)
 
     @pytest.mark.parametrize("field, stats, match", [
         ("loc_stats", {"mean": [0.0] * 3, "std": [1.0] * 3}, r"shape \(4,\)"),

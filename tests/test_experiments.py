@@ -544,7 +544,8 @@ class TestPolicyExperiment:
         data = prepare_data(cfg)
         eta = experiments.build_eta_source(cfg, data, 0)
         env = experiments.build_env(cfg, data, eta, "weekend")
-        assert env.config.params is cfg.env and env.config.day_type == "weekend"
+        assert env.params is cfg.env and env.day_type == "weekend"
+        assert env.is_weekend and env.region is data.region
         table, _ = experiments.fit_tabq(cfg, env, 0)
         assert table.cfg is cfg.tabq and table.grid is data.grid
 

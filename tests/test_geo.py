@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from carpool_rl.geo import (Bbox, GeoPoint, GridSpec, OutOfGridError,
                             bin_location, bin_time, cell_index, haversine_km,
-                            haversine_miles)
+                            haversine_miles, shifted_time)
 
 GRID = GridSpec(origin_corner=GeoPoint(40.700, -74.020))
 
@@ -74,6 +74,12 @@ class TestBinTime:
 
     def test_weekend_offset(self):
         assert bin_time(3600, True, GRID) == 150
+
+    @given(st.floats(0, 86399.999), st.booleans())
+    def test_bins_the_shifted_time(self, t, weekend):
+        shifted = shifted_time(t, weekend)
+        assert shifted == (t + 86400.0 if weekend else t)
+        assert bin_time(t, weekend, GRID) == math.floor(shifted / 600 + 1e-7)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

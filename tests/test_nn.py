@@ -391,6 +391,24 @@ class TestDeterminismAndSerialization:
             Mlp.load(path)
 
 
+    @pytest.mark.parametrize("drop, match", [
+        (None, "expected a JSON object, not list"),
+        ("layer_sizes", "missing key 'layer_sizes'"),
+        ("weights", "missing key 'weights'"),
+        ("biases", "missing key 'biases'")])
+    def test_load_rejects_malformed_checkpoint(self, tmp_path, drop, match):
+        path = tmp_path / "net.json"
+        Mlp([3, 5, 2]).save(path)
+        payload = json.loads(path.read_text())
+        if drop is None:
+            payload = [payload]
+        else:
+            del payload[drop]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match) as info:
+            Mlp.load(path)
+        assert str(path) in str(info.value)
+
     def test_load_rejects_transposed_weights(self, tmp_path):
         path = tmp_path / "net.json"
         Mlp([3, 5, 2]).save(path)

@@ -8,9 +8,8 @@ from carpool_rl.config import EnvParamsConfig, EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaQuery, ModelEta,
                             train_joint_eta)
 from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
-from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EnvConfig,
-                                  EpisodeOver, PATH_ONE, PATH_TWO,
-                                  extra_travel_times)
+from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EpisodeOver,
+                                  PATH_ONE, PATH_TWO, extra_travel_times)
 from carpool_rl.synth import dense_preset, generate_synthetic
 from carpool_rl.trips import TripRecord, TripStore, ingest_csv
 
@@ -19,19 +18,20 @@ GRID = GridSpec(origin_corner=REGION.lower_left)
 SPEED = ConstantSpeedEta(12.0)
 
 
-def make_trip(o, d, pickup_s, duration=None, distance=None):
+def make_trip(o, d, pickup_s, duration=None, distance=None, weekend=False):
     distance = distance if distance is not None else haversine_miles(
         GeoPoint(*o), GeoPoint(*d))
     duration = duration if duration is not None else distance / 12.0 * 3600.0
-    pickup = datetime(2013, 1, 7) + timedelta(seconds=pickup_s)
+    day = datetime(2013, 1, 5) if weekend else datetime(2013, 1, 7)  # Sat, Mon
+    pickup = day + timedelta(seconds=pickup_s)
     return TripRecord(GeoPoint(*o), GeoPoint(*d), pickup,
                       pickup + timedelta(seconds=max(duration, 1)),
                       distance, duration, 1)
 
 
 def make_env(trips=(), **overrides):
-    cfg = EnvConfig(REGION, GRID, EnvParamsConfig(**overrides))
-    return CarpoolEnv(TripStore(trips), SPEED, cfg)
+    return CarpoolEnv(TripStore(trips), SPEED, REGION, GRID,
+                      EnvParamsConfig(**overrides))
 
 
 def random_legs(rng):
@@ -245,8 +245,7 @@ class TestLegsByRole:
         trip1 = make_trip(a, b, pickup_s=1200, duration=600.0, distance=1.0)
         trip2 = make_trip(a, b, pickup_s=1250, duration=900.0, distance=1.5)
         eta = ConstantSpeedEta(6.0)
-        env = CarpoolEnv(TripStore([trip1, trip2]), eta,
-                         EnvConfig(region=REGION, grid=GRID))
+        env = CarpoolEnv(TripStore([trip1, trip2]), eta, REGION, GRID)
         s = DriverState(GeoPoint(*a), 1000.0)
         tr = env.step(s, Action.TAKE_TWO)
         assert tr.info.trips == (trip1, trip2)
@@ -303,8 +302,7 @@ class TestStepAndReset:
     def test_empty_region_raises(self):
         tiny = Bbox(40.715, 40.7155, -74.0094, -74.0093)  # under one cell
         with pytest.raises(ValueError):
-            CarpoolEnv(TripStore([]), SPEED,
-                       EnvConfig(region=tiny, grid=GRID))
+            CarpoolEnv(TripStore([]), SPEED, tiny, GRID)
 
 
 class TestInvariants:
@@ -350,7 +348,7 @@ class TestInvariants:
             s = tr.next_state
             if tr.done:
                 break
-        assert steps <= 86400 / min(env.config.params.wait_delay, 1.0)
+        assert steps <= 86400 / min(env.params.wait_delay, 1.0)
 
 
 class CountingEta:
@@ -368,11 +366,12 @@ class TestSearchReuse:
     def test_probes_then_step_search_once(self):
         trip1, trip2 = TestTakeTwo().trips_for_carpool()
         s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        cfg = EnvConfig(region=REGION, grid=GRID)
         for action in (Action.TAKE_ONE, Action.TAKE_TWO):
             fresh_eta, probed_eta = CountingEta(), CountingEta()
-            fresh = CarpoolEnv(TripStore([trip1, trip2]), fresh_eta, cfg)
-            probed = CarpoolEnv(TripStore([trip1, trip2]), probed_eta, cfg)
+            fresh = CarpoolEnv(TripStore([trip1, trip2]), fresh_eta, REGION,
+                               GRID)
+            probed = CarpoolEnv(TripStore([trip1, trip2]), probed_eta, REGION,
+                                GRID)
             expected = fresh.step(s, action)
             assert probed.can_take_one(s) and probed.can_take_two(s)
             assert probed.step(s, action) == expected
@@ -388,6 +387,78 @@ class TestSearchReuse:
         assert not env.can_take_two(late)
         assert env.step(late, Action.TAKE_ONE).info.trips == (trip2,)
         assert env.step(early, Action.TAKE_TWO).reward == 5.0
+
+
+class RecordingEta:
+    """Constant-speed legs, recording each query's weekend flag."""
+
+    def __init__(self):
+        self.weekend_flags = []
+
+    def travel_time(self, origin, destination, seconds_of_day, is_weekend):
+        self.weekend_flags.append(is_weekend)
+        return SPEED.travel_time(origin, destination, seconds_of_day, is_weekend)
+
+
+class TestDayType:
+    def trips(self, weekend):
+        # TestTakeTwo's carpool pair, with a distance that tells the days apart
+        trip1, trip2 = TestTakeTwo().trips_for_carpool()
+        extra = 10.0 if weekend else 0.0
+        return [make_trip((t.origin.lat, t.origin.lon),
+                          (t.destination.lat, t.destination.lon),
+                          t.pickup_seconds, t.duration, t.distance + extra,
+                          weekend=weekend) for t in (trip1, trip2)]
+
+    def weekend_env(self, eta):
+        store = TripStore(self.trips(False) + self.trips(True))
+        return CarpoolEnv(store, eta, REGION, GRID, day_type="weekend")
+
+    def test_weekend_env_serves_weekend_trips_only(self):
+        eta = RecordingEta()
+        env = self.weekend_env(eta)
+        assert env.is_weekend and env.day_type == "weekend"
+        assert env.reset(np.random.default_rng(0)).is_weekend is True
+        weekday1, weekday2 = self.trips(False)
+        weekend1, weekend2 = self.trips(True)
+        assert weekday1.pickup_seconds == weekend1.pickup_seconds
+
+        s = DriverState(GeoPoint(40.72, -74.0), 1000.0, is_weekend=True)
+        one = env.step(s, Action.TAKE_ONE)
+        assert one.info.trips == (weekend1,) and one.reward == 12.0
+        two = env.step(s, Action.TAKE_TWO)
+        assert two.info.trips == (weekend1, weekend2) and two.reward == 25.0
+        wait = env.step(s, Action.WAIT)
+        for tr in (one, two, wait):
+            assert tr.next_state.is_weekend is True
+        assert eta.weekend_flags and all(w is True for w in eta.weekend_flags)
+
+        weekday = DriverState(GeoPoint(40.72, -74.0), 1000.0)
+        assert env.step(weekday, Action.TAKE_ONE).info.trips == (weekday1,)
+
+    def test_weekend_episode_stays_weekend(self):
+        eta = RecordingEta()
+        env = self.weekend_env(eta)
+        rng = np.random.default_rng(2)
+        s = env.reset(rng)
+        for _ in range(200):
+            tr = env.step(s, Action(int(rng.integers(3))))
+            assert tr.next_state.is_weekend is True
+            s = tr.next_state
+            if tr.done:
+                break
+        assert eta.weekend_flags and all(w is True for w in eta.weekend_flags)
+
+    def test_unknown_day_type_raises(self):
+        with pytest.raises(ValueError, match="Weekend"):
+            CarpoolEnv(TripStore([]), SPEED, REGION, GRID, day_type="Weekend")
+
+    def test_day_is_a_keyword_only_bool(self):
+        loc = GeoPoint(40.72, -74.0)
+        with pytest.raises(TypeError):
+            DriverState(loc, 0.0, "weekend")
+        assert DriverState(loc, 0.0).is_weekend is False
+        assert not hasattr(DriverState(loc, 0.0), "day_type")
 
 
 class UnmemoizedEta:
@@ -410,9 +481,9 @@ class TestLearnedEta:
         cfg = EtaConfig(learning_rate=0.01, batch_size=64, epochs=2,
                         dist_hidden=[16, 16], time_hidden=[16])
         model = train_joint_eta(store, spec.grid, cfg, 0)
-        cfg = EnvConfig(region=spec.region, grid=spec.grid)
-        memo_env = CarpoolEnv(store, ModelEta(model), cfg)
-        plain_env = CarpoolEnv(store, UnmemoizedEta(model), cfg)
+        memo_env = CarpoolEnv(store, ModelEta(model), spec.region, spec.grid)
+        plain_env = CarpoolEnv(store, UnmemoizedEta(model), spec.region,
+                               spec.grid)
         memo_mean, memo_totals = evaluate_policy(
             memo_env, FixedPolicy(memo_env), 2, seed=4)
         plain_mean, plain_totals = evaluate_policy(

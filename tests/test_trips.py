@@ -256,21 +256,21 @@ class TestMaskRegion:
 
 class TestQueryWindow:
     def test_empty_store(self):
-        assert TripStore([]).query_window(0, 86400, "weekday") == []
+        assert TripStore([]).query_window(0, 86400, False) == []
 
     def test_boundary_inclusion(self):
         trip = make_trip(pickup="2013-01-07 08:00:00")  # 28800 s
         store = TripStore([trip])
-        assert store.query_window(28800, 28800, "weekday") == [trip]
-        assert store.query_window(28801, 28900, "weekday") == []
-        assert store.query_window(28700, 28799, "weekday") == []
+        assert store.query_window(28800, 28800, False) == [trip]
+        assert store.query_window(28801, 28900, False) == []
+        assert store.query_window(28700, 28799, False) == []
 
     def test_day_type_partition(self):
         weekday = make_trip(pickup="2013-01-07 08:00:00")
         weekend = make_trip(pickup="2013-01-05 08:00:00")
         store = TripStore([weekday, weekend])
-        assert store.query_window(0, 86400, "weekday") == [weekday]
-        assert store.query_window(0, 86400, "weekend") == [weekend]
+        assert store.query_window(0, 86400, False) == [weekday]
+        assert store.query_window(0, 86400, True) == [weekend]
 
     def test_matches_linear_scan_on_random_windows(self):
         rng = np.random.default_rng(42)
@@ -285,12 +285,12 @@ class TestQueryWindow:
             expected = sorted((t for t in trips
                                if t0 <= t.pickup_seconds <= t1),
                               key=lambda t: t.pickup_seconds)
-            got = store.query_window(t0, t1, "weekday")
+            got = store.query_window(t0, t1, False)
             assert [t.pickup_seconds for t in got] == [t.pickup_seconds for t in expected]
 
     def test_bad_window_raises(self):
         with pytest.raises(ValueError):
-            TripStore([]).query_window(10, 5, "weekday")
+            TripStore([]).query_window(10, 5, False)
 
 
 class TestTrainTestSplit:
@@ -339,8 +339,7 @@ class TestTripRecord:
 
     def test_derived_fields(self):
         r = make_trip(pickup="2013-01-05 06:30:15", duration=300)
-        assert r.is_weekend
-        assert r.day_type == "weekend"
+        assert r.is_weekend and not hasattr(r, "day_type")
         assert r.pickup_seconds == 6 * 3600 + 30 * 60 + 15
         assert r.dropoff_seconds == r.pickup_seconds + 300
 
@@ -363,7 +362,6 @@ class TestTripRecord:
         (field,) = [f for f in dataclasses.fields(r) if f.name == "is_weekend"]
         assert not field.init and not field.compare
         assert r.is_weekend is (r.pickup_dt.weekday() >= 5) is weekend
-        assert r.day_type == ("weekend" if weekend else "weekday")
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.is_weekend = not weekend
 
