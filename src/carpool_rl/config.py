@@ -13,6 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 from .geo import Bbox, GeoPoint, GridSpec
+from .nn import is_json, json_name
 from .synth import PRESETS
 from .trips import ConfigError, DAY_TYPES, WEEKDAY
 
@@ -35,8 +36,7 @@ def parse_region(region, name: str = "region") -> Bbox:
     try:
         if isinstance(region, str) and region.startswith("bbox="):
             edges = [float(p) for p in region[len("bbox="):].split(",")]
-        elif isinstance(region, list) and all(type(v) in (int, float)
-                                              for v in region):
+        elif is_json(region, [float]):
             edges = region
         else:
             raise ValueError(f"expected one of {sorted(REGION_PRESETS)}, "
@@ -77,8 +77,8 @@ class ConfigSection:
     """Base of every config section: one loader for the JSON object form.
 
     A field whose ``default_factory`` is a section is read as a nested
-    section; any other value must have its default's JSON type (a float
-    also takes an int, never a bool; a ``None`` default is checked by its
+    section; any other value must have its default's JSON type
+    (:func:`~carpool_rl.nn.is_json`; a ``None`` default is checked by its
     section). Every field must pass its rule in ``ranges`` however the
     section is built: ``__post_init__`` checks them, and a subclass with its
     own ``__post_init__`` calls this one first. ``section`` names the
@@ -111,11 +111,10 @@ class ConfigSection:
                 d[f.name] = sub.from_dict(value)
                 continue
             kind = type(sub() if f.default is MISSING else f.default)
-            if kind is not type(None) and not (
-                    type(value) is kind or (kind is float and type(value) is int)):
-                want = "number" if kind is float else kind.__name__
-                raise ConfigError(f"{cls.section}.{f.name} must be a JSON {want}, "
-                                  f"not {type(value).__name__}: {value!r}")
+            if kind is not type(None) and not is_json(value, kind):
+                raise ConfigError(f"{cls.section}.{f.name} must be a JSON "
+                                  f"{json_name(kind)}, not "
+                                  f"{type(value).__name__}: {value!r}")
         return cls(**d)
 
 

@@ -119,18 +119,26 @@ class Standardizer:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
-    def from_dict(cls, d) -> "Standardizer":
-        return cls(np.asarray(d["mean"], dtype=float),
-                   np.asarray(d["std"], dtype=float))
+    def from_dict(cls, d, where, width: int) -> "Standardizer":
+        """Read :meth:`to_dict`'s output: ``mean`` and ``std`` must each hold
+        ``width`` finite numbers, stds positive, or a ``ValueError`` names ``where``."""
+        d = json_object(d, where, mean=[float], std=[float])
+        mean, std = np.asarray(d["mean"], dtype=float), np.asarray(d["std"], dtype=float)
+        if mean.shape != (width,) or std.shape != (width,):
+            raise ValueError(f"{where}: mean and std must have shape ({width},), "
+                             f"not {mean.shape} and {std.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise ValueError(f"{where}: needs finite means and finite, positive stds: {d}")
+        return cls(mean, std)
 
 
 class JointEtaModel:
     """Joint travel time/distance estimator over binned endpoints.
 
     Construction (and so :meth:`load`) raises ``ValueError`` unless the
-    trunk takes the four location features, both heads read the trunk's
-    output and return one value, and every normalization statistic has its
-    feature's shape with finite means and finite, positive stds.
+    trunk takes the four location features and both heads read the trunk's
+    output and return one value; :meth:`Standardizer.from_dict` checks each
+    saved normalization statistic.
     """
 
     def __init__(self, trunk: Mlp, dist_head: Mlp, time_net: Mlp,
@@ -145,18 +153,6 @@ class JointEtaModel:
             raise ValueError("time net input width must be trunk width + 1")
         if dist_head.output_width != 1 or time_net.output_width != 1:
             raise ValueError("both heads must output width 1")
-        for name, stats, width in (("loc_stats", loc_stats, 4),
-                                   ("t_stats", t_stats, 1),
-                                   ("y_time_stats", y_time_stats, 1),
-                                   ("y_dist_stats", y_dist_stats, 1)):
-            if stats.mean.shape != (width,) or stats.std.shape != (width,):
-                raise ValueError(
-                    f"{name} mean and std must have shape ({width},), not "
-                    f"{stats.mean.shape} and {stats.std.shape}")
-            if not (np.isfinite(stats.mean).all()
-                    and np.isfinite(stats.std).all() and (stats.std > 0).all()):
-                raise ValueError(f"{name} needs finite means and finite, "
-                                 f"positive stds: {stats.to_dict()}")
         self.trunk = trunk
         self.dist_head = dist_head
         self.time_net = time_net
@@ -232,30 +228,28 @@ class JointEtaModel:
     @classmethod
     def load(cls, directory) -> "JointEtaModel":
         path = os.path.join(directory, "meta.json")
+        widths = {"loc_stats": 4, "t_stats": 1, "y_time_stats": 1, "y_dist_stats": 1}
         with open(path) as fh:
-            meta = json_object(json.load(fh), path)
-        if meta.get("format") != MODEL_FORMAT:
-            raise ValueError(f"unsupported model format {meta.get('format')!r}")
-        stats = ("loc_stats", "t_stats", "y_time_stats", "y_dist_stats")
-        json_object(meta, path, "grid", *stats)
-        g = dict(json_object(meta["grid"], f"{path} grid", "origin_lat",
-                             "origin_lon", "cell_lat", "cell_lon", "time_bin"))
-        grid = GridSpec(GeoPoint(g.pop("origin_lat"), g.pop("origin_lon")),
-                        cell_lat=g.pop("cell_lat"), cell_lon=g.pop("cell_lon"),
-                        time_bin=g.pop("time_bin"))
-        # Older checkpoints also record the (always one-day) weekend shift.
-        if len(g) > 1 or any(v != SECONDS_PER_DAY for v in g.values()):
-            raise ValueError(f"unsupported grid fields {g} (weekend times "
-                             f"always shift by {SECONDS_PER_DAY} s)")
-        return cls(
-            Mlp.load(os.path.join(directory, "trunk.json")),
-            Mlp.load(os.path.join(directory, "dist_head.json")),
-            Mlp.load(os.path.join(directory, "time_net.json")),
-            grid,
-            *(Standardizer.from_dict(json_object(meta[k], f"{path} {k}",
-                                                 "mean", "std"))
-              for k in stats),
-        )
+            meta = json_object(json.load(fh), path, format=str, grid=dict,
+                               **dict.fromkeys(widths, dict))
+        if meta["format"] != MODEL_FORMAT:
+            raise ValueError(f"{path}: unsupported model format {meta['format']!r}")
+        g = dict(json_object(meta["grid"], f"{path} grid", **dict.fromkeys(
+            ("origin_lat", "origin_lon", "cell_lat", "cell_lon", "time_bin"), float)))
+        stats = [Standardizer.from_dict(meta[k], f"{path} {k}", n)
+                 for k, n in widths.items()]
+        nets = [Mlp.load(os.path.join(directory, f"{name}.json"))
+                for name in ("trunk", "dist_head", "time_net")]
+        try:
+            origin = GeoPoint(g.pop("origin_lat"), g.pop("origin_lon"))
+            grid = GridSpec(origin, g.pop("cell_lat"), g.pop("cell_lon"), g.pop("time_bin"))
+            # Older checkpoints also record the (always one-day) weekend shift.
+            if len(g) > 1 or any(v != SECONDS_PER_DAY for v in g.values()):
+                raise ValueError(f"unsupported grid fields {g} (weekend times "
+                                 f"always shift by {SECONDS_PER_DAY} s)")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls(*nets, grid, *stats)
 
 
 def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,

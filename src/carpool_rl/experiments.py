@@ -21,6 +21,7 @@ from .config import ExperimentConfig
 from .eta import (ConstantSpeedEta, EtaMetrics, ModelEta, evaluate,
                   train_joint_eta, train_linear_time, train_time_only)
 from .geo import Bbox, GridSpec
+from .nn import json_object
 from .simulator import CarpoolEnv
 from .synth import PRESETS, generate_synthetic
 from .trips import TripStore, ingest_csv
@@ -167,8 +168,7 @@ class EvalReport:
         with open(path) as fh:
             d = json.load(fh)
         validate_report(d)
-        return cls(policies=d["policies"], curves=d["curves"],
-                   config=d["config"], data=d.get("data", {}))
+        return cls(d["policies"], d["curves"], d["config"], d.get("data", {}))
 
 
 def emit_curves(curves: dict[str, list[float]], out_dir) -> dict[str, str]:
@@ -215,42 +215,30 @@ def validate_curve_csv(path) -> int:
 
 
 def validate_report(d) -> None:
-    """Check a loaded ``report.json``: a ``ValueError`` names the path of
-    the first part that :meth:`EvalReport.save` would not have written."""
-    _items(d, "top level")
-    for key in ("policies", "curves", "config"):
-        if key not in d:
-            raise ValueError(f"report missing key {key!r}")
-    for policy, per_day in _items(d["policies"], "policies"):
+    """Check a loaded ``report.json``: a ``ValueError`` names the file and
+    the first part that :meth:`EvalReport.save` would not have written.
+    ``data`` may be absent, as in reports written before it was added."""
+    where = "report.json"
+    json_object(d, where, policies=dict, curves=dict, config=dict)
+    policies, curves = d["policies"], d["curves"]
+    json_object(curves, f"{where} curves", **dict.fromkeys(curves, str))
+    if "data" in d:
+        data = json_object(d["data"], f"{where} data", kept=int, rejected=dict)
+        json_object(data["rejected"], f"{where} data/rejected",
+                    **dict.fromkeys(data["rejected"], int))
+    json_object(policies, f"{where} policies", **dict.fromkeys(policies, dict))
+    for policy, per_day in policies.items():
         if policy not in POLICY_NAMES:
-            raise ValueError(f"unexpected policy {policy!r}")
-        for day, cell in _items(per_day, f"policies/{policy}"):
-            path = f"policies/{policy}/{day}"
-            _items(cell, path)
+            raise ValueError(f"{where} policies: unexpected policy {policy!r}")
+        json_object(per_day, f"{where} policies/{policy}",
+                    **dict.fromkeys(per_day, dict))
+        for day, cell in per_day.items():
+            path = f"{where} policies/{policy}/{day}"
+            json_object(cell, path, mean=float, std=float, per_seed=[float])
             for k in ("mean", "std", "per_seed"):
-                if k not in cell:
-                    raise ValueError(f"report {path} missing {k!r}")
-            for k in ("mean", "std"):
-                if not _finite_float(cell[k]):
-                    raise ValueError(f"report {path}/{k} is not a finite "
-                                     f"float: {cell[k]!r}")
-            per_seed = cell["per_seed"]
-            if not (isinstance(per_seed, list)
-                    and all(map(_finite_float, per_seed))):
-                raise ValueError(f"report {path}/per_seed is not a list of "
-                                 f"finite floats")
-
-
-def _finite_float(value) -> bool:
-    return isinstance(value, float) and math.isfinite(value)
-
-
-def _items(value, path: str):
-    """The items of the report's JSON object at ``path``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"report {path} must be an object, not "
-                         f"{type(value).__name__}")
-    return value.items()
+                values = cell[k] if k == "per_seed" else [cell[k]]
+                if not all(type(v) is float and math.isfinite(v) for v in values):
+                    raise ValueError(f"{path}: {k!r} holds {cell[k]!r}, not finite floats")
 
 
 def run_policy_experiment(cfg: ExperimentConfig) -> EvalReport:

@@ -53,7 +53,7 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
-        self.layer_sizes = _checked_sizes(layer_sizes)
+        self.layer_sizes = _checked_sizes(layer_sizes, "Mlp")
         if rng is None:
             rng = np.random.default_rng(0)
         self._bind()
@@ -175,30 +175,30 @@ class Mlp:
 
     @classmethod
     def load(cls, path) -> "Mlp":
+        """Checks every shape before allocating; a ``ValueError`` names the file."""
         with open(path) as fh:
-            payload = json_object(json.load(fh), path)
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format: {payload.get('format')!r}")
-        if payload.get("activation") != ACTIVATION:
-            raise ValueError(f"unsupported activation: {payload.get('activation')!r}")
-        json_object(payload, path, "layer_sizes", "weights", "biases")
+            ck = json_object(json.load(fh), path, format=str, activation=str,
+                             layer_sizes=[int], weights=[[[float]]], biases=[[float]])
+        for key, want in (("format", CHECKPOINT_FORMAT), ("activation", ACTIVATION)):
+            if ck[key] != want:
+                raise ValueError(f"{path}: unsupported {key} {ck[key]!r}")
+        sizes = _checked_sizes(ck["layer_sizes"], path)
+        layers, n = list(zip(ck["weights"], ck["biases"])), len(sizes) - 1
+        if len(ck["weights"]) != n or len(ck["biases"]) != n:
+            raise ValueError(f"{path}: needs {n} weight and {n} bias arrays")
+        for k, (w, b) in enumerate(layers):
+            want = (sizes[k + 1], sizes[k])
+            if {len(w), len(b)} != {want[0]} or {len(row) for row in w} != {want[1]}:
+                raise ValueError(f"{path}: layer {k} weights and biases do not "
+                                 f"have shapes {want} and {want[:1]}")
         net = cls.__new__(cls)  # no random init: every array comes from the file
-        net.layer_sizes = _checked_sizes(payload["layer_sizes"])
-        weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-        n = len(net.layer_sizes) - 1
-        if len(weights) != n or len(biases) != n:
-            raise ValueError(f"checkpoint needs {n} weight and {n} bias arrays")
+        net.layer_sizes = sizes
         net._bind()
-        for k, (w, b) in enumerate(zip(weights, biases)):
-            want = (net.layer_sizes[k + 1], net.layer_sizes[k])
-            if w.shape != want or b.shape != want[:1]:
-                raise ValueError(f"layer {k} weights {w.shape} and biases "
-                                 f"{b.shape} do not match {want} and {want[:1]}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {k} holds non-finite weights or biases")
+        for k, (w, b) in enumerate(layers):
             net.weights[k][:] = w
             net.biases[k][:] = b
+            if not (np.isfinite(net.weights[k]).all() and np.isfinite(net.biases[k]).all()):
+                raise ValueError(f"{path}: layer {k} holds non-finite weights or biases")
         return net
 
 
@@ -218,22 +218,40 @@ def half_mse(pred, target):
     return loss, d / n
 
 
-def json_object(value, where, *keys) -> dict:
-    """``value``, read from ``where``, if it is a JSON object holding ``keys``;
-    else a ``ValueError`` naming ``where`` and the wrong type or missing key."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}: expected a JSON object, not "
-                         f"{type(value).__name__}")
-    missing = [k for k in keys if k not in value]
-    if missing:
-        raise ValueError(f"{where}: missing key {missing[0]!r}")
+def is_json(value, kind) -> bool:
+    """Whether ``value`` has the JSON type ``kind``, a type or ``[kind]`` (a
+    list of that type); a ``float`` also takes an int, never a bool."""
+    if type(kind) is list:
+        return type(value) is list and all(is_json(v, kind[0]) for v in value)
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def json_name(kind) -> str:
+    """The name messages give the JSON type ``kind`` of :func:`is_json`."""
+    if type(kind) is not list:
+        return {float: "number", dict: "object"}.get(kind, kind.__name__)
+    head, sep, tail = json_name(kind[0]).partition(" ")
+    return f"list of {head}s{sep}{tail}"
+
+
+def json_object(value, where, /, **kinds) -> dict:
+    """``value``, read from ``where``, if it is a JSON object whose key ``k``
+    holds a value of JSON type ``kinds[k]`` for each ``k``; else a
+    ``ValueError`` naming ``where`` and the first missing key or wrong type."""
+    if type(value) is not dict:
+        raise ValueError(f"{where}: expected a JSON object, not {type(value).__name__}")
+    for key, kind in kinds.items():
+        if key not in value:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if not is_json(value[key], kind):
+            raise ValueError(f"{where}: {key!r} is not a JSON {json_name(kind)}")
     return value
 
 
-def _checked_sizes(layer_sizes) -> list[int]:
+def _checked_sizes(layer_sizes, where) -> list[int]:
     sizes = [int(n) for n in layer_sizes]
     if len(sizes) < 2 or any(n <= 0 for n in sizes):
-        raise ValueError(f"bad layer sizes: {sizes}")
+        raise ValueError(f"{where}: bad layer sizes: {sizes}")
     return sizes
 
 

@@ -258,21 +258,32 @@ class TestErrorContract:
         (["report", "--out", "{tmp}/policies_list"], "ValueError",
          "policies"),
         (["report", "--out", "{tmp}/fixed_list"], "ValueError",
-         "policies/fixed"),
+         "report.json policies: 'fixed'"),
         (["report", "--out", "{tmp}/per_seed_float"], "ValueError",
          "policies/fixed/weekday"),
-        (["report", "--out", "{tmp}/top_int"], "ValueError", "top level"),
+        (["report", "--out", "{tmp}/top_int"], "ValueError",
+         "report.json: expected a JSON object"),
         (["report", "--out", "{tmp}/mean_str"], "ValueError",
-         "policies/fixed/weekday/mean"),
+         "policies/fixed/weekday: 'mean'"),
         (["report", "--out", "{tmp}/mean_nan"], "ValueError",
-         "policies/fixed/weekday/mean"),
+         "policies/fixed/weekday: 'mean'"),
+        (["report", "--out", "{tmp}/rejected_int"], "ValueError",
+         "report.json data: 'rejected'"),
+        (["report", "--out", "{tmp}/no_rejected"], "ValueError",
+         "report.json data: missing key 'rejected'"),
+        (["report", "--out", "{tmp}/curves_int"], "ValueError",
+         "report.json: 'curves'"),
+        (["report", "--out", "{tmp}/config_list"], "ValueError",
+         "report.json: 'config'"),
         (["data", "ingest", "--csv", "{tmp}/no_passengers.csv"],
          "ConfigError", ""),
     ], ids=["missing-config", "missing-model", "origin-one-number",
             "origin-not-numbers", "report-empty-dir", "report-no-policies",
             "report-policies-list", "report-policy-list",
             "report-per-seed-float", "report-top-level-int",
-            "report-mean-string", "report-mean-nan", "csv-missing-column"])
+            "report-mean-string", "report-mean-nan", "report-rejected-int",
+            "report-no-rejected", "report-curves-int", "report-config-list",
+            "csv-missing-column"])
     def test_runtime_failure_is_one_json_line(self, tmp_path, capsys,
                                               saved_model, argv, error, names):
         (tmp_path / "no_passengers.csv").write_text(
@@ -281,6 +292,7 @@ class TestErrorContract:
             "trip_distance\n")
         cell = {"mean": 1.0, "std": 0.0, "per_seed": 1.0}
         good = {**cell, "per_seed": [1.0]}
+        printable = {"policies": {"fixed": {"weekday": good}}}
         for name, report in (
                 ("no_policies", {}),
                 ("policies_list", {"policies": []}),
@@ -289,10 +301,15 @@ class TestErrorContract:
                 ("mean_str", {"policies": {"fixed": {
                     "weekday": {**good, "mean": "x"}}}}),
                 ("mean_nan", {"policies": {"fixed": {
-                    "weekday": {**good, "mean": float("nan")}}}})):
+                    "weekday": {**good, "mean": float("nan")}}}}),
+                # Well-formed policy rows, which report would print first.
+                ("rejected_int", {**printable, "data": {"kept": 3, "rejected": 5}}),
+                ("no_rejected", {**printable, "data": {"kept": 3}}),
+                ("curves_int", {**printable, "curves": 3}),
+                ("config_list", {**printable, "config": []})):
             (tmp_path / name).mkdir()
             (tmp_path / name / "report.json").write_text(
-                json.dumps({**report, "curves": {}, "config": {}}))
+                json.dumps({"curves": {}, "config": {}, **report}))
         (tmp_path / "top_int").mkdir()
         (tmp_path / "top_int" / "report.json").write_text("1")
         argv = [a.format(tmp=tmp_path, model=saved_model) for a in argv]
@@ -327,7 +344,8 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("drop, names", [
         ("grid", "'grid'"), ("origin_lat", "'origin_lat'"),
-        ("top-level list", "not list")])
+        ("top-level list", "not list"),
+        ("origin_lat string", "'origin_lat' is not a JSON number")])
     def test_malformed_meta_is_one_json_line(self, tmp_path, capsys,
                                              saved_model, drop, names):
         model_dir = tmp_path / "eta_model"
@@ -337,6 +355,8 @@ class TestErrorContract:
             del meta["grid"]
         elif drop == "origin_lat":
             del meta["grid"]["origin_lat"]
+        elif drop == "origin_lat string":
+            meta["grid"]["origin_lat"] = "40.7"
         else:
             meta = [meta]
         (model_dir / "meta.json").write_text(json.dumps(meta))

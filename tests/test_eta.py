@@ -6,6 +6,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from jsonfuzz import JSON_VALUES, key_paths, with_value
 
 from carpool_rl.config import EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaQuery,
@@ -211,6 +212,13 @@ class TestMetrics:
         assert m.mae == pytest.approx(30.0)  # absolute metrics keep the sample
 
 
+@pytest.fixture(scope="module")
+def saved_small_model(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("eta_model")
+    TestJointModel._small_model().save(directory)
+    return directory
+
+
 class TestJointModel:
     def test_memorizes_single_sample(self):
         trip = make_trip((40.71, -74.0), (40.73, -73.98), duration=800.0,
@@ -329,11 +337,21 @@ class TestJointModel:
         (lambda meta: without(meta, "loc_stats"),
          "meta.json: missing key 'loc_stats'"),
         (lambda meta: {**meta, "t_stats": [0.0]},
-         "meta.json t_stats: expected a JSON object, not list"),
+         "meta.json: 't_stats' is not a JSON object"),
         (lambda meta: without(meta, "y_dist_stats", "std"),
          "meta.json y_dist_stats: missing key 'std'"),
+        (lambda meta: with_value(meta, ("grid", "origin_lat"), "40.7"),
+         "meta.json grid: 'origin_lat' is not a JSON number"),
+        (lambda meta: with_value(meta, ("grid", "time_bin"), True),
+         "meta.json grid: 'time_bin' is not a JSON number"),
+        (lambda meta: with_value(meta, ("loc_stats", "mean"), [["a"]]),
+         "meta.json loc_stats: 'mean' is not a JSON list of numbers"),
+        (lambda meta: with_value(meta, ("t_stats", "std"), ["1.0"]),
+         "meta.json t_stats: 'std' is not a JSON list of numbers"),
+        (lambda meta: without(meta, "format"), "meta.json: missing key 'format'"),
     ], ids=["list", "no-grid", "no-origin-lat", "no-loc-stats",
-            "t-stats-list", "no-std"])
+            "t-stats-list", "no-std", "origin-lat-string", "time-bin-bool",
+            "mean-of-lists", "std-of-strings", "no-format"])
     def test_load_rejects_malformed_meta(self, tmp_path, corrupt, match):
         self._small_model().save(tmp_path / "model")
         meta_path = tmp_path / "model" / "meta.json"
@@ -357,8 +375,22 @@ class TestJointModel:
         meta = json.loads(meta_path.read_text())
         meta[field] = stats
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{field} .*{match}"):
+        with pytest.raises(ValueError, match=f"{field}: .*{match}"):
             JointEtaModel.load(tmp_path / "model")
+
+    @given(st.data(), JSON_VALUES)
+    def test_any_json_value_at_any_meta_key_loads_or_names_the_file(
+            self, saved_small_model, data, value):
+        meta_path = saved_small_model / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        path = data.draw(st.sampled_from(sorted(key_paths(meta))))
+        try:
+            meta_path.write_text(json.dumps(with_value(meta, path, value)))
+            JointEtaModel.load(saved_small_model)
+        except ValueError as exc:
+            assert str(meta_path) in str(exc)
+        finally:
+            meta_path.write_text(json.dumps(meta))
 
     @pytest.mark.parametrize("part, sizes, match", [
         ("trunk", [3, 8, 8], "trunk input width"),

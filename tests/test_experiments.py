@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from jsonfuzz import JSON_VALUES, key_paths, with_value
 
 from carpool_rl import experiments
 from carpool_rl.config import (ConfigSection, DataConfig, DqnConfig,
@@ -317,14 +318,6 @@ def _config_keys(cls=ExperimentConfig, path=()):
         yield path + (f.name,)
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=8)
-
-
 @given(st.sampled_from(sorted(_config_keys())), JSON_VALUES)
 def test_any_json_value_at_any_key_loads_or_is_a_config_error(key, value):
     doc = value
@@ -479,13 +472,16 @@ class TestValidateReport:
     naming its path, before any reader formats it."""
 
     GOOD = {"mean": 1.5, "std": 0.25, "per_seed": [1.25, 1.75]}
+    SAVED_PARTS = {"curves": {"dqn_loss_weekday_seed0": "curves/x.csv"},
+                   "config": ExperimentConfig().to_dict(),
+                   "data": {"kept": 10, "rejected": {"distance": 1, "region": 0}}}
 
     def test_well_formed_report_passes(self):
         validate_report(report_with(self.GOOD))
 
     @pytest.mark.parametrize("top", [1, [], "report", None])
     def test_top_level_must_be_an_object(self, top):
-        with pytest.raises(ValueError, match="top level must be an object"):
+        with pytest.raises(ValueError, match="report.json: expected a JSON object"):
             validate_report(top)
 
     @pytest.mark.parametrize("key", ["mean", "std"])
@@ -493,15 +489,53 @@ class TestValidateReport:
                                        float("nan"), float("inf"),
                                        -float("inf")])
     def test_mean_and_std_must_be_finite_floats(self, key, value):
-        with pytest.raises(ValueError, match=f"policies/fixed/weekday/{key}"):
+        with pytest.raises(ValueError,
+                           match=f"report.json policies/fixed/weekday: '{key}'"):
             validate_report(report_with({**self.GOOD, key: value}))
 
     @pytest.mark.parametrize("per_seed", [1.0, [1.0, 1], [float("nan")],
                                           [1.0, float("inf")]])
     def test_per_seed_must_be_a_list_of_finite_floats(self, per_seed):
         with pytest.raises(ValueError,
-                           match="policies/fixed/weekday/per_seed"):
+                           match="report.json policies/fixed/weekday: 'per_seed'"):
             validate_report(report_with({**self.GOOD, "per_seed": per_seed}))
+
+    @pytest.mark.parametrize("part, value, match", [
+        ("data", {"kept": 3, "rejected": 5},
+         "report.json data: 'rejected' is not a JSON object"),
+        ("data", {"kept": 3}, "report.json data: missing key 'rejected'"),
+        ("data", {"kept": 3.0, "rejected": {}},
+         "report.json data: 'kept' is not a JSON int"),
+        ("data", {"kept": 3, "rejected": {"region": "2"}},
+         "report.json data/rejected: 'region' is not a JSON int"),
+        ("data", [], "report.json data: expected a JSON object, not list"),
+        ("curves", 3, "report.json: 'curves' is not a JSON object"),
+        ("curves", {"dqn_loss_weekday_seed0": 1},
+         "report.json curves: 'dqn_loss_weekday_seed0' is not a JSON str"),
+        ("config", [], "report.json: 'config' is not a JSON object"),
+    ], ids=["rejected-int", "no-rejected", "kept-float", "rejected-str",
+            "data-list", "curves-int", "curve-path-int", "config-list"])
+    def test_data_curves_and_config_are_checked(self, part, value, match):
+        report = {**report_with(self.GOOD), **self.SAVED_PARTS, part: value}
+        with pytest.raises(ValueError, match=match):
+            validate_report(report)
+
+    def test_saved_parts_pass(self):
+        validate_report({**report_with(self.GOOD), **self.SAVED_PARTS})
+
+    @given(st.data(), JSON_VALUES)
+    def test_any_json_value_at_any_key_loads_or_names_the_file(
+            self, tmp_path_factory, data, value):
+        report = {**report_with(self.GOOD), **self.SAVED_PARTS}
+        path = data.draw(st.sampled_from(sorted(key_paths(report))))
+        out = tmp_path_factory.getbasetemp() / "fuzzed_report"
+        out.mkdir(exist_ok=True)
+        with open(out / "report.json", "w") as fh:
+            json.dump(with_value(report, path, value), fh)
+        try:
+            EvalReport.load(out / "report.json")
+        except ValueError as exc:
+            assert "report.json" in str(exc)
 
 
 class TestPolicyExperiment:

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradcheck import gradient_check
+from jsonfuzz import JSON_VALUES, key_paths, with_value
 
 from carpool_rl.agents import DqnAgent
 from carpool_rl.config import DqnConfig
@@ -408,6 +410,87 @@ class TestDeterminismAndSerialization:
         with pytest.raises(ValueError, match=match) as info:
             Mlp.load(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("weights", 5, "'weights' is not a JSON list of lists of lists of numbers"),
+        ("weights", [[["a"]]], "'weights' is not a JSON list of lists of lists"),
+        ("biases", [[0.0], ["a"]], "'biases' is not a JSON list of lists of numbers"),
+        ("layer_sizes", 7, "'layer_sizes' is not a JSON list of ints"),
+        ("layer_sizes", [3.9, 5, 2], "'layer_sizes' is not a JSON list of ints"),
+        ("layer_sizes", [True, 5, 2], "'layer_sizes' is not a JSON list of ints"),
+        ("layer_sizes", [3, 0, 2], r"bad layer sizes: \[3, 0, 2\]"),
+        ("layer_sizes", [3], r"bad layer sizes: \[3\]"),
+        ("format", None, "'format' is not a JSON str"),
+    ], ids=["weights-int", "weights-string", "biases-string", "sizes-int",
+            "sizes-float", "sizes-bool", "sizes-zero", "sizes-one", "format-null"])
+    def test_load_names_the_file_and_key_of_a_mistyped_value(self, tmp_path, key,
+                                                            value, match):
+        path = tmp_path / "net.json"
+        Mlp([3, 5, 2]).save(path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(ValueError, match=match) as info:
+            Mlp.load(path)
+        assert str(path) in str(info.value)
+
+    def test_load_rejects_a_string_inside_the_weights(self, tmp_path):
+        path = tmp_path / "net.json"
+        Mlp([3, 5, 2]).save(path)
+        payload = json.loads(path.read_text())
+        payload["weights"][1][0][2] = "a"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: 'weights' is not a JSON")):
+            Mlp.load(path)
+
+    @pytest.mark.parametrize("sizes", [[3, 10**12, 2], [10**12, 5, 2],
+                                       [3, 5, 2, 10**12], [3, 5]])
+    def test_load_checks_every_shape_before_allocating(self, tmp_path,
+                                                       monkeypatch, sizes):
+        path = tmp_path / "net.json"
+        Mlp([3, 5, 2]).save(path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "layer_sizes": sizes}))
+
+        def no_allocation(net):
+            raise AssertionError(f"allocated for {net.layer_sizes}")
+
+        monkeypatch.setattr(Mlp, "_bind", no_allocation)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            Mlp.load(path)
+
+    def test_load_rejects_a_ragged_weight_row(self, tmp_path):
+        path = tmp_path / "net.json"
+        Mlp([3, 5, 2]).save(path)
+        payload = json.loads(path.read_text())
+        payload["weights"][0][4] = payload["weights"][0][4][:2]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="layer 0 weights"):
+            Mlp.load(path)
+
+    @given(st.data(), JSON_VALUES)
+    def test_any_json_value_at_any_key_loads_or_names_the_file(
+            self, tmp_path_factory, data, value):
+        net = Mlp([3, 5, 2])
+        path = tmp_path_factory.getbasetemp() / "fuzzed_net.json"
+        net.save(path)
+        payload = json.loads(path.read_text())
+        key = data.draw(st.sampled_from(sorted(key_paths(payload))))
+        path.write_text(json.dumps(with_value(payload, key, value)))
+        bind = Mlp._bind
+
+        def bind_saved_sizes_only(m):
+            assert m.layer_sizes == net.layer_sizes
+            bind(m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Mlp, "_bind", bind_saved_sizes_only)
+            try:
+                loaded = Mlp.load(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+            else:
+                assert np.array_equal(loaded.params, net.params)
 
     def test_load_rejects_transposed_weights(self, tmp_path):
         path = tmp_path / "net.json"
