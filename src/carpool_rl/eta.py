@@ -18,9 +18,10 @@ scales a whole batch at once and runs each layer as one matmul over the
 one-row slice by slice, so row ``i`` equals ``predict_batch([q_i])`` bit for
 bit (a 2-D batch matmul may round otherwise); one query is a batch of one.
 :func:`evaluate` scores a held-out split with one such call.
-:meth:`JointEtaModel.cell_time` runs one cell key through the same trunk and
-time head, without the distance head; :class:`ModelEta` times the
-simulator's legs with it.
+:class:`ModelEta` times the simulator's legs by cell key through the same
+trunk and time head, without the distance head: a search's memo misses
+run as one row-exact batch, so each leg's time has the bits of its
+one-row prediction.
 
 The SGD trainers take an :class:`~carpool_rl.config.EtaConfig` (learning
 rate, batch size, epochs and the joint model's hidden widths) and a seed,
@@ -35,13 +36,13 @@ import os
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .config import EtaConfig
-from .geo import (GeoPoint, GridSpec, SECONDS_PER_DAY, bin_time, cell_index,
-                  haversine_miles, shifted_time)
+from .geo import (GeoPoint, GridSpec, OutOfGridError, SECONDS_PER_DAY, bin_time,
+                  cell_index, haversine_miles, shifted_time)
 # Unused here; kept bound because perfbench/spans.py wraps eta.bin_location.
 from .geo import bin_location  # noqa: F401
 from .nn import Mlp, CHECKPOINT_FORMAT, half_mse, json_object
@@ -191,16 +192,11 @@ class JointEtaModel:
     def predict_batch(self, queries: Sequence[EtaQuery]):
         """Returns (times, distances) arrays, clamped at 0. Row-exact: row
         ``i`` equals ``predict_batch([queries[i]])`` bit for bit, and its
-        time equals :meth:`cell_time` of the row's cell key."""
+        time equals :meth:`_trunk_and_time`'s for the row's cell key in any
+        batch of cell keys."""
         h, times = self._trunk_and_time(_feature_matrix(queries, self.grid))
         dists = self.y_dist_stats.inverse(self.dist_head.forward_rows(h))[:, 0]
         return times, np.maximum(dists, 0.0)
-
-    def cell_time(self, key: tuple[int, int, int, int, int]) -> float:
-        """Travel time, clamped at 0, of the cell key ``(oi, oj, di, dj,
-        time_bin)``: the time column of ``predict_batch`` for any query
-        with that key, bit for bit, without the distance head."""
-        return float(self._trunk_and_time(np.array([key], dtype=float))[1][0])
 
     def save(self, directory) -> None:
         os.makedirs(directory, exist_ok=True)
@@ -247,9 +243,9 @@ class JointEtaModel:
             if len(g) > 1 or any(v != SECONDS_PER_DAY for v in g.values()):
                 raise ValueError(f"unsupported grid fields {g} (weekend times "
                                  f"always shift by {SECONDS_PER_DAY} s)")
+            return cls(*nets, grid, *stats)  # checks the networks' widths
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return cls(*nets, grid, *stats)
 
 
 def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,
@@ -428,22 +424,36 @@ class ConstantSpeedEta:
     def travel_time(self, origin, destination, seconds_of_day, is_weekend) -> float:
         return haversine_miles(origin, destination) / self.speed_mph * 3600.0
 
+    def leg_times(self, origin, destinations, seconds_of_day,
+                  is_weekend) -> Iterator[float]:
+        """The :meth:`travel_time` of each leg ``origin -> destination``,
+        computed as the caller consumes it."""
+        for destination in destinations:
+            yield self.travel_time(origin, destination, seconds_of_day, is_weekend)
+
 
 class ModelEta:
     """The simulator's leg timer over a trained joint model: the same
-    ``travel_time(origin, destination, seconds_of_day, is_weekend)`` method
-    :class:`ConstantSpeedEta` has.
+    ``travel_time`` and ``leg_times`` methods :class:`ConstantSpeedEta` has.
 
     The joint model sees a leg only through its binned endpoints and its
     time bin (weekend offset included), so the travel time is a pure
-    function of the key ``(oi, oj, di, dj, time_bin)``. A key's first call
-    (a memo miss) runs the trunk and the time head once, through
-    ``model.cell_time(key)``, which equals the time ``model.predict_batch``
-    gives for the leg bit for bit; the distance head never runs. The float is
-    memoized for the adapter's life, so repeat legs return bit-identical
-    values. The key is binned on every call, so out-of-grid points and
-    seconds-of-day outside [0, 86400) still raise. A non-finite prediction
-    raises ``ValueError`` naming its key.
+    function of the key ``(oi, oj, di, dj, time_bin)``, and it equals the
+    time ``model.predict_batch`` gives for the leg bit for bit; the distance
+    head never runs. A yielded float is memoized for the adapter's life, so
+    repeat legs return bit-identical values.
+
+    :meth:`leg_times` times one search's legs from one origin at one time:
+    the origin cell and the time bin are binned once, at the first leg. At
+    the search's first memo miss, every distinct key the memo lacks from
+    that leg to the last runs through the trunk and the time head in one
+    row-exact call; the search keeps those times for itself, and a leg's
+    time enters the memo only when it is yielded. A search whose legs all
+    hit runs no model. Every leg is binned when it is reached, so an
+    out-of-grid point or a seconds-of-day outside [0, 86400) raises at its
+    own leg, with the error :func:`_cell_key` gives it, as does a
+    non-finite prediction (``ValueError`` naming its key).
+    :meth:`travel_time` is the one-leg search.
     """
 
     def __init__(self, model: JointEtaModel):
@@ -451,13 +461,45 @@ class ModelEta:
         self._memo: dict[tuple[int, int, int, int, int], float] = {}
 
     def travel_time(self, origin, destination, seconds_of_day, is_weekend) -> float:
-        key = _cell_key(origin, destination, seconds_of_day, is_weekend,
-                        self.model.grid)
-        t = self._memo.get(key)
-        if t is None:
-            t = self.model.cell_time(key)
-            if not math.isfinite(t):
-                raise ValueError(f"non-finite travel time {t} for cell key "
-                                 f"(oi, oj, di, dj, time_bin) = {key}")
-            self._memo[key] = t
-        return t
+        return next(self.leg_times(origin, (destination,), seconds_of_day,
+                                   is_weekend))
+
+    def leg_times(self, origin, destinations, seconds_of_day,
+                  is_weekend) -> Iterator[float]:
+        """The travel time of each leg ``origin -> destination``, in order,
+        computed as the caller consumes it (see the class docstring)."""
+        grid, memo = self.model.grid, self._memo
+        destinations = list(destinations)  # a miss batches the legs after it
+        searched = None  # this search's batched times, from its first miss
+        for n, destination in enumerate(destinations):
+            if n == 0:
+                key = _cell_key(origin, destination, seconds_of_day, is_weekend, grid)
+                head, time_bin = key[:2], key[4]
+            else:
+                key = (*head, *cell_index(destination, grid), time_bin)
+            t = memo.get(key)
+            if t is None:
+                if searched is None:
+                    searched = self._times_missing(head, destinations[n:], time_bin)
+                t = searched[key]
+                if not math.isfinite(t):
+                    raise ValueError(f"non-finite travel time {t} for cell key "
+                                     f"(oi, oj, di, dj, time_bin) = {key}")
+                memo[key] = t
+            yield t
+
+    def _times_missing(self, head, destinations, time_bin) -> dict:
+        """The times of the distinct keys of ``destinations``' legs that the
+        memo lacks, from one row-exact model call; a destination off the
+        grid is left to raise at its own leg."""
+        grid, memo = self.model.grid, self._memo
+        keys = {}
+        for destination in destinations:
+            try:
+                key = (*head, *cell_index(destination, grid), time_bin)
+            except OutOfGridError:
+                continue
+            if key not in memo:
+                keys[key] = None
+        times = self.model._trunk_and_time(np.array(list(keys), dtype=float))[1]
+        return dict(zip(keys, times.tolist()))

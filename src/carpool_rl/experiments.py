@@ -24,7 +24,7 @@ from .geo import Bbox, GridSpec
 from .nn import json_object
 from .simulator import CarpoolEnv
 from .synth import PRESETS, generate_synthetic
-from .trips import TripStore, ingest_csv
+from .trips import DAY_TYPES, REJECT_KEYS, TripStore, ingest_csv
 
 ETA_METHODS = ("linear", "time_only", "joint")
 METRIC_NAMES = tuple(f.name for f in fields(EtaMetrics))
@@ -216,16 +216,25 @@ def validate_curve_csv(path) -> int:
 
 def validate_report(d) -> None:
     """Check a loaded ``report.json``: a ``ValueError`` names the file and
-    the first part that :meth:`EvalReport.save` would not have written.
-    ``data`` may be absent, as in reports written before it was added."""
+    the first part that :meth:`EvalReport.save` would not have written,
+    such as a day outside ``trips.DAY_TYPES``, a rejection key outside
+    ``trips.REJECT_KEYS`` and ``"region"``, or a negative count. ``data``
+    may be absent, as in reports written before it was added."""
     where = "report.json"
     json_object(d, where, policies=dict, curves=dict, config=dict)
     policies, curves = d["policies"], d["curves"]
     json_object(curves, f"{where} curves", **dict.fromkeys(curves, str))
     if "data" in d:
         data = json_object(d["data"], f"{where} data", kept=int, rejected=dict)
-        json_object(data["rejected"], f"{where} data/rejected",
-                    **dict.fromkeys(data["rejected"], int))
+        rejected = json_object(data["rejected"], f"{where} data/rejected",
+                               **dict.fromkeys(data["rejected"], int))
+        if data["kept"] < 0:
+            raise ValueError(f"{where} data: 'kept' is negative: {data['kept']}")
+        for key, count in rejected.items():
+            if key not in REJECT_KEYS and key != "region":
+                raise ValueError(f"{where} data/rejected: unexpected key {key!r}")
+            if count < 0:
+                raise ValueError(f"{where} data/rejected: {key!r} is negative: {count}")
     json_object(policies, f"{where} policies", **dict.fromkeys(policies, dict))
     for policy, per_day in policies.items():
         if policy not in POLICY_NAMES:
@@ -234,6 +243,8 @@ def validate_report(d) -> None:
                     **dict.fromkeys(per_day, dict))
         for day, cell in per_day.items():
             path = f"{where} policies/{policy}/{day}"
+            if day not in DAY_TYPES:
+                raise ValueError(f"{where} policies/{policy}: unexpected day {day!r}")
             json_object(cell, path, mean=float, std=float, per_seed=[float])
             for k in ("mean", "std", "per_seed"):
                 values = cell[k] if k == "per_seed" else [cell[k]]

@@ -249,8 +249,10 @@ def json_object(value, where, /, **kinds) -> dict:
 
 
 def _checked_sizes(layer_sizes, where) -> list[int]:
-    sizes = [int(n) for n in layer_sizes]
-    if len(sizes) < 2 or any(n <= 0 for n in sizes):
+    """``layer_sizes`` as a list if it holds at least two ints (never
+    bools), each at least 1; else a ``ValueError`` names ``where``."""
+    sizes = list(layer_sizes)
+    if len(sizes) < 2 or not all(type(n) is int and n >= 1 for n in sizes):
         raise ValueError(f"{where}: bad layer sizes: {sizes}")
     return sizes
 

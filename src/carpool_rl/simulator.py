@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -32,6 +33,8 @@ from .trips import DAY_TYPES, TripRecord, TripStore, WEEKDAY, WEEKEND
 PATH_ONE = "I"    # drop the first passenger first: O1 -> O2 -> D1 -> D2
 PATH_TWO = "II"   # drop the second passenger first: O1 -> O2 -> D2 -> D1
 PATH_NONE = "none"
+
+_origin = attrgetter("origin")
 
 # Successful transitions always advance the clock by at least this much, so
 # every episode terminates even on degenerate zero-length estimated legs.
@@ -262,12 +265,15 @@ class CarpoolEnv:
                    skip: Optional[TripRecord] = None) -> Iterator[TripRecord]:
         """Trips picked up in ``[t0, horizon]`` that a taxi leaving ``start``
         at ``t0`` reaches in time, in ascending pickup order; ``skip`` is
-        passed over before any travel-time query."""
-        for trip in self.store.query_window(t0, horizon, state.is_weekend):
-            if trip is skip:
-                continue
-            approach = self.eta.travel_time(start, trip.origin, t0,
-                                            state.is_weekend)
+        passed over before any travel-time query. The approach legs are
+        timed as the caller consumes the trips, through the ETA source's
+        ``leg_times``."""
+        trips = self.store.query_window(t0, horizon, state.is_weekend)
+        if skip is not None:
+            trips = [trip for trip in trips if trip is not skip]
+        approaches = self.eta.leg_times(start, map(_origin, trips), t0,
+                                        state.is_weekend)
+        for trip, approach in zip(trips, approaches):
             if approach <= trip.pickup_seconds - t0:
                 yield trip
 

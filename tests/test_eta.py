@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 import statistics
 from datetime import datetime, timedelta
 
@@ -407,6 +409,19 @@ class TestJointModel:
                           model.grid, model.loc_stats, model.t_stats,
                           model.y_time_stats, model.y_dist_stats)
 
+    @pytest.mark.parametrize("part, sizes, match", [
+        ("trunk", [3, 8, 8], "trunk input width must be 4, not 3"),
+        ("dist_head", [7, 1], "distance head input width"),
+        ("time_net", [9, 8, 2], "output width 1"),
+    ])
+    def test_load_names_the_checkpoint_of_mismatched_networks(
+            self, tmp_path, part, sizes, match):
+        self._small_model().save(tmp_path / "model")
+        Mlp(sizes).save(tmp_path / "model" / f"{part}.json")
+        with pytest.raises(ValueError, match=match) as info:
+            JointEtaModel.load(tmp_path / "model")
+        assert str(tmp_path / "model" / "meta.json") in str(info.value)
+
     def test_empty_training_set_raises(self):
         with pytest.raises(ValueError):
             train_joint_eta(TripStore([]), GRID, EtaConfig(), 0)
@@ -574,17 +589,17 @@ class TestTravelTimeSources:
 
 
 def counting_misses(model, monkeypatch):
-    """Record the keys of the model's ``cell_time`` calls (the adapter's
-    memo misses) in a list."""
-    calls = []
-    cell_time = model.cell_time
+    """Record the cell keys the model's ``_trunk_and_time`` runs (the
+    adapter's memo misses, batched per search) in a list."""
+    keys = []
+    trunk_and_time = model._trunk_and_time
 
-    def counted(key):
-        calls.append(key)
-        return cell_time(key)
+    def counted(x):
+        keys.extend(tuple(int(v) for v in row) for row in x)
+        return trunk_and_time(x)
 
-    monkeypatch.setattr(model, "cell_time", counted)
-    return calls
+    monkeypatch.setattr(model, "_trunk_and_time", counted)
+    return keys
 
 
 class TestModelEtaMemo:
@@ -670,6 +685,107 @@ class TestModelEtaMemo:
         with pytest.raises(ValueError, match=r"non-finite .*\(5, 10, 15, 20, 1\)"):
             src.travel_time(GeoPoint(40.7101, -74.0), GeoPoint(40.7301, -73.98),
                             800.0, False)
+
+
+# Destinations in a few neighbouring cells, so a search's legs share keys.
+NEAR_CELLS = st.builds(
+    lambda i, j: GeoPoint(GRID.origin_corner.lat + (i + 0.5) * GRID.cell_lat,
+                          GRID.origin_corner.lon + (j + 0.5) * GRID.cell_lon),
+    st.integers(0, 3), st.integers(0, 3))
+DESTINATIONS = st.lists(st.one_of(IN_GRID, NEAR_CELLS), max_size=10)
+
+
+def leg_key(origin, destination, seconds, weekend):
+    """A leg's cell key, from ``bin_location`` and ``bin_time``."""
+    loc, t = reference_features([EtaQuery(origin, destination, seconds, weekend)],
+                                GRID)
+    return (*map(int, loc[0]), int(t[0, 0]))
+
+
+class TestSearchLegs:
+    """``leg_times`` times one search's legs, one value per destination."""
+
+    model = None
+
+    @classmethod
+    def setup_class(cls):
+        cls.model = TestJointModel._small_model()
+
+    @given(IN_GRID, DESTINATIONS, DESTINATIONS, SECONDS, st.booleans())
+    def test_each_leg_has_the_bytes_of_predict_batch(self, origin, earlier,
+                                                     dests, t, weekend):
+        src = ModelEta(self.model)
+        list(src.leg_times(origin, earlier, t, weekend))  # some legs now hit
+        got = np.array(list(src.leg_times(origin, dests, t, weekend)), dtype=float)
+        want = self.model.predict_batch(
+            [EtaQuery(origin, d, t, weekend) for d in dests])[0]
+        assert got.tobytes() == want.tobytes()
+
+    @given(IN_GRID, DESTINATIONS, SECONDS, st.booleans(), st.data())
+    def test_memo_holds_exactly_the_consumed_legs(self, origin, dests, t,
+                                                  weekend, data):
+        k = data.draw(st.integers(0, len(dests)))
+        src = ModelEta(self.model)
+        legs = src.leg_times(origin, dests, t, weekend)
+        assert len(list(itertools.islice(legs, k))) == k
+        assert set(src._memo) == {leg_key(origin, d, t, weekend) for d in dests[:k]}
+
+    @given(IN_GRID, DESTINATIONS, OUT_OF_GRID,
+           st.lists(st.one_of(IN_GRID, OUT_OF_GRID), max_size=4), SECONDS,
+           st.booleans())
+    def test_off_grid_destination_raises_at_its_own_leg(self, origin, before,
+                                                        bad, after, t, weekend):
+        with pytest.raises(OutOfGridError) as expected:
+            leg_key(origin, bad, t, weekend)
+        src = ModelEta(self.model)
+        legs = src.leg_times(origin, [*before, bad, *after], t, weekend)
+        assert len(list(itertools.islice(legs, len(before)))) == len(before)
+        with pytest.raises(OutOfGridError) as got:
+            next(legs)
+        assert str(got.value) == str(expected.value)
+        assert set(src._memo) == {leg_key(origin, d, t, weekend) for d in before}
+
+    @given(IN_GRID, DESTINATIONS.filter(bool), SECONDS, st.booleans(),
+           st.data())
+    def test_non_finite_prediction_raises_at_its_own_leg(self, origin, dests,
+                                                         t, weekend, data):
+        keys = [leg_key(origin, d, t, weekend) for d in dests]
+        poisoned = keys[data.draw(st.integers(0, len(dests) - 1))]
+        first = keys.index(poisoned)
+        trunk_and_time = self.model._trunk_and_time
+
+        def poisoning(x):
+            h, times = trunk_and_time(x)
+            times[(x == poisoned).all(axis=1)] = math.nan
+            return h, times
+
+        self.model._trunk_and_time = poisoning
+        try:
+            src = ModelEta(self.model)
+            legs = src.leg_times(origin, dests, t, weekend)
+            assert len(list(itertools.islice(legs, first))) == first
+            with pytest.raises(ValueError,
+                               match=r"non-finite .*" + re.escape(str(poisoned))):
+                next(legs)
+            assert set(src._memo) == set(keys[:first])
+        finally:
+            del self.model._trunk_and_time
+
+    @given(DESTINATIONS, st.data())
+    def test_constant_speed_times_each_consumed_leg_once(self, dests, data):
+        k = data.draw(st.integers(0, len(dests)))
+        src, origin, calls = ConstantSpeedEta(12.0), GeoPoint(40.71, -74.0), []
+
+        def travel_time(*leg):
+            calls.append(leg)
+            return ConstantSpeedEta.travel_time(src, *leg)
+
+        src.travel_time = travel_time
+        legs = src.leg_times(origin, dests, 800.0, True)
+        got = list(itertools.islice(legs, k))
+        assert calls == [(origin, d, 800.0, True) for d in dests[:k]]
+        assert got == [ConstantSpeedEta(12.0).travel_time(origin, d, 800.0, True)
+                       for d in dests[:k]]
 
 
 def corrupt_durations(store, fraction, factor, seed):

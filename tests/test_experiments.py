@@ -18,7 +18,7 @@ from carpool_rl.experiments import (emit_curves, prepare_data,
                                     run_eta_experiment, run_policy_experiment,
                                     validate_curve_csv, validate_report,
                                     EvalReport)
-from carpool_rl.trips import CANONICAL_COLUMNS, REJECT_KEYS, ConfigError
+from carpool_rl.trips import CANONICAL_COLUMNS, DAY_TYPES, REJECT_KEYS, ConfigError
 
 
 def tiny_policy_config(out_dir, preset="dense", seeds=(0,)):
@@ -513,8 +513,18 @@ class TestValidateReport:
         ("curves", {"dqn_loss_weekday_seed0": 1},
          "report.json curves: 'dqn_loss_weekday_seed0' is not a JSON str"),
         ("config", [], "report.json: 'config' is not a JSON object"),
+        ("data", {"kept": -1, "rejected": {}},
+         "report.json data: 'kept' is negative"),
+        ("data", {"kept": 3, "rejected": {"region": -2}},
+         "report.json data/rejected: 'region' is negative"),
+        ("data", {"kept": 3, "rejected": {"holiday": 1}},
+         "report.json data/rejected: unexpected key 'holiday'"),
+        ("policies", {"fixed": {"holiday": GOOD}},
+         "report.json policies/fixed: unexpected day 'holiday'"),
     ], ids=["rejected-int", "no-rejected", "kept-float", "rejected-str",
-            "data-list", "curves-int", "curve-path-int", "config-list"])
+            "data-list", "curves-int", "curve-path-int", "config-list",
+            "kept-negative", "count-negative", "rejected-unknown",
+            "day-unknown"])
     def test_data_curves_and_config_are_checked(self, part, value, match):
         report = {**report_with(self.GOOD), **self.SAVED_PARTS, part: value}
         with pytest.raises(ValueError, match=match):
@@ -522,6 +532,30 @@ class TestValidateReport:
 
     def test_saved_parts_pass(self):
         validate_report({**report_with(self.GOOD), **self.SAVED_PARTS})
+
+    @given(st.sampled_from(DAY_TYPES) | st.text(max_size=8))
+    def test_day_keys_are_day_types(self, day):
+        report = {**self.SAVED_PARTS, "policies": {"fixed": {day: self.GOOD}}}
+        if day in DAY_TYPES:
+            validate_report(report)
+        else:
+            with pytest.raises(ValueError) as info:
+                validate_report(report)
+            assert str(info.value).startswith("report.json")
+            assert repr(day) in str(info.value)
+
+    @given(st.sampled_from([*REJECT_KEYS, "region"]) | st.text(max_size=8),
+           st.integers(-3, 3), st.integers(-3, 3))
+    def test_rejection_keys_and_counts_are_checked(self, key, count, kept):
+        data = {"kept": kept, "rejected": {"distance": 1, key: count}}
+        report = {**report_with(self.GOOD), **self.SAVED_PARTS, "data": data}
+        if kept >= 0 and key in (*REJECT_KEYS, "region") and count >= 0:
+            validate_report(report)
+            return
+        with pytest.raises(ValueError) as info:
+            validate_report(report)
+        assert str(info.value).startswith("report.json data")
+        assert ("'kept'" if kept < 0 else repr(key)) in str(info.value)
 
     @given(st.data(), JSON_VALUES)
     def test_any_json_value_at_any_key_loads_or_names_the_file(

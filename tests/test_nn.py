@@ -65,6 +65,14 @@ class TestForward:
             with pytest.raises(ValueError):
                 net.forward_rows(x)
 
+    @pytest.mark.parametrize("sizes", [[3.9, 4, 2], [True, 4, 2], [3, 4.0, 2],
+                                       [3, 0, 2], [3], []],
+                             ids=["float", "bool", "whole-float", "zero",
+                                  "one", "none"])
+    def test_layer_sizes_must_be_positive_ints(self, sizes):
+        with pytest.raises(ValueError, match="Mlp: bad layer sizes"):
+            Mlp(sizes)
+
     def test_forward_and_backward_take_batches_only(self):
         net = Mlp([3, 4, 2])
         with pytest.raises(ValueError, match=r"\(3,\)"):

@@ -351,7 +351,17 @@ class TestInvariants:
         assert steps <= 86400 / min(env.params.wait_delay, 1.0)
 
 
-class CountingEta:
+class LegsFromTravelTime:
+    """``leg_times`` for a test double: one call of its own ``travel_time``
+    per leg the caller consumes, so the double sees every leg."""
+
+    def leg_times(self, origin, destinations, seconds_of_day, is_weekend):
+        for destination in destinations:
+            yield self.travel_time(origin, destination, seconds_of_day,
+                                   is_weekend)
+
+
+class CountingEta(LegsFromTravelTime):
     """Constant-speed legs, counting each query."""
 
     def __init__(self):
@@ -389,7 +399,7 @@ class TestSearchReuse:
         assert env.step(early, Action.TAKE_TWO).reward == 5.0
 
 
-class RecordingEta:
+class RecordingEta(LegsFromTravelTime):
     """Constant-speed legs, recording each query's weekend flag."""
 
     def __init__(self):
@@ -461,7 +471,7 @@ class TestDayType:
         assert not hasattr(DriverState(loc, 0.0), "day_type")
 
 
-class UnmemoizedEta:
+class UnmemoizedEta(LegsFromTravelTime):
     """The joint model's one-row prediction for every leg, with no memo."""
 
     def __init__(self, model):
@@ -472,15 +482,28 @@ class UnmemoizedEta:
         return float(self.model.predict_batch([q])[0][0])
 
 
-class TestLearnedEta:
-    def test_memoized_episodes_match_unmemoized(self, tmp_path):
-        spec = dense_preset(n_days=1, noisy=True)
-        path = tmp_path / "trips.csv"
+@pytest.fixture(scope="module")
+def learned(tmp_path_factory):
+    """A noisy dense weekday and weekend, ingested into one store, and a
+    small joint model trained on it: ``(store, spec, model)``."""
+    records = []
+    for day in ("weekday", "weekend"):
+        spec = dense_preset(n_days=1, noisy=True, day_type=day)
+        path = tmp_path_factory.mktemp("learned") / "trips.csv"
         generate_synthetic(spec, 3, path)
-        store, _, _ = ingest_csv(path)
-        cfg = EtaConfig(learning_rate=0.01, batch_size=64, epochs=2,
-                        dist_hidden=[16, 16], time_hidden=[16])
-        model = train_joint_eta(store, spec.grid, cfg, 0)
+        records += ingest_csv(path)[0].records
+    store = TripStore(records)
+    cfg = EtaConfig(learning_rate=0.01, batch_size=64, epochs=2,
+                    dist_hidden=[16, 16], time_hidden=[16])
+    return store, spec, train_joint_eta(store, spec.grid, cfg, 0)
+
+
+class TestLearnedEta:
+    """The memoized, per-search batched ``ModelEta`` drives the env exactly
+    as one uncached one-row prediction per leg does."""
+
+    def test_memoized_episodes_match_unmemoized(self, learned):
+        store, spec, model = learned
         memo_env = CarpoolEnv(store, ModelEta(model), spec.region, spec.grid)
         plain_env = CarpoolEnv(store, UnmemoizedEta(model), spec.region,
                                spec.grid)
@@ -501,3 +524,25 @@ class TestLearnedEta:
                 total += tr.reward
             assert total == memo_totals[ep]
 
+    @pytest.mark.parametrize("day", ["weekday", "weekend"])
+    def test_random_actions_and_probes_match_unmemoized(self, learned, day):
+        store, spec, model = learned
+        memo_eta = ModelEta(model)
+        memo_env, plain_env = (
+            CarpoolEnv(store, eta, spec.region, spec.grid, day_type=day)
+            for eta in (memo_eta, UnmemoizedEta(model)))
+        served = []
+        for seed in range(4):  # whole days, one memo across them
+            rng = np.random.default_rng([seed, day == "weekend"])
+            s, done = memo_env.reset(rng), False
+            while not done:
+                if rng.random() < 0.5:  # probe first: the step reuses the search
+                    for probe in ("can_take_one", "can_take_two"):
+                        assert (getattr(memo_env, probe)(s)
+                                == getattr(plain_env, probe)(s))
+                action = Action(int(rng.choice(3, p=[0.2, 0.3, 0.5])))
+                tr = memo_env.step(s, action)
+                assert tr == plain_env.step(s, action)
+                served.append(len(tr.info.trips))
+                s, done = tr.next_state, tr.done
+        assert {0, 1, 2} <= set(served) and memo_eta._memo
