@@ -33,9 +33,10 @@ N_FEATURES = 3  # DqnAgent.features: lat, lon, time of day
 
 
 def state_cell(state: DriverState, grid: GridSpec) -> tuple[int, int, int]:
-    """Space-time grid cell of a driver state."""
+    """Space-time grid cell of a driver state: its location's cell and its
+    time-of-day bin (the weekday bins; a table learns one env's day)."""
     return (*cell_index(state.location, grid),
-            bin_time(state.time_of_day, state.is_weekend, grid))
+            bin_time(state.time_of_day, False, grid))
 
 
 @dataclass

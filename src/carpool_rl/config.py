@@ -65,9 +65,10 @@ def one_of(*choices):
     return (" or ".join(choices), lambda v: v in choices)
 
 
-def list_of(what, ok):
-    return (f"a non-empty list of {what}", lambda v: isinstance(v, list)
-            and len(v) > 0 and all(ok(x) for x in v))
+def list_of(what, ok, distinct=False):
+    return (f"a non-empty list of {'distinct ' * distinct}{what}",
+            lambda v: isinstance(v, list) and len(v) > 0
+            and all(ok(x) for x in v) and not (distinct and len(set(v)) < len(v)))
 
 
 WIDTHS = list_of("positive ints", lambda n: type(n) is int and n > 0)
@@ -239,10 +240,10 @@ class TabQConfig(ConfigSection):
 @dataclass
 class ExperimentConfig(ConfigSection):
     ranges = {"seeds": list_of("non-negative ints",
-                               lambda s: type(s) is int and s >= 0),
+                               lambda s: type(s) is int and s >= 0, distinct=True),
               "eval_episodes": POSITIVE,
               "day_types": list_of("/".join(DAY_TYPES),
-                                   lambda d: d in DAY_TYPES)}
+                                   lambda d: d in DAY_TYPES, distinct=True)}
     out_dir: str = "runs/experiment"
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     eval_episodes: int = 20

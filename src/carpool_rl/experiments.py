@@ -197,20 +197,28 @@ def emit_curves(curves: dict[str, list[float]], out_dir) -> dict[str, str]:
 
 
 def validate_curve_csv(path) -> int:
-    """Check a curve file parses back: comment line, two columns, float
-    values. Returns the row count."""
+    """Check a curve file is what :func:`emit_curves` writes: a comment
+    line, the header ``step,<one of CURVE_METRICS>``, then rows of the row
+    index and a float (``nan`` included). Returns the row count; a
+    ``ValueError`` names the file and the line of the first fault."""
     with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ValueError(f"{path}: missing column comment header")
+        if not fh.readline().startswith("#"):
+            raise ValueError(f"{path}: line 1: missing column comment header")
         reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != 2 or header[0] != "step":
-            raise ValueError(f"{path}: bad header {header}")
+        header = next(reader, [])
+        if header not in (["step", metric] for metric in CURVE_METRICS):
+            raise ValueError(f"{path}: line 2: header {header} is not step and a curve metric")
         n = 0
-        for row in reader:
-            int(row[0]); float(row[1])
-            n += 1
+        for n, row in enumerate(reader, 1):
+            where = f"{path}: line {reader.line_num + 1}"
+            if len(row) != 2:
+                raise ValueError(f"{where}: {len(row)} fields, not 2: {row}")
+            if row[0] != str(n - 1):
+                raise ValueError(f"{where}: step {row[0]!r} is not the row index {n - 1}")
+            try:
+                float(row[1])
+            except ValueError:
+                raise ValueError(f"{where}: value {row[1]!r} is not a float") from None
     return n
 
 

@@ -5,16 +5,19 @@ grid cell and the episode ends once the clock crosses day end. Each step is
 one of three top-level actions: wait in place, serve a single trip, or serve
 two trips as a carpool. Trip assignment inside an action is handled by the
 environment: the first trip is the earliest reachable pickup inside the
-search window, and the carpool's second trip minimizes the passengers' total
-extra travel time over the two possible dropoff orderings.
+search window. The second is the candidate reachable from the first pickup
+whose two dropoff orderings have the least summed extra travel time
+(``total_one + total_two``), the earlier pickup on a tie; the route then
+follows the cheaper ordering. The day is the env's, not the driver state's.
 
 Each carpool leg time is taken by its role in the route: each passenger's
-solo leg (O1 -> D1, O2 -> D2) is that trip's recorded duration, and the
-four connecting legs are estimated by the configured travel-time source at
-the first pickup time. No leg is looked up by its coordinates, so two trips
-with equal endpoints keep their own durations. Rewards are effective
-distance: the sum of the served trips' recorded distances, in miles; zero
-whenever nothing was served.
+solo leg (O1 -> D1, O2 -> D2) is that trip's recorded duration; O1 -> O2 is
+the second search's approach leg, and the other three connecting legs are
+estimated by the configured travel-time source, all at the first pickup
+time. No leg is looked up by its coordinates, so two trips with equal
+endpoints keep their own durations. Rewards are effective distance: the sum
+of the served trips' recorded distances, in miles; zero whenever nothing
+was served.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ class EpisodeOver(RuntimeError):
 class DriverState:
     location: GeoPoint
     time_of_day: float  # seconds; may pass day end on the final transition
-    is_weekend: bool = field(default=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,6 @@ class TransitionInfo:
 
     trips: tuple[TripRecord, ...] = ()
     path: str = PATH_NONE
-    total_extra_one: Optional[float] = None
-    total_extra_two: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class CarpoolEnv:
         # _first_assignment. The second-trip candidates stay None until used.
         self._searched: Optional[DriverState] = None
         self._trip1: Optional[TripRecord] = None
-        self._candidates: Optional[list[TripRecord]] = None
+        self._candidates: Optional[list[tuple[TripRecord, float]]] = None
 
     # -- episode control ---------------------------------------------------
 
@@ -155,12 +155,11 @@ class CarpoolEnv:
         origin = self.grid.origin_corner
         loc = GeoPoint(origin.lat + i * self.grid.cell_lat,
                        origin.lon + j * self.grid.cell_lon)
-        return DriverState(loc, 0.0, is_weekend=self.is_weekend)
+        return DriverState(loc, 0.0)
 
     def step(self, state: DriverState, action: Action) -> Transition:
         if state.time_of_day >= SECONDS_PER_DAY:
-            raise EpisodeOver(
-                f"episode already over at t={state.time_of_day}")
+            raise EpisodeOver(f"episode already over at t={state.time_of_day}")
         if action == Action.WAIT:
             return self._idle(state, Action.WAIT)
         if action == Action.TAKE_ONE:
@@ -175,10 +174,8 @@ class CarpoolEnv:
         trip = self._first_assignment(state)
         if trip is None:
             return self._idle(state, Action.TAKE_ONE)
-        nxt = DriverState(trip.destination,
-                          max(trip.dropoff_seconds,
-                              state.time_of_day + _MIN_PROGRESS),
-                          is_weekend=state.is_weekend)
+        end = max(trip.dropoff_seconds, state.time_of_day + _MIN_PROGRESS)
+        nxt = DriverState(trip.destination, end)
         info = TransitionInfo(trips=(trip,))
         return self._finish(state, Action.TAKE_ONE, trip.distance, nxt, info)
 
@@ -190,16 +187,15 @@ class CarpoolEnv:
             return self._idle(state, Action.TAKE_TWO)
 
         trip1 = self._first_assignment(state)
-        t_o1 = trip1.pickup_seconds
-        o1, d1 = trip1.origin, trip1.destination
+        t_o1, d1 = trip1.pickup_seconds, trip1.destination
 
         def est(a: GeoPoint, b: GeoPoint) -> float:
-            return self.eta.travel_time(a, b, t_o1, state.is_weekend)
+            return self.eta.travel_time(a, b, t_o1, self.is_weekend)
 
         best = None
-        for cand in candidates:  # ascending pickup time; first minimum wins
+        for cand, t_o1_o2 in candidates:  # ascending pickup; first minimum wins
             o2, d2 = cand.origin, cand.destination
-            legs = (trip1.duration, cand.duration, est(o1, o2), est(o2, d1),
+            legs = (trip1.duration, cand.duration, t_o1_o2, est(o2, d1),
                     est(d1, d2), est(d2, d1))
             ett = extra_travel_times(*legs)
             total = ett.total_one + ett.total_two
@@ -211,12 +207,8 @@ class CarpoolEnv:
             last_drop, travel = trip2.destination, t_o1_o2 + t_o2_d1 + t_d1_d2
         else:
             last_drop, travel = d1, t_o1_o2 + t_o2_d2 + t_d2_d1
-        nxt = DriverState(last_drop,
-                          max(t_o1 + travel, state.time_of_day + _MIN_PROGRESS),
-                          is_weekend=state.is_weekend)
-        info = TransitionInfo(trips=(trip1, trip2), path=ett.chosen,
-                              total_extra_one=ett.total_one,
-                              total_extra_two=ett.total_two)
+        nxt = DriverState(last_drop, max(t_o1 + travel, state.time_of_day + _MIN_PROGRESS))
+        info = TransitionInfo(trips=(trip1, trip2), path=ett.chosen)
         reward = trip1.distance + trip2.distance
         return self._finish(state, Action.TAKE_TWO, reward, nxt, info)
 
@@ -241,15 +233,15 @@ class CarpoolEnv:
         if state is not self._searched:
             self._searched = state
             t0 = state.time_of_day
-            window = self.params.search_window
-            self._trip1 = next(self._reachable(
-                state, state.location, t0, t0 + window), None)
+            self._trip1 = next((trip for trip, _ in self._reachable(
+                state.location, t0, t0 + self.params.search_window)), None)
             self._candidates = None
         return self._trip1
 
-    def _second_candidates(self, state: DriverState) -> list[TripRecord]:
-        """Trips reachable from the first pickup within the carpool window
-        (empty when there is no first trip), searched at most once per state."""
+    def _second_candidates(self, state: DriverState) -> list[tuple[TripRecord, float]]:
+        """Trips reachable from the first pickup within the carpool window,
+        each with its O1 -> O2 time (empty when there is no first trip),
+        searched at most once per state."""
         trip1 = self._first_assignment(state)
         if trip1 is None:
             return []
@@ -257,32 +249,29 @@ class CarpoolEnv:
             t_o1 = trip1.pickup_seconds
             horizon = t_o1 + self.params.carpool_fraction * trip1.duration
             self._candidates = list(self._reachable(
-                state, trip1.origin, t_o1, horizon, skip=trip1))
+                trip1.origin, t_o1, horizon, skip=trip1))
         return self._candidates
 
-    def _reachable(self, state: DriverState, start: GeoPoint, t0: float,
-                   horizon: float,
-                   skip: Optional[TripRecord] = None) -> Iterator[TripRecord]:
-        """Trips picked up in ``[t0, horizon]`` that a taxi leaving ``start``
-        at ``t0`` reaches in time, in ascending pickup order; ``skip`` is
-        passed over before any travel-time query. The approach legs are
-        timed as the caller consumes the trips, through the ETA source's
-        ``leg_times``."""
-        trips = self.store.query_window(t0, horizon, state.is_weekend)
+    def _reachable(self, start: GeoPoint, t0: float, horizon: float,
+                   skip: Optional[TripRecord] = None) -> Iterator[tuple]:
+        """``(trip, approach time)`` for the env's day's trips picked up in
+        ``[t0, horizon]`` that a taxi leaving ``start`` at ``t0`` reaches in
+        time, in ascending pickup order; ``skip`` is passed over before any
+        travel-time query. The approach legs are timed as the caller
+        consumes the trips, through the ETA source's ``leg_times``."""
+        trips = self.store.query_window(t0, horizon, self.is_weekend)
         if skip is not None:
             trips = [trip for trip in trips if trip is not skip]
         approaches = self.eta.leg_times(start, map(_origin, trips), t0,
-                                        state.is_weekend)
+                                        self.is_weekend)
         for trip, approach in zip(trips, approaches):
             if approach <= trip.pickup_seconds - t0:
-                yield trip
+                yield trip, approach
 
     def _idle(self, state: DriverState, action: Action) -> Transition:
         """Stay in place for ``wait_delay`` with no reward: a wait, or a take
         action that found nothing to serve."""
-        nxt = DriverState(state.location,
-                          state.time_of_day + self.params.wait_delay,
-                          is_weekend=state.is_weekend)
+        nxt = DriverState(state.location, state.time_of_day + self.params.wait_delay)
         return self._finish(state, action, 0.0, nxt, TransitionInfo())
 
     def _finish(self, state, action, reward, nxt, info) -> Transition:

@@ -1,7 +1,9 @@
 import csv
 import json
 import os
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from carpool_rl.experiments import (emit_curves, prepare_data,
                                     run_eta_experiment, run_policy_experiment,
                                     validate_curve_csv, validate_report,
                                     EvalReport)
-from carpool_rl.trips import CANONICAL_COLUMNS, DAY_TYPES, REJECT_KEYS, ConfigError
+from carpool_rl.trips import (CANONICAL_COLUMNS, DAY_TYPES, REJECT_KEYS,
+                              ConfigError, TripStore)
 
 
 def tiny_policy_config(out_dir, preset="dense", seeds=(0,)):
@@ -263,6 +266,31 @@ class TestConfig:
         assert covered == {(cls, key) for cls in (ExperimentConfig, *SECTIONS)
                            for key in cls.ranges}
 
+    @pytest.mark.parametrize("key, repeated", [
+        ("seeds", [0, 0]), ("seeds", [2, 1, 2]),
+        ("day_types", ["weekday", "weekday"]),
+        ("day_types", ["weekend", "weekday", "weekend"])])
+    def test_seeds_and_day_types_name_each_run_once(self, tmp_path, key,
+                                                    repeated):
+        # a repeat would run the same pipeline twice and report it as two
+        match = (f"config.{key} must be a non-empty list of distinct .*: "
+                 f"{re.escape(str(repeated))}")
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**{key: repeated})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: repeated}))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+
+    def test_distinct_seeds_and_repeated_widths_load(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "seeds": [1, 0], "day_types": ["weekend", "weekday"],
+            "dqn": {"hidden": [64, 64]}, "eta": {"time_hidden": [8, 8, 8]}}))
+        cfg = load_config(path)
+        assert cfg.seeds == [1, 0] and cfg.day_types == ["weekend", "weekday"]
+        assert cfg.dqn.hidden == [64, 64] and cfg.eta.time_hidden == [8, 8, 8]
+
     def test_learner_settings_checked_in_sections(self):
         # The SGD settings the trainers read are checked by their sections.
         with pytest.raises(ConfigError, match="eta.learning_rate"):
@@ -403,6 +431,31 @@ class TestEmitCurves:
         bad.write_text("step,mean_q\n0,1.0\n")  # missing comment header
         with pytest.raises(ValueError):
             validate_curve_csv(bad)
+
+    @pytest.mark.parametrize("body, line, fault", [
+        ("step,mean_q\n0,1.0\n0.5\n", 4, "1 fields, not 2"),
+        ("step,mean_q\n0,1.0\n\n1,2.0\n", 4, "0 fields, not 2"),
+        ("step,loss\n0,1.0,2.0\n", 3, "3 fields, not 2"),
+        ("step,reward\n5,1.0\n0,2.0\n", 3, "step '5' is not the row index 0"),
+        ("step,reward\n0,1.0\n2,2.0\n", 4, "step '2' is not the row index 1"),
+        ("step,reward\n0,1.0\n1,high\n", 4, "value 'high' is not a float"),
+        ("step,epsilon\n0,1.0\n", 2, "header ['step', 'epsilon'] is not step"),
+        ("step\n0,1.0\n", 2, "header ['step'] is not step"),
+        ("", 2, "header [] is not step"),
+    ])
+    def test_each_fault_names_its_line(self, tmp_path, body, line, fault):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# bad: one row per recorded point\n" + body)
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(bad))}: line {line}: "
+                                 f"{re.escape(fault)}"):
+            validate_curve_csv(bad)
+
+    def test_nan_values_are_valid(self, tmp_path):
+        # DQN mean_q and loss read nan before the first train step
+        paths = emit_curves({"dqn_loss_weekday_seed0": [float("nan"), 0.5]},
+                            tmp_path)
+        assert validate_curve_csv(paths["dqn_loss_weekday_seed0"]) == 2
 
 
 class TestEtaExperiment:
@@ -616,6 +669,27 @@ class TestPolicyExperiment:
         assert env.is_weekend and env.region is data.region
         table, _ = experiments.fit_tabq(cfg, env, 0)
         assert table.cfg is cfg.tabq and table.grid is data.grid
+
+    def test_tabq_learns_the_same_table_on_mirrored_days(self, tmp_path):
+        # every weekday trip again on the Saturday after, at the same times
+        cfg = tiny_policy_config(tmp_path)
+        data = prepare_data(cfg)
+        weekday = data.store.records
+        saturday = [replace(
+            r, pickup_dt=r.pickup_dt + shift, dropoff_dt=r.dropoff_dt + shift)
+            for r in weekday
+            for shift in [timedelta(days=5 - r.pickup_dt.weekday())]]
+        assert all(r.is_weekend for r in saturday) and not any(
+            r.is_weekend for r in weekday)
+        data = replace(data, store=TripStore(weekday + tuple(saturday)))
+        eta = experiments.build_eta_source(cfg, data, 0)
+        fits = [experiments.fit_tabq(
+                    cfg, experiments.build_env(cfg, data, eta, day), 0)
+                for day in ("weekday", "weekend")]
+        (weekday_table, weekday_curves), (weekend_table, weekend_curves) = fits
+        assert weekday_table.values and weekday_table.values == weekend_table.values
+        assert list(weekday_curves.values()) == list(weekend_curves.values())
+        assert {cell[2] for cell, _ in weekend_table.values} <= set(range(144))
 
     def test_joint_eta_backed_simulator(self, tmp_path):
         cfg = tiny_policy_config(tmp_path)

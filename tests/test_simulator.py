@@ -1,17 +1,23 @@
+import dataclasses
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carpool_rl.agents import FixedPolicy, evaluate_policy, rollout
 from carpool_rl.config import EnvParamsConfig, EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaQuery, ModelEta,
                             train_joint_eta)
-from carpool_rl.geo import Bbox, GeoPoint, GridSpec, haversine_miles
+from carpool_rl.geo import (Bbox, GeoPoint, GridSpec, bin_time, cell_index,
+                            haversine_miles)
 from carpool_rl.simulator import (Action, CarpoolEnv, DriverState, EpisodeOver,
-                                  PATH_ONE, PATH_TWO, extra_travel_times)
+                                  PATH_ONE, PATH_TWO, TransitionInfo,
+                                  extra_travel_times)
 from carpool_rl.synth import dense_preset, generate_synthetic
 from carpool_rl.trips import TripRecord, TripStore, ingest_csv
+
+from reference_env import LegsFromTravelTime, ReferenceEnv
 
 REGION = Bbox(40.715, 40.735, -74.0094, -73.9894)
 GRID = GridSpec(origin_corner=REGION.lower_left)
@@ -252,9 +258,8 @@ class TestLegsByRole:
 
         x = eta.travel_time(trip1.origin, trip1.destination, 1200.0, False)
         assert 600.0 < x < 900.0
-        # O1 = O2 and D1 = D2: the connecting legs O1-O2, D1-D2, D2-D1 are 0
-        assert tr.info.total_extra_one == pytest.approx((x - 600.0) + (x - 900.0))
-        assert tr.info.total_extra_two == pytest.approx(900.0 - 600.0)
+        # O1 = O2 and D1 = D2: the connecting legs O1-O2, D1-D2, D2-D1 are 0,
+        # so path I's extra time (x - 600) + (x - 900) undercuts path II's 300
         assert tr.info.path == PATH_ONE
         assert tr.next_state.location == trip2.destination
         assert tr.next_state.time_of_day == pytest.approx(1200.0 + x)
@@ -351,16 +356,6 @@ class TestInvariants:
         assert steps <= 86400 / min(env.params.wait_delay, 1.0)
 
 
-class LegsFromTravelTime:
-    """``leg_times`` for a test double: one call of its own ``travel_time``
-    per leg the caller consumes, so the double sees every leg."""
-
-    def leg_times(self, origin, destinations, seconds_of_day, is_weekend):
-        for destination in destinations:
-            yield self.travel_time(origin, destination, seconds_of_day,
-                                   is_weekend)
-
-
 class CountingEta(LegsFromTravelTime):
     """Constant-speed legs, counting each query."""
 
@@ -428,47 +423,50 @@ class TestDayType:
         eta = RecordingEta()
         env = self.weekend_env(eta)
         assert env.is_weekend and env.day_type == "weekend"
-        assert env.reset(np.random.default_rng(0)).is_weekend is True
         weekday1, weekday2 = self.trips(False)
         weekend1, weekend2 = self.trips(True)
         assert weekday1.pickup_seconds == weekend1.pickup_seconds
 
-        s = DriverState(GeoPoint(40.72, -74.0), 1000.0, is_weekend=True)
+        s = DriverState(GeoPoint(40.72, -74.0), 1000.0)
+        assert env.can_take_one(s) and env.can_take_two(s)
         one = env.step(s, Action.TAKE_ONE)
         assert one.info.trips == (weekend1,) and one.reward == 12.0
         two = env.step(s, Action.TAKE_TWO)
         assert two.info.trips == (weekend1, weekend2) and two.reward == 25.0
-        wait = env.step(s, Action.WAIT)
-        for tr in (one, two, wait):
-            assert tr.next_state.is_weekend is True
         assert eta.weekend_flags and all(w is True for w in eta.weekend_flags)
 
-        weekday = DriverState(GeoPoint(40.72, -74.0), 1000.0)
-        assert env.step(weekday, Action.TAKE_ONE).info.trips == (weekday1,)
+        weekday_env = CarpoolEnv(env.store, SPEED, REGION, GRID)
+        assert weekday_env.step(s, Action.TAKE_TWO).info.trips == (
+            weekday1, weekday2)
 
-    def test_weekend_episode_stays_weekend(self):
+    def test_weekend_episode_asks_weekend_legs_only(self):
         eta = RecordingEta()
         env = self.weekend_env(eta)
         rng = np.random.default_rng(2)
-        s = env.reset(rng)
+        s, served = env.reset(rng), set()
         for _ in range(200):
             tr = env.step(s, Action(int(rng.integers(3))))
-            assert tr.next_state.is_weekend is True
+            served.update(trip.is_weekend for trip in tr.info.trips)
             s = tr.next_state
             if tr.done:
                 break
+        for t in (0.0, 1000.0, 1250.0, 50000.0):  # any state, any probe
+            for probe in (env.can_take_one, env.can_take_two):
+                probe(DriverState(GeoPoint(40.72, -74.0), t))
+        assert served <= {True}
         assert eta.weekend_flags and all(w is True for w in eta.weekend_flags)
 
     def test_unknown_day_type_raises(self):
         with pytest.raises(ValueError, match="Weekend"):
             CarpoolEnv(TripStore([]), SPEED, REGION, GRID, day_type="Weekend")
 
-    def test_day_is_a_keyword_only_bool(self):
-        loc = GeoPoint(40.72, -74.0)
+    def test_driver_state_is_place_and_time_only(self):
+        assert [f.name for f in dataclasses.fields(DriverState)] == [
+            "location", "time_of_day"]
+        assert [f.name for f in dataclasses.fields(TransitionInfo)] == [
+            "trips", "path"]
         with pytest.raises(TypeError):
-            DriverState(loc, 0.0, "weekend")
-        assert DriverState(loc, 0.0).is_weekend is False
-        assert not hasattr(DriverState(loc, 0.0), "day_type")
+            DriverState(GeoPoint(40.72, -74.0), 0.0, is_weekend=True)
 
 
 class UnmemoizedEta(LegsFromTravelTime):
@@ -546,3 +544,68 @@ class TestLearnedEta:
                 served.append(len(tr.info.trips))
                 s, done = tr.next_state, tr.done
         assert {0, 1, 2} <= set(served) and memo_eta._memo
+
+
+class CellTableEta(LegsFromTravelTime):
+    """A random travel time per ``(oi, oj, di, dj, time_bin)`` cell key,
+    weekend bins included: each time is drawn from a generator seeded by
+    ``seed`` and the key alone, so it does not depend on query order."""
+
+    def __init__(self, seed, longest):
+        self.seed, self.longest = seed, longest
+
+    def travel_time(self, origin, destination, seconds_of_day, is_weekend):
+        key = (*cell_index(origin, GRID), *cell_index(destination, GRID),
+               bin_time(seconds_of_day, is_weekend, GRID))
+        return self.longest * float(
+            np.random.default_rng([self.seed, *key]).random())
+
+
+lats = st.floats(REGION.lat_min, REGION.lat_max - 1e-9)
+lons = st.floats(REGION.lon_min, REGION.lon_max - 1e-9)
+places = st.tuples(lats, lons)
+times = st.integers(0, 3600)  # one busy hour, so that carpools are common
+trips = st.builds(
+    make_trip, places, places, st.integers(0, 60).map(lambda k: 60 * k),
+    duration=st.floats(60.0, 1800.0), distance=st.floats(0.1, 5.0),
+    weekend=st.booleans())
+etas = st.one_of(st.sampled_from([ConstantSpeedEta(12.0), ConstantSpeedEta(30.0)]),
+                 st.builds(CellTableEta, st.integers(0, 2**32 - 1),
+                           st.floats(0.0, 900.0)))
+params = st.builds(EnvParamsConfig, search_window=st.sampled_from([300.0, 900.0]),
+                   carpool_fraction=st.sampled_from([0.25, 0.5, 0.9]),
+                   wait_delay=st.sampled_from([60.0, 600.0]))
+# one op: probes (in order), then an action; then either the next state,
+# the same state again, or a jump to a fresh state
+ops = st.tuples(st.lists(st.sampled_from(["can_take_one", "can_take_two"]),
+                         max_size=2),
+                st.sampled_from(list(Action)),
+                st.one_of(st.just("next"), st.just("same"),
+                          st.builds(DriverState, st.builds(GeoPoint, lats, lons),
+                                    times.map(float))))
+
+
+class TestMatchesReference:
+    """``CarpoolEnv`` with its kept searches and once-asked legs gives the
+    from-scratch ``ReferenceEnv``'s answer to every probe and step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(trips, max_size=16), etas, params,
+           st.sampled_from(["weekday", "weekend"]), st.integers(0, 99),
+           st.lists(ops, min_size=1, max_size=25))
+    def test_probes_and_steps_match(self, records, eta, env_params, day, seed,
+                                    script):
+        store = TripStore(records)
+        env, ref = (cls(store, eta, REGION, GRID, env_params, day)
+                    for cls in (CarpoolEnv, ReferenceEnv))
+        s = env.reset(np.random.default_rng(seed))
+        assert s == ref.reset(np.random.default_rng(seed))
+        for probes, action, then in script:
+            for probe in probes:
+                assert getattr(env, probe)(s) == getattr(ref, probe)(s)
+            tr = env.step(s, action)
+            assert tr == ref.step(s, action)
+            if isinstance(then, DriverState):
+                s = then
+            elif then == "next" and not tr.done:
+                s = tr.next_state
