@@ -183,15 +183,11 @@ class DqnAgent:
         self.replay.push(self.features(tr.state), int(tr.action), tr.reward,
                          self.features(tr.next_state), not tr.done)
 
-    def compute_targets(self, rewards: np.ndarray, next_states: np.ndarray,
-                        live: np.ndarray) -> np.ndarray:
-        """Double-DQN bootstrap: online net picks the action, target net
-        scores it; terminal transitions (``live`` 0) use the bare reward."""
-        online_next, _ = self.online.forward(next_states)
-        return self._targets(rewards, online_next, next_states, live)
-
-    def _targets(self, rewards, online_next, next_states, live) -> np.ndarray:
-        """:meth:`compute_targets` given the online net's next-state Q."""
+    def compute_targets(self, rewards: np.ndarray, online_next: np.ndarray,
+                        next_states: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Double-DQN bootstrap: the online net's next-state Q
+        ``online_next`` picks the action, the target net scores it; terminal
+        transitions (``live`` 0) use the bare reward."""
         best = np.argmax(online_next, axis=1)
         target_next, _ = self.target.forward(next_states)
         boot = target_next[np.arange(len(rewards)), best]
@@ -213,7 +209,7 @@ class DqnAgent:
         n = len(actions)
         q_all, (inputs, zs) = self.online.forward(
             np.concatenate([states, next_states]))
-        y = self._targets(rewards, q_all[n:], next_states, live)
+        y = self.compute_targets(rewards, q_all[n:], next_states, live)
         rows = np.arange(n)
         q_sel = q_all[rows, actions]
         loss, g_sel = half_mse(q_sel, y)

@@ -21,11 +21,11 @@ from .agents import FixedPolicy, evaluate_policy, save_qtable
 from .config import ExperimentConfig, load_config, parse_region
 from .eta import EtaQuery, JointEtaModel, evaluate, train_joint_eta
 from .experiments import (build_env, build_eta_source, curve_set, emit_curves,
-                          fit_dqn, fit_tabq, prepare_data, run_eta_experiment,
-                          run_policy_experiment, EvalReport)
+                          fit_dqn, fit_tabq, ingest_trips, prepare_data,
+                          run_eta_experiment, run_policy_experiment, EvalReport)
 from .geo import GeoPoint
 from .synth import PRESETS, generate_synthetic
-from .trips import ConfigError, DAY_TYPES, WEEKDAY, ingest_csv
+from .trips import ConfigError, DAY_TYPES, WEEKDAY
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -36,12 +36,10 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def _cmd_data_ingest(args) -> int:
-    result = ingest_csv(args.csv)
-    store = result.store
-    if args.region:
-        store = store.mask_region(parse_region(args.region))
-    print(json.dumps({"kept": len(store), "rejected": result.rejected_count,
-                      "rejections": result.rejections}))
+    region = parse_region(args.region) if args.region else None
+    store, rejections = ingest_trips(args.csv, region)
+    print(json.dumps({"kept": len(store), "rejected": sum(rejections.values()),
+                      "rejections": rejections}))
     return 0
 
 
@@ -136,12 +134,9 @@ def _cmd_report(args) -> int:
         for day, cell in sorted(per_day.items()):
             print(f"{policy:>6s}  {day:8s}  mean {cell['mean']:10.3f}  "
                   f"std {cell['std']:8.3f}")
-    if report.data:
-        rejected = report.data["rejected"]
-        print(f"  data  kept {report.data['kept']}  rejected "
-              f"{sum(rejected.values())} ("
-              + ", ".join(f"{k} {v}" for k, v in sorted(rejected.items()))
-              + ")")
+    rejected = report.data["rejected"]
+    print(f"  data  kept {report.data['kept']}  rejected {sum(rejected.values())} ("
+          + ", ".join(f"{k} {v}" for k, v in sorted(rejected.items())) + ")")
     return 0
 
 

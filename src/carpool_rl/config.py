@@ -80,10 +80,10 @@ class ConfigSection:
     A field whose ``default_factory`` is a section is read as a nested
     section; any other value must have its default's JSON type
     (:func:`~carpool_rl.nn.is_json`; a ``None`` default is checked by its
-    section). Every field must pass its rule in ``ranges`` however the
-    section is built: ``__post_init__`` checks them, and a subclass with its
-    own ``__post_init__`` calls this one first. ``section`` names the
-    section in error messages.
+    section). Sections are frozen; every field passes its rule in ``ranges``
+    however the section is built, ``dataclasses.replace`` included, as
+    ``__post_init__`` checks them (a subclass's own calls this one first).
+    ``section`` names the section in error messages.
     """
 
     section = "config"
@@ -119,7 +119,7 @@ class ConfigSection:
         return cls(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig(ConfigSection):
     section = "data"
     ranges = {"kind": one_of("synthetic", "csv"), "n_days": POSITIVE,
@@ -157,7 +157,7 @@ class DataConfig(ConfigSection):
                 else parse_region(self.region, "data.region"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridConfig(ConfigSection):
     section = "grid"
     ranges = dict.fromkeys(("cell_lat", "cell_lon", "time_bin"), FINITE_POSITIVE)
@@ -170,7 +170,7 @@ class GridConfig(ConfigSection):
                         cell_lon=self.cell_lon, time_bin=self.time_bin)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvParamsConfig(ConfigSection):
     section = "env"
     ranges = {"search_window": FINITE_POSITIVE, "carpool_fraction": OPEN_UNIT,
@@ -180,7 +180,7 @@ class EnvParamsConfig(ConfigSection):
     wait_delay: float = 600.0        # clock advance when waiting / nothing found
 
 
-@dataclass
+@dataclass(frozen=True)
 class EtaConfig(ConfigSection):
     """The travel-time source and everything its learned estimators read."""
 
@@ -201,7 +201,7 @@ class EtaConfig(ConfigSection):
     split_seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DqnConfig(ConfigSection):
     """Everything a Double-DQN agent and its training loop read."""
 
@@ -223,7 +223,7 @@ class DqnConfig(ConfigSection):
     train_episodes: int = 150
 
 
-@dataclass
+@dataclass(frozen=True)
 class TabQConfig(ConfigSection):
     section = "tabq"
     ranges = {"alpha": STEP_SIZE, "gamma": DISCOUNT,
@@ -237,7 +237,7 @@ class TabQConfig(ConfigSection):
     train_episodes: int = 150
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig(ConfigSection):
     ranges = {"seeds": list_of("non-negative ints",
                                lambda s: type(s) is int and s >= 0, distinct=True),

@@ -41,14 +41,15 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .config import EtaConfig
-from .geo import (GeoPoint, GridSpec, OutOfGridError, SECONDS_PER_DAY, bin_time,
-                  cell_index, haversine_miles, shifted_time)
+from .geo import (GeoPoint, GridSpec, OutOfGridError, bin_time, cell_index,
+                  haversine_miles, shifted_time)
 # Unused here; kept bound because perfbench/spans.py wraps eta.bin_location.
 from .geo import bin_location  # noqa: F401
 from .nn import Mlp, CHECKPOINT_FORMAT, half_mse, json_object
 from .trips import TripStore
 
 MODEL_FORMAT = "eta-joint/1"
+GRID_KEYS = ("origin_lat", "origin_lon", "cell_lat", "cell_lon", "time_bin")  # meta.json
 
 
 @dataclass(frozen=True)
@@ -203,16 +204,12 @@ class JointEtaModel:
         self.trunk.save(os.path.join(directory, "trunk.json"))
         self.dist_head.save(os.path.join(directory, "dist_head.json"))
         self.time_net.save(os.path.join(directory, "time_net.json"))
+        g = self.grid
         meta = {
             "format": MODEL_FORMAT,
             "nn_format": CHECKPOINT_FORMAT,
-            "grid": {
-                "origin_lat": self.grid.origin_corner.lat,
-                "origin_lon": self.grid.origin_corner.lon,
-                "cell_lat": self.grid.cell_lat,
-                "cell_lon": self.grid.cell_lon,
-                "time_bin": self.grid.time_bin,
-            },
+            "grid": dict(zip(GRID_KEYS, (g.origin_corner.lat, g.origin_corner.lon,
+                                         g.cell_lat, g.cell_lon, g.time_bin))),
             "loc_stats": self.loc_stats.to_dict(),
             "t_stats": self.t_stats.to_dict(),
             "y_time_stats": self.y_time_stats.to_dict(),
@@ -230,22 +227,33 @@ class JointEtaModel:
                                **dict.fromkeys(widths, dict))
         if meta["format"] != MODEL_FORMAT:
             raise ValueError(f"{path}: unsupported model format {meta['format']!r}")
-        g = dict(json_object(meta["grid"], f"{path} grid", **dict.fromkeys(
-            ("origin_lat", "origin_lon", "cell_lat", "cell_lon", "time_bin"), float)))
+        g = json_object(meta["grid"], f"{path} grid", **dict.fromkeys(GRID_KEYS, float))
+        extra = sorted(g.keys() - set(GRID_KEYS))
+        if extra:
+            raise ValueError(f"{path} grid: unexpected key {extra[0]!r}")
         stats = [Standardizer.from_dict(meta[k], f"{path} {k}", n)
                  for k, n in widths.items()]
         nets = [Mlp.load(os.path.join(directory, f"{name}.json"))
                 for name in ("trunk", "dist_head", "time_net")]
         try:
-            origin = GeoPoint(g.pop("origin_lat"), g.pop("origin_lon"))
-            grid = GridSpec(origin, g.pop("cell_lat"), g.pop("cell_lon"), g.pop("time_bin"))
-            # Older checkpoints also record the (always one-day) weekend shift.
-            if len(g) > 1 or any(v != SECONDS_PER_DAY for v in g.values()):
-                raise ValueError(f"unsupported grid fields {g} (weekend times "
-                                 f"always shift by {SECONDS_PER_DAY} s)")
+            origin = GeoPoint(g["origin_lat"], g["origin_lon"])
+            grid = GridSpec(origin, g["cell_lat"], g["cell_lon"], g["time_bin"])
             return cls(*nets, grid, *stats)  # checks the networks' widths
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _sgd_epochs(step, arrays, cfg: EtaConfig, rng) -> list[float]:
+    """``cfg.epochs`` epochs of minibatch SGD; each cuts one permutation of the
+    rows of ``arrays`` (drawn from ``rng``) into ``cfg.batch_size`` slices and
+    calls ``step(*slice, cfg.learning_rate)`` on each. Returns the epochs' mean losses."""
+    n, losses = len(arrays[0]), []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        batches = (perm[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size))
+        losses.append(float(np.mean([step(*(a[idx] for a in arrays), cfg.learning_rate)
+                                     for idx in batches])))
+    return losses
 
 
 def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,
@@ -279,27 +287,18 @@ def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,
     model = JointEtaModel(trunk, dist_head, time_net, grid,
                           loc_stats, t_stats, y_time_stats, y_dist_stats)
 
-    n = len(records)
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            batch_losses.append(model._sgd_step(xl[idx], xt[idx], yt[idx],
-                                                yd[idx], cfg.learning_rate))
-        model.epoch_losses.append(float(np.mean(batch_losses)))
+    model.epoch_losses = _sgd_epochs(model._sgd_step, (xl, xt, yt, yd), cfg, rng)
     return model
 
 
+@dataclass(frozen=True)
 class TimeOnlyModel:
     """Single MLP from [binned endpoints, time bin] to travel time."""
 
-    def __init__(self, net: Mlp, grid: GridSpec, x_stats: Standardizer,
-                 y_stats: Standardizer):
-        self.net = net
-        self.grid = grid
-        self.x_stats = x_stats
-        self.y_stats = y_stats
+    net: Mlp
+    grid: GridSpec
+    x_stats: Standardizer
+    y_stats: Standardizer
 
     def predict_batch(self, queries: Sequence[EtaQuery]) -> np.ndarray:
         """Travel times clamped at 0; row-exact like the joint model's."""
@@ -320,12 +319,7 @@ def train_time_only(train: TripStore, grid: GridSpec, cfg: EtaConfig,
 
     rng = np.random.default_rng(seed)
     net = Mlp([5, 64, 64, 1], rng=rng)
-    n = len(records)
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            net.sgd_step(xs[idx], ys[idx], cfg.learning_rate)
+    _sgd_epochs(net.sgd_step, (xs, ys), cfg, rng)
     return TimeOnlyModel(net, grid, x_stats, y_stats)
 
 
@@ -444,15 +438,15 @@ class ModelEta:
     repeat legs return bit-identical values.
 
     :meth:`leg_times` times one search's legs from one origin at one time:
-    the origin cell and the time bin are binned once, at the first leg. At
-    the search's first memo miss, every distinct key the memo lacks from
-    that leg to the last runs through the trunk and the time head in one
-    row-exact call; the search keeps those times for itself, and a leg's
-    time enters the memo only when it is yielded. A search whose legs all
-    hit runs no model. Every leg is binned when it is reached, so an
-    out-of-grid point or a seconds-of-day outside [0, 86400) raises at its
-    own leg, with the error :func:`_cell_key` gives it, as does a
-    non-finite prediction (``ValueError`` naming its key).
+    the origin cell and the time bin are binned once, when the first leg is
+    asked for, so an off-grid origin or a seconds-of-day outside [0, 86400)
+    raises there. At the search's first memo miss, every distinct key the
+    memo lacks from that leg to the last runs through the trunk and the
+    time head in one row-exact call; the search keeps those times for
+    itself, and a leg's time enters the memo only when it is yielded. A
+    search whose legs all hit runs no model. Each destination is binned
+    when its leg is reached, so an off-grid one raises at its own leg, as
+    does a non-finite prediction (``ValueError`` naming its key).
     :meth:`travel_time` is the one-leg search.
     """
 
@@ -473,10 +467,9 @@ class ModelEta:
         searched = None  # this search's batched times, from its first miss
         for n, destination in enumerate(destinations):
             if n == 0:
-                key = _cell_key(origin, destination, seconds_of_day, is_weekend, grid)
-                head, time_bin = key[:2], key[4]
-            else:
-                key = (*head, *cell_index(destination, grid), time_bin)
+                head = cell_index(origin, grid)
+                time_bin = bin_time(seconds_of_day, is_weekend, grid)
+            key = (*head, *cell_index(destination, grid), time_bin)
             t = memo.get(key)
             if t is None:
                 if searched is None:

@@ -47,30 +47,39 @@ class PreparedData:
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     """Materialize the trip store described by the config's data section.
 
-    Synthetic sources generate one file per requested day type (weekend
-    demand gets its own derived seed) and merge them into a single store.
+    Synthetic sources generate one file per requested day type, seeded by
+    ``data.seed`` plus the day's index in ``trips.DAY_TYPES``, and merge
+    them into a single store.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.data.kind == "synthetic":
         records = []
         rejections = {"region": 0}
-        for idx, day_type in enumerate(cfg.day_types):
+        for day_type in cfg.day_types:
             spec = PRESETS[cfg.data.preset](cfg.data.n_days, cfg.data.noisy,
                                             day_type)
             path = os.path.join(cfg.out_dir, f"synthetic_{day_type}.csv")
-            generate_synthetic(spec, cfg.data.seed + idx, path)
-            store, _, rej = ingest_csv(path)
+            generate_synthetic(spec, cfg.data.seed + DAY_TYPES.index(day_type), path)
+            store, rej = ingest_trips(path)
             records.extend(store.records)
             for key, count in rej.items():
                 rejections[key] = rejections.get(key, 0) + count
         store, region = TripStore(records), spec.region
     else:
         region = cfg.data.bbox()
-        ingested, _, rejections = ingest_csv(cfg.data.csv_path)
-        store = ingested.mask_region(region)
-        rejections["region"] = len(ingested) - len(store)
+        store, rejections = ingest_trips(cfg.data.csv_path, region)
     return PreparedData(store, region, cfg.grid.build(region.lower_left),
                         rejections)
+
+
+def ingest_trips(path, region: Bbox | None = None) -> tuple[TripStore, dict]:
+    """The csv ``path``'s trips that pass every ingest rule and lie in ``region``
+    (if given), and the rows dropped per rule, plus ``"region"`` given a region."""
+    ingested, _, rejections = ingest_csv(path)
+    if region is None:
+        return ingested, rejections
+    store = ingested.mask_region(region)
+    return store, {**rejections, "region": len(ingested) - len(store)}
 
 
 def build_eta_source(cfg: ExperimentConfig, data: PreparedData, seed: int):
@@ -168,7 +177,7 @@ class EvalReport:
         with open(path) as fh:
             d = json.load(fh)
         validate_report(d)
-        return cls(d["policies"], d["curves"], d["config"], d.get("data", {}))
+        return cls(d["policies"], d["curves"], d["config"], d["data"])
 
 
 def emit_curves(curves: dict[str, list[float]], out_dir) -> dict[str, str]:
@@ -226,23 +235,21 @@ def validate_report(d) -> None:
     """Check a loaded ``report.json``: a ``ValueError`` names the file and
     the first part that :meth:`EvalReport.save` would not have written,
     such as a day outside ``trips.DAY_TYPES``, a rejection key outside
-    ``trips.REJECT_KEYS`` and ``"region"``, or a negative count. ``data``
-    may be absent, as in reports written before it was added."""
+    ``trips.REJECT_KEYS`` and ``"region"``, or a negative count."""
     where = "report.json"
-    json_object(d, where, policies=dict, curves=dict, config=dict)
+    json_object(d, where, policies=dict, curves=dict, config=dict, data=dict)
     policies, curves = d["policies"], d["curves"]
     json_object(curves, f"{where} curves", **dict.fromkeys(curves, str))
-    if "data" in d:
-        data = json_object(d["data"], f"{where} data", kept=int, rejected=dict)
-        rejected = json_object(data["rejected"], f"{where} data/rejected",
-                               **dict.fromkeys(data["rejected"], int))
-        if data["kept"] < 0:
-            raise ValueError(f"{where} data: 'kept' is negative: {data['kept']}")
-        for key, count in rejected.items():
-            if key not in REJECT_KEYS and key != "region":
-                raise ValueError(f"{where} data/rejected: unexpected key {key!r}")
-            if count < 0:
-                raise ValueError(f"{where} data/rejected: {key!r} is negative: {count}")
+    data = json_object(d["data"], f"{where} data", kept=int, rejected=dict)
+    rejected = json_object(data["rejected"], f"{where} data/rejected",
+                           **dict.fromkeys(data["rejected"], int))
+    if data["kept"] < 0:
+        raise ValueError(f"{where} data: 'kept' is negative: {data['kept']}")
+    for key, count in rejected.items():
+        if key not in REJECT_KEYS and key != "region":
+            raise ValueError(f"{where} data/rejected: unexpected key {key!r}")
+        if count < 0:
+            raise ValueError(f"{where} data/rejected: {key!r} is negative: {count}")
     json_object(policies, f"{where} policies", **dict.fromkeys(policies, dict))
     for policy, per_day in policies.items():
         if policy not in POLICY_NAMES:

@@ -317,7 +317,8 @@ def test_criterion_8_double_dqn_identity():
     rewards = np.array([tr.reward for tr in batch])
     ns_feats = np.stack([agent.features(tr.next_state) for tr in batch])
     live = np.array([0.0 if tr.done else 1.0 for tr in batch])
-    targets = agent.compute_targets(rewards, ns_feats, live)
+    targets = agent.compute_targets(rewards, agent.online.forward(ns_feats)[0],
+                                    ns_feats, live)
     q_next, _ = agent.target.forward(ns_feats)
     vanilla = rewards + agent.cfg.gamma * q_next.max(axis=1)
     ok = np.array_equal(targets, vanilla)

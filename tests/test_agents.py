@@ -318,7 +318,7 @@ class TestDqn:
         agent = make_agent()
         agent.sync_target()  # online == target
         _, _, rewards, ns, live = as_batch(agent, random_transitions(rng, 1000))
-        targets = agent.compute_targets(rewards, ns, live)
+        targets = agent.compute_targets(rewards, agent.online.forward(ns)[0], ns, live)
         q_next, _ = agent.target.forward(ns)
         vanilla = rewards + agent.cfg.gamma * q_next.max(axis=1)
         assert np.array_equal(targets, vanilla)
@@ -328,7 +328,7 @@ class TestDqn:
         agent = make_agent()
         batch = random_transitions(rng, 64, terminal_fraction=1.0)
         _, _, rewards, ns, live = as_batch(agent, batch)
-        targets = agent.compute_targets(rewards, ns, live)
+        targets = agent.compute_targets(rewards, agent.online.forward(ns)[0], ns, live)
         assert np.array_equal(targets, np.array([tr.reward for tr in batch]))
 
     def test_gamma_zero_is_supervised_regression(self):
@@ -336,7 +336,7 @@ class TestDqn:
         agent = make_agent(gamma=0.0)
         batch = random_transitions(rng, 32)
         _, _, rewards, ns, live = as_batch(agent, batch)
-        targets = agent.compute_targets(rewards, ns, live)
+        targets = agent.compute_targets(rewards, agent.online.forward(ns)[0], ns, live)
         assert np.array_equal(targets, np.array([tr.reward for tr in batch]))
 
     def test_train_step_decreases_fixed_batch_loss(self):
@@ -351,7 +351,7 @@ class TestDqn:
         agent = make_agent()
         batch = as_batch(agent, random_transitions(rng, 32))
         states, actions, rewards, ns, live = batch
-        y = agent.compute_targets(rewards, ns, live)
+        y = agent.compute_targets(rewards, agent.online.forward(ns)[0], ns, live)
         q_sel = agent.online.forward(states)[0][np.arange(32), actions]
         d = q_sel - y
         n = len(d)

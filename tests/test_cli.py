@@ -55,6 +55,26 @@ class TestDataCommands:
         assert payload["rejected"] == 0
         assert payload["kept"] > 0
 
+    @pytest.mark.parametrize("region", [None, "uptown", "downtown"])
+    def test_ingest_counts_every_row_read(self, tmp_path, capsys, region):
+        code, out, _ = run_cli(capsys, "data", "synth", "--preset", "dense",
+                               "--seed", "5", "--out", str(tmp_path))
+        path = json.loads(out)["path"]
+        with open(path, "a") as fh:  # one unparsable row, one with 9 riders
+            fh.write("garbage\n2013-01-07 08:00:00,2013-01-07 08:10:00,"
+                     "-74.0,40.72,-73.99,40.73,1.5,600,9\n")
+        with open(path) as fh:
+            rows = sum(1 for _ in fh) - 1  # the header is not a row
+        flags = ["--region", region] if region else []
+        code, out, _ = run_cli(capsys, "data", "ingest", "--csv", path, *flags)
+        payload = json.loads(out)
+        assert code == 0 and payload["kept"] + payload["rejected"] == rows
+        assert payload["rejected"] == sum(payload["rejections"].values())
+        assert payload["rejections"]["unparsable"] == 1
+        assert payload["rejections"]["passengers"] == 1
+        assert ("region" in payload["rejections"]) == (region is not None)
+        assert payload["kept"] == (0 if region == "uptown" else rows - 2)
+
     def test_synth_sparse_noisy_fails(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "data", "synth", "--preset", "sparse",
                                  "--noisy", "--out", str(tmp_path))
@@ -122,6 +142,27 @@ class TestTrainAndEval:
         for name in names:
             assert ((train_dir / "curves" / name).read_bytes()
                     == (eval_dir / "curves" / name).read_bytes()), name
+
+    def test_train_on_one_day_matches_eval_on_both(self, tmp_path, capsys):
+        # A day's demand is seeded by the day, not by its place in day_types.
+        cfg = write_tiny_config(tmp_path, day_types=["weekday", "weekend"])
+        eval_dir = tmp_path / "eval"
+        code, _, _ = run_cli(capsys, "eval", "--config", str(cfg),
+                             "--out", str(eval_dir))
+        assert code == 0
+        for day in ("weekday", "weekend"):
+            train_dir = tmp_path / day
+            for policy in ("tabq", "dqn"):
+                code, _, _ = run_cli(capsys, "train", policy, "--config", str(cfg),
+                                     "--day", day, "--out", str(train_dir))
+                assert code == 0
+            csv = f"synthetic_{day}.csv"
+            assert (train_dir / csv).read_bytes() == (eval_dir / csv).read_bytes()
+            names = sorted(os.listdir(train_dir / "curves"))
+            assert len(names) == 5 and all(f"_{day}_seed0" in n for n in names)
+            for name in names:
+                assert ((train_dir / "curves" / name).read_bytes()
+                        == (eval_dir / "curves" / name).read_bytes()), name
 
     def test_eval_then_report(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
@@ -275,6 +316,8 @@ class TestErrorContract:
          "report.json: 'curves'"),
         (["report", "--out", "{tmp}/config_list"], "ValueError",
          "report.json: 'config'"),
+        (["report", "--out", "{tmp}/no_data"], "ValueError",
+         "report.json: missing key 'data'"),
         (["data", "ingest", "--csv", "{tmp}/no_passengers.csv"],
          "ConfigError", ""),
     ], ids=["missing-config", "missing-model", "origin-one-number",
@@ -283,7 +326,7 @@ class TestErrorContract:
             "report-per-seed-float", "report-top-level-int",
             "report-mean-string", "report-mean-nan", "report-rejected-int",
             "report-no-rejected", "report-curves-int", "report-config-list",
-            "csv-missing-column"])
+            "report-no-data", "csv-missing-column"])
     def test_runtime_failure_is_one_json_line(self, tmp_path, capsys,
                                               saved_model, argv, error, names):
         (tmp_path / "no_passengers.csv").write_text(
@@ -306,10 +349,13 @@ class TestErrorContract:
                 ("rejected_int", {**printable, "data": {"kept": 3, "rejected": 5}}),
                 ("no_rejected", {**printable, "data": {"kept": 3}}),
                 ("curves_int", {**printable, "curves": 3}),
-                ("config_list", {**printable, "config": []})):
+                ("config_list", {**printable, "config": []}),
+                ("no_data", {**printable, "data": None})):  # None: no such key
             (tmp_path / name).mkdir()
-            (tmp_path / name / "report.json").write_text(
-                json.dumps({"curves": {}, "config": {}, **report}))
+            saved = {"curves": {}, "config": {},
+                     "data": {"kept": 0, "rejected": {}}, **report}
+            (tmp_path / name / "report.json").write_text(json.dumps(
+                {k: v for k, v in saved.items() if v is not None}))
         (tmp_path / "top_int").mkdir()
         (tmp_path / "top_int" / "report.json").write_text("1")
         argv = [a.format(tmp=tmp_path, model=saved_model) for a in argv]

@@ -310,26 +310,21 @@ class TestJointModel:
         q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 800.0)
         assert predict_one(loaded, q) == predict_one(model, q)
 
-    @pytest.mark.parametrize("shift, loads", [
-        (86400.0, True), (86400, True), (0.0, False), (-86400.0, False),
-        (float("nan"), False)])
-    def test_load_checks_a_recorded_weekend_shift(self, tmp_path, shift, loads):
-        # Checkpoints from before the shift was fixed at one day record it.
+    @pytest.mark.parametrize("key, value", [
+        ("weekend_offset", 86400.0), ("weekend_offset", 0.0), ("extra", "x")])
+    def test_load_rejects_a_grid_key_beyond_the_five(self, tmp_path, key, value):
+        # The grid is exactly its five numbers: checkpoints that also
+        # recorded the weekend shift (always one day) no longer load.
         model = self._small_model()
         model.save(tmp_path / "model")
         meta_path = tmp_path / "model" / "meta.json"
         meta = json.loads(meta_path.read_text())
-        assert "weekend_offset" not in meta["grid"]
-        meta["grid"]["weekend_offset"] = shift
+        assert list(meta["grid"]) == ["origin_lat", "origin_lon", "cell_lat",
+                                      "cell_lon", "time_bin"]
+        meta["grid"][key] = value
         meta_path.write_text(json.dumps(meta))
-        q = EtaQuery(GeoPoint(40.71, -74.0), GeoPoint(40.73, -73.98), 800.0,
-                     is_weekend=True)
-        if loads:
-            loaded = JointEtaModel.load(tmp_path / "model")
-            assert predict_one(loaded, q) == predict_one(model, q)
-        else:
-            with pytest.raises(ValueError, match="weekend"):
-                JointEtaModel.load(tmp_path / "model")
+        with pytest.raises(ValueError, match=rf"meta.json grid: unexpected key '{key}'"):
+            JointEtaModel.load(tmp_path / "model")
 
     @pytest.mark.parametrize("corrupt, match", [
         (lambda meta: [meta], "meta.json: expected a JSON object, not list"),

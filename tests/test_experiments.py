@@ -2,7 +2,7 @@ import csv
 import json
 import os
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import timedelta
 
 import numpy as np
@@ -249,6 +249,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{cls.section}.{key}"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("cls, key, bad", RANGE_VIOLATIONS,
+                             ids=[f"{c.section}.{k}" for c, k, _ in RANGE_VIOLATIONS])
+    def test_sections_are_frozen_and_replace_checks_again(self, cls, key, bad):
+        section = cls()
+        with pytest.raises(FrozenInstanceError):
+            setattr(section, key, bad)
+        with pytest.raises(ConfigError, match=f"{cls.section}.{key}"):
+            replace(section, **{key: bad})
+        assert section == cls()
+
     @pytest.mark.parametrize("doc, key", DATA_RULE_VIOLATIONS,
                              ids=[k for _, k in DATA_RULE_VIOLATIONS])
     def test_data_rules_hold_when_the_config_loads(self, doc, key):
@@ -372,7 +382,7 @@ class TestPrepareData:
     def test_grid_section_applies_to_synthetic_data(self, tmp_path):
         cfg = tiny_policy_config(tmp_path)
         assert prepare_data(cfg).grid == dense_preset().grid
-        cfg.grid = GridConfig.from_dict({"cell_lat": 0.004, "time_bin": 1200})
+        cfg = replace(cfg, grid=GridConfig.from_dict({"cell_lat": 0.004, "time_bin": 1200}))
         grid = prepare_data(cfg).grid
         assert (grid.cell_lat, grid.cell_lon, grid.time_bin) == (0.004, 0.002, 1200)
 
@@ -403,9 +413,8 @@ class TestPrepareData:
 
     def test_sparse_noisy_rejected(self, tmp_path):
         cfg = tiny_policy_config(tmp_path, preset="sparse")
-        cfg.data.noisy = True
-        with pytest.raises(ValueError, match="noisy"):
-            prepare_data(cfg)
+        with pytest.raises(ConfigError, match="noisy"):
+            replace(cfg.data, noisy=True)
 
 
 class TestEmitCurves:
@@ -502,8 +511,7 @@ class TestEtaExperiment:
         monkeypatch.setattr(experiments, "train_linear_time", counted_train)
 
         def seed_rows(seeds, out):
-            cfg = tiny_eta_config(tmp_path / out)
-            cfg.seeds = seeds
+            cfg = replace(tiny_eta_config(tmp_path / out), seeds=seeds)
             path = run_eta_experiment(cfg)["csv_path"]
             with open(path) as fh:
                 return [r for r in fh.read().splitlines()
@@ -517,7 +525,7 @@ class TestEtaExperiment:
 
 def report_with(cell) -> dict:
     return {"policies": {"fixed": {"weekday": cell}}, "curves": {},
-            "config": {}}
+            "config": {}, "data": {"kept": 0, "rejected": {}}}
 
 
 class TestValidateReport:
@@ -561,7 +569,7 @@ class TestValidateReport:
          "report.json data: 'kept' is not a JSON int"),
         ("data", {"kept": 3, "rejected": {"region": "2"}},
          "report.json data/rejected: 'region' is not a JSON int"),
-        ("data", [], "report.json data: expected a JSON object, not list"),
+        ("data", [], "report.json: 'data' is not a JSON object"),
         ("curves", 3, "report.json: 'curves' is not a JSON object"),
         ("curves", {"dqn_loss_weekday_seed0": 1},
          "report.json curves: 'dqn_loss_weekday_seed0' is not a JSON str"),
@@ -585,6 +593,15 @@ class TestValidateReport:
 
     def test_saved_parts_pass(self):
         validate_report({**report_with(self.GOOD), **self.SAVED_PARTS})
+
+    def test_data_is_required(self, tmp_path):
+        report = {**report_with(self.GOOD), **self.SAVED_PARTS}
+        del report["data"]
+        with pytest.raises(ValueError, match="report.json: missing key 'data'"):
+            validate_report(report)
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        with pytest.raises(ValueError, match="report.json: missing key 'data'"):
+            EvalReport.load(tmp_path / "report.json")
 
     @given(st.sampled_from(DAY_TYPES) | st.text(max_size=8))
     def test_day_keys_are_day_types(self, day):
@@ -650,8 +667,7 @@ class TestPolicyExperiment:
         assert a.data == b.data
 
     def test_both_day_types(self, tmp_path):
-        cfg = tiny_policy_config(tmp_path)
-        cfg.day_types = ["weekday", "weekend"]
+        cfg = replace(tiny_policy_config(tmp_path), day_types=["weekday", "weekend"])
         report = run_policy_experiment(cfg)
         for policy in ("fixed", "dqn"):
             assert set(report.policies[policy]) == {"weekday", "weekend"}
@@ -659,9 +675,9 @@ class TestPolicyExperiment:
         assert report.policies["fixed"]["weekend"]["mean"] > 0
 
     def test_env_and_tabq_read_their_config_sections(self, tmp_path):
-        cfg = tiny_policy_config(tmp_path)
-        cfg.env = EnvParamsConfig(search_window=300.0, wait_delay=450.0)
-        cfg.tabq = TabQConfig(alpha=0.3, train_episodes=1)
+        cfg = replace(tiny_policy_config(tmp_path),
+                      env=EnvParamsConfig(search_window=300.0, wait_delay=450.0),
+                      tabq=TabQConfig(alpha=0.3, train_episodes=1))
         data = prepare_data(cfg)
         eta = experiments.build_eta_source(cfg, data, 0)
         env = experiments.build_env(cfg, data, eta, "weekend")
@@ -692,8 +708,7 @@ class TestPolicyExperiment:
         assert {cell[2] for cell, _ in weekend_table.values} <= set(range(144))
 
     def test_joint_eta_backed_simulator(self, tmp_path):
-        cfg = tiny_policy_config(tmp_path)
-        cfg.eta = EtaConfig(kind="joint", epochs=2)
+        cfg = replace(tiny_policy_config(tmp_path), eta=EtaConfig(kind="joint", epochs=2))
         report = run_policy_experiment(cfg)
         assert report.policies["fixed"]["weekday"]["mean"] >= 0
 
@@ -707,9 +722,9 @@ class TestPolicyExperiment:
             return train(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "train_joint_eta", counted_train)
-        cfg = tiny_policy_config(tmp_path / "shared")
-        cfg.day_types = ["weekday", "weekend"]
-        cfg.eta = EtaConfig(kind="joint", epochs=2)
+        cfg = replace(tiny_policy_config(tmp_path / "shared"),
+                      day_types=["weekday", "weekend"],
+                      eta=EtaConfig(kind="joint", epochs=2))
         shared = run_policy_experiment(cfg)
         assert len(fits) == 1
 
@@ -719,8 +734,7 @@ class TestPolicyExperiment:
             return build_env(cfg, data, own, day_type)
 
         monkeypatch.setattr(experiments, "build_env", env_with_own_model)
-        cfg.out_dir = str(tmp_path / "own")
-        own = run_policy_experiment(cfg)
+        own = run_policy_experiment(replace(cfg, out_dir=str(tmp_path / "own")))
         assert len(fits) == 4
         assert shared.policies == own.policies
         for name, path in shared.curves.items():
