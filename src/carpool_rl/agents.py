@@ -132,8 +132,8 @@ class ReplayMemory:
         if self._size == 0:
             raise ValueError("cannot sample from an empty memory")
         idx = rng.integers(self._size, size=batch_size)
-        return (self.states[idx], self.actions[idx], self.rewards[idx],
-                self.next_states[idx], self.live[idx])
+        return (self.states.take(idx, axis=0), self.actions[idx], self.rewards[idx],
+                self.next_states.take(idx, axis=0), self.live[idx])
 
 
 def epsilon(cfg: DqnConfig | TabQConfig, step: int) -> float:

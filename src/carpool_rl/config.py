@@ -203,7 +203,12 @@ class EtaConfig(ConfigSection):
 
 @dataclass(frozen=True)
 class DqnConfig(ConfigSection):
-    """Everything a Double-DQN agent and its training loop read."""
+    """Everything a Double-DQN agent and its training loop read.
+
+    ``batch_size`` is ``n`` of the train step's fused ``2n``-row online
+    forward, which keeps the bits of two ``n``-row forwards only at the
+    batch sizes the BLAS rounds alike (32, shipped, and 8, in the tests,
+    are pinned; see :meth:`~carpool_rl.agents.DqnAgent.train_step`)."""
 
     section = "dqn"
     ranges = {"hidden": WIDTHS, "gamma": DISCOUNT, "learning_rate": FINITE_POSITIVE,

@@ -12,12 +12,17 @@ a time-only MLP fed the binned endpoints plus time. Every MLP uses ReLU on
 its hidden layers.
 
 The learned estimators see a leg only through its cell key ``(oi, oj, di,
-dj, time_bin)``, built in one place. Each ``predict_batch`` featurizes and
+dj, time_bin)``. A batch (a sequence of queries, or a
+:class:`~carpool_rl.trips.TripStore`, read through its column view) is
+binned column-wise by the formula :func:`~carpool_rl.geo.cell_index` and
+:func:`~carpool_rl.geo.bin_time` use for one leg
+(:func:`~carpool_rl.geo.bin_coordinate`), so each row equals its leg's key.
+Each ``predict_batch`` featurizes and
 scales a whole batch at once and runs each layer as one matmul over the
 ``(N, 1, in)`` row stack (:meth:`Mlp.forward_rows`), which numpy computes
 one-row slice by slice, so row ``i`` equals ``predict_batch([q_i])`` bit for
 bit (a 2-D batch matmul may round otherwise); one query is a batch of one.
-:func:`evaluate` scores a held-out split with one such call.
+:func:`evaluate` scores a held-out split with one such call, on the store.
 :class:`ModelEta` times the simulator's legs by cell key through the same
 trunk and time head, without the distance head: a search's memo misses
 run as one row-exact batch, so each leg's time has the bits of its
@@ -25,7 +30,9 @@ one-row prediction.
 
 The SGD trainers take an :class:`~carpool_rl.config.EtaConfig` (learning
 rate, batch size, epochs and the joint model's hidden widths) and a seed,
-which seeds both the network initialization and the minibatch order.
+which seeds both the network initialization and the minibatch order. Each
+epoch gathers the training arrays once, in its shuffled order, and trains
+on contiguous slices of them.
 """
 
 from __future__ import annotations
@@ -41,12 +48,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .config import EtaConfig
-from .geo import (GeoPoint, GridSpec, OutOfGridError, bin_time, cell_index,
-                  haversine_miles, shifted_time)
+from .geo import (SECONDS_PER_DAY, GeoPoint, GridSpec, OutOfGridError,
+                  bin_coordinate, bin_time, cell_index, haversine_miles,
+                  shifted_time)
 # Unused here; kept bound because perfbench/spans.py wraps eta.bin_location.
 from .geo import bin_location  # noqa: F401
 from .nn import Mlp, CHECKPOINT_FORMAT, half_mse, json_object
-from .trips import TripStore
+from .trips import TripColumns, TripStore
 
 MODEL_FORMAT = "eta-joint/1"
 GRID_KEYS = ("origin_lat", "origin_lon", "cell_lat", "cell_lon", "time_bin")  # meta.json
@@ -72,32 +80,62 @@ class EtaMetrics:
     r2: float
 
 
+# A batch of queries: a sequence of queries, or a store, whose trips are
+# queries and which hands its column view over whole.
+Queries = Sequence[EtaQuery] | TripStore
+
 # The four values every featurization reads, from a query or a trip.
 _query_tuple = attrgetter("origin", "destination", "pickup_seconds",
                           "is_weekend")
 
 
-def _cell_key(origin, destination, seconds_of_day, is_weekend, grid):
-    """A leg's cell key ``(oi, oj, di, dj, time_bin)``: its endpoints' grid
-    cells and its time bin, weekend offset applied."""
-    (oi, oj), (di, dj) = cell_index(origin, grid), cell_index(destination, grid)
-    return oi, oj, di, dj, bin_time(seconds_of_day, is_weekend, grid)
-
-
-def _feature_matrix(queries, grid: GridSpec) -> np.ndarray:
-    """The ``(N, 5)`` float matrix of the queries' cell keys, one row each;
-    a bad item raises the error its own binning would."""
-    rows = [_cell_key(o, d, t, w, grid)
+def _query_columns(queries: Queries):
+    """The arrays ``(o_lat, o_lon, d_lat, d_lon, seconds, is_weekend)`` of
+    a batch: a store's own columns, or float arrays gathered row by row
+    from a sequence (an item that is not a query raises ``AttributeError``)."""
+    if isinstance(queries, TripStore):
+        c = queries.columns
+        return c.o_lat, c.o_lon, c.d_lat, c.d_lon, c.pickup_seconds, c.is_weekend
+    rows = [(o.lat, o.lon, d.lat, d.lon, t, w)
             for o, d, t, w in map(_query_tuple, queries)]
-    return np.array(rows, dtype=float).reshape(len(rows), 5)
+    return tuple(np.array(rows, dtype=float).reshape(len(rows), 6).T)
 
 
-def _trips(store: TripStore, what: str):
-    """A store's trips and their durations; an empty store raises."""
-    records = store.records
-    if not records:
+def _feature_matrix(queries: Queries, grid: GridSpec) -> np.ndarray:
+    """The ``(N, 5)`` float matrix of the queries' cell keys ``(oi, oj, di,
+    dj, time_bin)``, one row each, binned column-wise by the formula of
+    :func:`cell_index` and :func:`bin_time` (so each row equals their
+    floats). The first bad item raises the error its own binning would."""
+    g = grid.origin_corner
+    try:
+        o_lat, o_lon, d_lat, d_lon, t, weekend = _query_columns(queries)
+    except (AttributeError, TypeError, ValueError):  # an item that is not a query
+        ok = False
+    else:
+        x = np.floor(np.column_stack([
+            bin_coordinate(o_lat, g.lat, grid.cell_lat),
+            bin_coordinate(o_lon, g.lon, grid.cell_lon),
+            bin_coordinate(d_lat, g.lat, grid.cell_lat),
+            bin_coordinate(d_lon, g.lon, grid.cell_lon),
+            bin_coordinate(shifted_time(t, weekend), 0.0, grid.time_bin)]))
+        ok = (((x >= 0.0) & (x < math.inf)).all()
+              and ((t >= 0.0) & (t < SECONDS_PER_DAY)).all())
+    if ok:
+        return x
+    # Bin row by row, in order, where the first bad item raises its own
+    # error (a row the columns reject is one that raises here).
+    items = queries.records if isinstance(queries, TripStore) else queries
+    for o, d, t, w in map(_query_tuple, items):
+        cell_index(o, grid)
+        cell_index(d, grid)
+        bin_time(t, w, grid)
+
+
+def _trips(store: TripStore, what: str) -> TripColumns:
+    """A store's column view; an empty store raises."""
+    if not len(store):
         raise ValueError(f"empty {what} set")
-    return records, np.array([r.duration for r in records], dtype=float)
+    return store.columns
 
 
 @dataclass(frozen=True)
@@ -190,7 +228,7 @@ class JointEtaModel:
             np.concatenate([h, self.t_stats.transform(x[:, 4:])], axis=1))
         return h, np.maximum(self.y_time_stats.inverse(y)[:, 0], 0.0)
 
-    def predict_batch(self, queries: Sequence[EtaQuery]):
+    def predict_batch(self, queries: Queries):
         """Returns (times, distances) arrays, clamped at 0. Row-exact: row
         ``i`` equals ``predict_batch([queries[i]])`` bit for bit, and its
         time equals :meth:`_trunk_and_time`'s for the row's cell key in any
@@ -244,15 +282,17 @@ class JointEtaModel:
 
 
 def _sgd_epochs(step, arrays, cfg: EtaConfig, rng) -> list[float]:
-    """``cfg.epochs`` epochs of minibatch SGD; each cuts one permutation of the
-    rows of ``arrays`` (drawn from ``rng``) into ``cfg.batch_size`` slices and
-    calls ``step(*slice, cfg.learning_rate)`` on each. Returns the epochs' mean losses."""
-    n, losses = len(arrays[0]), []
+    """``cfg.epochs`` epochs of minibatch SGD; each gathers the rows of
+    ``arrays`` once, in one permutation drawn from ``rng``, cuts them into
+    ``cfg.batch_size`` slices and calls ``step(*slice, cfg.learning_rate)``
+    on each. Returns the epochs' mean losses."""
+    n, size, losses = len(arrays[0]), cfg.batch_size, []
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
-        batches = (perm[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size))
-        losses.append(float(np.mean([step(*(a[idx] for a in arrays), cfg.learning_rate)
-                                     for idx in batches])))
+        shuffled = [a.take(perm, axis=0) for a in arrays]
+        losses.append(float(np.mean([step(*(a[i:i + size] for a in shuffled), cfg.learning_rate)
+                                     for i in range(0, n, size)])))
+        del shuffled  # so the next epoch's copy does not sit beside this one
     return losses
 
 
@@ -267,9 +307,9 @@ def train_joint_eta(train: TripStore, grid: GridSpec, cfg: EtaConfig,
     squared errors over standardized targets; both heads' gradients reach
     the shared trunk. Raises if the loss goes non-finite.
     """
-    records, y_time = _trips(train, "training")
-    y_dist = np.array([r.distance for r in records], dtype=float)
-    x = _feature_matrix(records, grid)
+    columns = _trips(train, "training")
+    y_time, y_dist = columns.duration, columns.distance
+    x = _feature_matrix(train, grid)
 
     loc_stats = Standardizer.fit(x[:, :4])
     t_stats = Standardizer.fit(x[:, 4:])
@@ -300,7 +340,7 @@ class TimeOnlyModel:
     x_stats: Standardizer
     y_stats: Standardizer
 
-    def predict_batch(self, queries: Sequence[EtaQuery]) -> np.ndarray:
+    def predict_batch(self, queries: Queries) -> np.ndarray:
         """Travel times clamped at 0; row-exact like the joint model's."""
         x = self.x_stats.transform(_feature_matrix(queries, self.grid))
         return np.maximum(self.y_stats.inverse(self.net.forward_rows(x))[:, 0], 0.0)
@@ -310,8 +350,8 @@ def train_time_only(train: TripStore, grid: GridSpec, cfg: EtaConfig,
                     seed: int) -> TimeOnlyModel:
     """Fit the time-only MLP baseline, hidden widths 64 and 64 (same loss
     machinery and SGD settings as the joint model)."""
-    records, y_time = _trips(train, "training")
-    x = _feature_matrix(records, grid)
+    y_time = _trips(train, "training").duration
+    x = _feature_matrix(train, grid)
     x_stats = Standardizer.fit(x)
     y_stats = Standardizer.fit(y_time[:, None])
     xs = x_stats.transform(x)
@@ -330,19 +370,18 @@ class LinearTimeModel:
     x_stats: Standardizer
     coef: np.ndarray  # [intercept, 5 standardized-feature weights]
 
-    def predict_batch(self, queries: Sequence[EtaQuery]) -> np.ndarray:
+    def predict_batch(self, queries: Queries) -> np.ndarray:
         """Travel times, unclamped; row-exact like the joint model's."""
         x = self.x_stats.transform(_raw_features(queries))
         w0, w = self.coef[0], self.coef[1:]
         return w0 + (x[:, None, :] @ w)[:, 0]
 
 
-def _raw_features(queries) -> np.ndarray:
+def _raw_features(queries: Queries) -> np.ndarray:
     """Unbinned ``[o_lat, o_lon, d_lat, d_lon, t]`` per query, ``t`` the
     seconds of day plus one day on weekends."""
-    rows = [(o.lat, o.lon, d.lat, d.lon, shifted_time(t, w))
-            for o, d, t, w in map(_query_tuple, queries)]
-    return np.array(rows, dtype=float).reshape(len(rows), 5)
+    o_lat, o_lon, d_lat, d_lon, t, weekend = _query_columns(queries)
+    return np.column_stack([o_lat, o_lon, d_lat, d_lon, shifted_time(t, weekend)])
 
 
 def train_linear_time(train: TripStore) -> LinearTimeModel:
@@ -352,11 +391,11 @@ def train_linear_time(train: TripStore) -> LinearTimeModel:
     normal matrix falls back to a tiny ridge term (1e-8 of the mean
     diagonal), which is the documented behavior for degenerate designs.
     """
-    records, y = _trips(train, "training")
-    raw = _raw_features(records)
+    y = _trips(train, "training").duration
+    raw = _raw_features(train)
     x_stats = Standardizer.fit(raw)
     x = x_stats.transform(raw)
-    design = np.concatenate([np.ones((len(records), 1)), x], axis=1)
+    design = np.concatenate([np.ones((len(train), 1)), x], axis=1)
     xtx = design.T @ design
     xty = design.T @ y
     try:
@@ -397,12 +436,13 @@ def compute_metrics(y_true, y_pred) -> EtaMetrics:
     return EtaMetrics(mae=mae, mre=mre, medae=medae, medre=medre, r2=r2)
 
 
-def evaluate(predict_batch_fn: Callable[[Sequence[EtaQuery]], np.ndarray],
+def evaluate(predict_batch_fn: Callable[[Queries], np.ndarray],
              test: TripStore) -> EtaMetrics:
     """Score a batch travel-time predictor on held-out trips: one call with
-    the trips themselves as queries, in order, returning one time each."""
-    records, y = _trips(test, "test")
-    f = np.asarray(predict_batch_fn(records), dtype=float)
+    the store itself as the queries, returning one time per trip in
+    ``test.records`` order."""
+    y = _trips(test, "test").duration
+    f = np.asarray(predict_batch_fn(test), dtype=float)
     return compute_metrics(y, f)
 
 

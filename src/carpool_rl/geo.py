@@ -59,6 +59,11 @@ class Bbox:
         return (self.lat_min <= p.lat <= self.lat_max
                 and self.lon_min <= p.lon <= self.lon_max)
 
+    def covers(self, lat, lon):
+        """:meth:`contains` for arrays of coordinates: a bool array."""
+        return ((self.lat_min <= lat) & (lat <= self.lat_max)
+                & (self.lon_min <= lon) & (lon <= self.lon_max))
+
     @property
     def lower_left(self) -> GeoPoint:
         return GeoPoint(self.lat_min, self.lon_min)
@@ -92,8 +97,8 @@ class GridSpec:
 def cell_index(p: GeoPoint, spec: GridSpec) -> tuple[int, int]:
     """Grid cell ``(lat_bin, lon_bin)`` of a point. Raises
     :class:`OutOfGridError` for points below or left of the grid origin."""
-    i = math.floor((p.lat - spec.origin_corner.lat) / spec.cell_lat + _BIN_EPS)
-    j = math.floor((p.lon - spec.origin_corner.lon) / spec.cell_lon + _BIN_EPS)
+    i = math.floor(bin_coordinate(p.lat, spec.origin_corner.lat, spec.cell_lat))
+    j = math.floor(bin_coordinate(p.lon, spec.origin_corner.lon, spec.cell_lon))
     if i < 0 or j < 0:
         raise OutOfGridError(
             f"point ({p.lat}, {p.lon}) lies below/left of grid origin "
@@ -123,13 +128,21 @@ def bin_time(seconds_of_day: float, is_weekend: bool, spec: GridSpec) -> int:
     if not 0 <= seconds_of_day < SECONDS_PER_DAY:
         raise ValueError(f"seconds_of_day out of [0, 86400): {seconds_of_day}")
     effective = shifted_time(seconds_of_day, is_weekend)
-    return int(math.floor(effective / spec.time_bin + _BIN_EPS))
+    return math.floor(bin_coordinate(effective, 0.0, spec.time_bin))
 
 
-def shifted_time(seconds_of_day: float, is_weekend: bool) -> float:
+def bin_coordinate(x, origin, width):
+    """``(x - origin) / width + _BIN_EPS``, the value a bin index is the
+    floor of. Scalar binning (:func:`cell_index`, :func:`bin_time`) and
+    array binning (floats or float arrays alike) both take it from here, so
+    both make the same IEEE subtract, divide and add."""
+    return (x - origin) / width + _BIN_EPS
+
+
+def shifted_time(seconds_of_day, is_weekend):
     """Seconds of day plus one day on weekends, so that weekday and weekend
-    times never meet."""
-    return seconds_of_day + (SECONDS_PER_DAY if is_weekend else 0.0)
+    times never meet; for a float and a bool or for arrays of them alike."""
+    return seconds_of_day + SECONDS_PER_DAY * is_weekend
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

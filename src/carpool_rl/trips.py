@@ -15,6 +15,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -132,6 +133,36 @@ def _failed_rule(origin: GeoPoint, destination: GeoPoint, pickup_dt: datetime,
     return None
 
 
+class TripColumns(NamedTuple):
+    """A store's trips as read-only float arrays (``is_weekend`` a bool
+    array), one entry per trip in ``TripStore.records`` order."""
+
+    o_lat: np.ndarray
+    o_lon: np.ndarray
+    d_lat: np.ndarray
+    d_lon: np.ndarray
+    pickup_seconds: np.ndarray
+    is_weekend: np.ndarray
+    duration: np.ndarray
+    distance: np.ndarray
+
+    def take(self, idx: np.ndarray) -> "TripColumns":
+        """The rows ``idx`` of every column, as new read-only arrays."""
+        return TripColumns(*map(_read_only, (c[idx] for c in self)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _column(items: list, name: str) -> np.ndarray:
+    """The float array of attribute ``name`` of each item, filled without
+    a list of the values, so that building a view adds little transient
+    memory."""
+    return np.fromiter(map(attrgetter(name), items), float, len(items))
+
+
 class TripStore:
     """Immutable collection of filtered trips, sorted by pickup seconds-of-day
     within each day, weekday (``is_weekend`` False) or weekend."""
@@ -140,46 +171,74 @@ class TripStore:
         by_day: dict[bool, list[TripRecord]] = {False: [], True: []}
         for r in records:
             by_day[r.is_weekend].append(r)
-        self._by_day = {day: tuple(sorted(rs, key=lambda r: r.pickup_seconds))
-                        for day, rs in by_day.items()}
-        self._pickups = {day: [r.pickup_seconds for r in rs]
-                         for day, rs in self._by_day.items()}
+        for rs in by_day.values():
+            rs.sort(key=lambda r: r.pickup_seconds)
+        self._records = tuple(by_day[False] + by_day[True])
+        # Per day: where its trips start in ``records``, and their pickups.
+        self._days = {False: (0, [r.pickup_seconds for r in by_day[False]]),
+                      True: (len(by_day[False]),
+                             [r.pickup_seconds for r in by_day[True]])}
+        self._columns: Optional[TripColumns] = None
 
     def __len__(self) -> int:
-        return sum(len(rs) for rs in self._by_day.values())
+        return len(self._records)
 
     @property
     def records(self) -> tuple[TripRecord, ...]:
-        return self._by_day[False] + self._by_day[True]
+        """The weekday trips, then the weekend trips."""
+        return self._records
+
+    @property
+    def columns(self) -> TripColumns:
+        """The trips as :class:`TripColumns`, built on first use (or handed
+        down, indexed, by the store this one was cut from) and kept."""
+        if self._columns is None:
+            records = self._records
+            origins = [r.origin for r in records]
+            destinations = [r.destination for r in records]
+            weekend = np.arange(len(records)) >= self._days[True][0]
+            self._columns = TripColumns(*map(_read_only, (
+                _column(origins, "lat"), _column(origins, "lon"),
+                _column(destinations, "lat"), _column(destinations, "lon"),
+                _column(records, "pickup_seconds"), weekend,
+                _column(records, "duration"), _column(records, "distance"))))
+        return self._columns
 
     def query_window(self, t0: float, t1: float, is_weekend: bool) -> list[TripRecord]:
         """Trips of the given day with pickup seconds in [t0, t1], ascending
         by pickup time."""
         if t0 > t1:
             raise ValueError(f"t0 > t1: {t0} > {t1}")
-        pickups = self._pickups[is_weekend]
+        start, pickups = self._days[is_weekend]
         lo = bisect.bisect_left(pickups, t0)
         hi = bisect.bisect_right(pickups, t1)
-        return list(self._by_day[is_weekend][lo:hi])
+        return list(self._records[start + lo:start + hi])
 
     def mask_region(self, bbox: Bbox) -> "TripStore":
-        """Keep trips whose origin AND destination lie inside ``bbox``."""
-        return TripStore(r for r in self.records
-                         if bbox.contains(r.origin) and bbox.contains(r.destination))
+        """Keep trips whose origin AND destination lie inside ``bbox``; the
+        store itself when that is every trip."""
+        c = self.columns
+        keep = bbox.covers(c.o_lat, c.o_lon) & bbox.covers(c.d_lat, c.d_lon)
+        return self if keep.all() else self._subset(np.flatnonzero(keep))
 
     def train_test_split(self, ratio: float, seed: int) -> tuple["TripStore", "TripStore"]:
         """Disjoint, exhaustive split; deterministic for a fixed seed."""
         if not 0 < ratio < 1:
             raise ValueError(f"ratio out of (0, 1): {ratio}")
-        records = self.records
-        n = len(records)
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(n)
+        n = len(self)
+        perm = np.random.default_rng(seed).permutation(n)
         n_train = int(round(n * ratio))
-        train_idx = set(perm[:n_train].tolist())
-        train = [records[i] for i in range(n) if i in train_idx]
-        test = [records[i] for i in range(n) if i not in train_idx]
-        return TripStore(train), TripStore(test)
+        return (self._subset(np.sort(perm[:n_train])),
+                self._subset(np.sort(perm[n_train:])))
+
+    def _subset(self, idx: np.ndarray) -> "TripStore":
+        """The store of the trips ``records[i]`` for ascending ``idx``, with
+        this store's columns at ``idx``: a subset of ``records`` taken in
+        order is already in the child's order."""
+        records = self._records
+        store = TripStore(records[i] for i in idx.tolist())
+        store._columns = self.columns.take(idx)
+        return store
 
 
 class IngestResult(NamedTuple):

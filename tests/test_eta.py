@@ -12,12 +12,12 @@ from jsonfuzz import JSON_VALUES, key_paths, with_value
 
 from carpool_rl.config import EtaConfig
 from carpool_rl.eta import (ConstantSpeedEta, EtaQuery,
-                            JointEtaModel, ModelEta, _feature_matrix,
-                            _raw_features, _trips,
+                            JointEtaModel, ModelEta, Standardizer,
+                            _feature_matrix, _raw_features, _sgd_epochs, _trips,
                             compute_metrics, evaluate, train_joint_eta, train_linear_time,
                             train_time_only)
 from carpool_rl.geo import (GeoPoint, GridSpec, OutOfGridError, bin_location,
-                            bin_time, haversine_miles)
+                            bin_time, cell_index, haversine_miles)
 from carpool_rl.nn import Mlp
 from carpool_rl.trips import TripRecord, TripStore
 
@@ -109,6 +109,69 @@ BAD_QUERIES = st.builds(EtaQuery, st.one_of(IN_GRID, OUT_OF_GRID),
                         st.one_of(IN_GRID, OUT_OF_GRID),
                         st.one_of(SECONDS, BAD_SECONDS),
                         st.booleans()).filter(_is_bad)
+NOT_QUERIES = st.sampled_from([None, "query", 5, GeoPoint(40.71, -74.0),
+                               (GeoPoint(40.71, -74.0),) * 2 + (0.0, False)])
+
+
+def cell_key(q, grid=GRID):
+    """A query's cell key binned row by row: origin cell, destination cell,
+    time bin."""
+    return (*cell_index(q.origin, grid), *cell_index(q.destination, grid),
+            bin_time(q.pickup_seconds, q.is_weekend, grid))
+
+
+def cell_key_rows(queries):
+    return np.array([cell_key(q) for q in queries], dtype=float).reshape(-1, 5)
+
+
+def cell_key_error(items):
+    """The error the first bad item raises when binned row by row."""
+    with pytest.raises(Exception) as raised:
+        cell_key_rows(items)
+    return raised.value
+
+
+def one_ulp_below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def edges(origin, width, top):
+    """Exact bin corners ``origin + k * width`` and one ulp below them, and
+    the floats a few ulps around where the floor flips up to bin ``k``,
+    ``origin + (k - 1e-7) * width``, all at or above ``origin``."""
+    return st.one_of(
+        st.builds(lambda k, f: f(origin + k * width), st.integers(0, top),
+                  st.sampled_from([float, one_ulp_below])),
+        st.builds(lambda k, n: ulps_from(origin + (k - 1e-7) * width, n),
+                  st.integers(1, top), st.integers(-3, 3)))
+
+
+EDGE_POINTS = st.builds(GeoPoint,
+                        edges(GRID.origin_corner.lat, GRID.cell_lat, 300),
+                        edges(GRID.origin_corner.lon, GRID.cell_lon, 300))
+# Time-bin edges as above, then the day's last second.
+EDGE_SECONDS = st.one_of(edges(0.0, GRID.time_bin, 143).filter(lambda t: t >= 0.0),
+                         st.floats(86399, 86400, exclude_max=True))
+EDGE_TRIP_SECONDS = st.one_of(st.integers(0, 143).map(lambda k: 600.0 * k),
+                              st.integers(1, 143).map(lambda k: 600.0 * k - 1e-6),
+                              st.integers(1, 143).map(lambda k: 600.0 * k - 6e-5),
+                              st.integers(0, 999_999).map(lambda us: 86399 + us / 1e6))
+EDGE_QUERIES = st.builds(EtaQuery, st.one_of(IN_GRID, EDGE_POINTS),
+                         st.one_of(IN_GRID, EDGE_POINTS),
+                         st.one_of(SECONDS, EDGE_SECONDS), st.booleans())
+
+
+def edge_trips(points):
+    return st.builds(
+        lambda o, d, pickup_s, weekend: make_trip(
+            (o.lat, o.lon), (d.lat, d.lon), pickup_s, weekend=weekend),
+        points, points, EDGE_TRIP_SECONDS, st.booleans())
 
 
 class TestFeatureMatrix:
@@ -119,15 +182,37 @@ class TestFeatureMatrix:
         assert x.shape == (len(queries), 5)
         assert np.array_equal(x[:, :4], ref_loc) and np.array_equal(x[:, 4:], ref_t)
 
-    @given(st.lists(QUERIES, max_size=5), BAD_QUERIES,
-           st.lists(st.one_of(QUERIES, BAD_QUERIES), max_size=5))
+    @given(st.lists(EDGE_QUERIES, max_size=20))
+    def test_query_list_rows_are_the_per_row_cell_keys(self, queries):
+        x = _feature_matrix(queries, GRID)
+        assert x.dtype == float and x.tobytes() == cell_key_rows(queries).tobytes()
+
+    @given(st.lists(edge_trips(st.one_of(IN_GRID, EDGE_POINTS)), max_size=20))
+    def test_store_rows_are_the_per_row_cell_keys(self, trips):
+        store = TripStore(trips)
+        x = _feature_matrix(store, GRID)
+        assert x.dtype == float and x.tobytes() == cell_key_rows(store.records).tobytes()
+
+    @given(st.lists(QUERIES, max_size=5), st.one_of(BAD_QUERIES, NOT_QUERIES),
+           st.lists(st.one_of(QUERIES, BAD_QUERIES, NOT_QUERIES), max_size=5))
     def test_first_bad_query_raises_its_own_error(self, before, bad, after):
-        with pytest.raises(ValueError) as expected:
-            reference_features([bad], GRID)
-        with pytest.raises(ValueError) as got:
+        expected = cell_key_error([bad])
+        with pytest.raises(type(expected)) as got:
             _feature_matrix([*before, bad, *after], GRID)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
+        assert type(got.value) is type(expected)
+        assert str(got.value) == str(expected)
+
+    @given(st.lists(edge_trips(st.one_of(IN_GRID, OUT_OF_GRID)), min_size=1,
+                    max_size=12))
+    def test_first_off_grid_trip_of_a_store_raises_its_own_error(self, trips):
+        store = TripStore(trips)
+        try:
+            expected = cell_key_rows(store.records)
+        except OutOfGridError as exc:
+            with pytest.raises(OutOfGridError, match=re.escape(str(exc))):
+                _feature_matrix(store, GRID)
+        else:
+            assert _feature_matrix(store, GRID).tobytes() == expected.tobytes()
 
     def test_weekend_corner_query(self):
         corner = GeoPoint(40.70 + 3 * 0.002, -74.02 + 7 * 0.002)
@@ -157,9 +242,9 @@ class TestTrainingFeatures:
         assert np.array_equal(x[:, :4], q[:, :4]) and np.array_equal(x[:, 4:], q[:, 4:])
         store = TripStore(trips)
         if trips:
-            records, y_time = _trips(store, "training")
-            assert records == store.records
-            assert y_time.tolist() == [r.duration for r in records]
+            columns = _trips(store, "training")
+            assert columns is store.columns
+            assert columns.duration.tolist() == [r.duration for r in store.records]
         else:
             with pytest.raises(ValueError, match="empty training set"):
                 _trips(store, "training")
@@ -168,6 +253,54 @@ class TestTrainingFeatures:
         assert np.array_equal(raw, _raw_features(queries))
         assert raw[:, 4].tolist() == [r.pickup_seconds + 86400 * r.is_weekend
                                       for r in trips]
+        records = list(store.records)
+        assert _feature_matrix(store, GRID).tobytes() == _feature_matrix(records, GRID).tobytes()
+        assert _raw_features(store).tobytes() == _raw_features(records).tobytes()
+
+
+def per_batch_gather_epochs(step, arrays, cfg, rng):
+    """The epoch loop that gathers every minibatch by its own slice of the
+    permutation: the reference for the staged :func:`_sgd_epochs`."""
+    n, losses = len(arrays[0]), []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        batches = [perm[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
+        losses.append(float(np.mean([step(*(a[idx] for a in arrays), cfg.learning_rate)
+                                     for idx in batches])))
+    return losses
+
+
+def fresh_trainer(kind):
+    """A new, seeded model's SGD step and its networks: the joint model's
+    step takes four arrays, the time-only net's two."""
+    rng = np.random.default_rng(5)
+    if kind == "joint":
+        unit = [Standardizer(np.zeros(k), np.ones(k)) for k in (4, 1, 1, 1)]
+        m = JointEtaModel(Mlp([4, 8, 8], rng=rng), Mlp([8, 1], rng=rng),
+                          Mlp([9, 8, 1], rng=rng), GRID, *unit)
+        return m._sgd_step, (m.trunk, m.dist_head, m.time_net)
+    net = Mlp([5, 8, 8, 1], rng=rng)
+    return net.sgd_step, (net,)
+
+
+class TestSgdEpochs:
+    """Each epoch gathers every array once by its permutation and trains on
+    contiguous slices, with the bits of a per-batch gather."""
+
+    WIDTHS = {"joint": (4, 1, 1, 1), "time_only": (5, 1)}
+
+    @pytest.mark.parametrize("n, batch_size", [(103, 16), (70, 32)])
+    @pytest.mark.parametrize("kind", ["joint", "time_only"])
+    def test_staged_epochs_equal_per_batch_gather(self, kind, n, batch_size):
+        rng = np.random.default_rng(n)
+        arrays = tuple(rng.normal(size=(n, k)) for k in self.WIDTHS[kind])
+        cfg = EtaConfig(learning_rate=0.02, batch_size=batch_size, epochs=4)
+        (step, nets), (ref_step, ref_nets) = fresh_trainer(kind), fresh_trainer(kind)
+        got = _sgd_epochs(step, arrays, cfg, np.random.default_rng(9))
+        want = per_batch_gather_epochs(ref_step, arrays, cfg, np.random.default_rng(9))
+        assert got == want and len(got) == cfg.epochs
+        for net, ref in zip(nets, ref_nets):
+            assert net.params.tobytes() == ref.params.tobytes()
 
 
 class TestMetrics:
@@ -555,7 +688,7 @@ class TestEvaluate:
     def test_perfect_oracle_scores_zero_error(self):
         store = synthetic_store(100, seed=13)
         durations = {r: r.duration for r in store.records}
-        m = evaluate(lambda qs: [durations[q] for q in qs], store)
+        m = evaluate(lambda qs: [durations[q] for q in qs.records], store)
         assert m.mae == 0.0 and m.r2 == 1.0
 
     def test_empty_test_set_raises(self):

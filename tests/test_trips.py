@@ -328,6 +328,87 @@ class TestTrainTestSplit:
             self._store().train_test_split(1.0, seed=0)
 
 
+COLUMN_FIELDS = ("o_lat", "o_lon", "d_lat", "d_lon", "pickup_seconds",
+                 "is_weekend", "duration", "distance")
+
+
+def rebuilt_columns(records):
+    """Each column read back from the records one by one."""
+    return {"o_lat": [r.origin.lat for r in records],
+            "o_lon": [r.origin.lon for r in records],
+            "d_lat": [r.destination.lat for r in records],
+            "d_lon": [r.destination.lon for r in records],
+            "pickup_seconds": [r.pickup_seconds for r in records],
+            "is_weekend": [r.is_weekend for r in records],
+            "duration": [float(r.duration) for r in records],
+            "distance": [float(r.distance) for r in records]}
+
+
+def assert_columns_match_records(store):
+    cols = store.columns
+    assert cols._fields == COLUMN_FIELDS
+    for name, values in rebuilt_columns(store.records).items():
+        column = getattr(cols, name)
+        assert column.dtype == (bool if name == "is_weekend" else float), name
+        assert column.shape == (len(store),), name
+        assert column.tolist() == values, name
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            column[:1] = column[:1]
+
+
+def set_based_split(store, ratio, seed):
+    """The split as a set of drawn positions: the reference for
+    ``train_test_split``."""
+    records = store.records
+    perm = np.random.default_rng(seed).permutation(len(records))
+    train_idx = set(perm[:int(round(len(records) * ratio))].tolist())
+    return ([r for i, r in enumerate(records) if i in train_idx],
+            [r for i, r in enumerate(records) if i not in train_idx])
+
+
+STORE_TRIPS = st.lists(st.builds(
+    lambda o, d, minute, weekend, duration: make_trip(
+        pickup=f"2013-01-{5 if weekend else 7:02d} {minute // 60:02d}:{minute % 60:02d}:00",
+        duration=duration, o=o, d=d),
+    st.tuples(st.floats(40.70, 40.86), st.floats(-74.02, -73.92)),
+    st.tuples(st.floats(40.70, 40.86), st.floats(-74.02, -73.92)),
+    st.integers(0, 1439), st.booleans(), st.integers(60, 7200)), max_size=30)
+
+
+class TestColumns:
+    """A store's column view holds its records' fields in ``records`` order,
+    read-only; the stores cut from it by ``mask_region`` and
+    ``train_test_split`` get its columns at their rows."""
+
+    @given(STORE_TRIPS, st.sampled_from([UPTOWN, DOWNTOWN, NYC_BBOX]))
+    def test_mask_region_keeps_the_columns_of_its_trips(self, trips, bbox):
+        store = TripStore(trips)
+        assert_columns_match_records(store)
+        masked = store.mask_region(bbox)
+        inside = lambda p: (bbox.lat_min <= p.lat <= bbox.lat_max  # noqa: E731
+                            and bbox.lon_min <= p.lon <= bbox.lon_max)
+        assert masked.records == tuple(
+            r for r in store.records if inside(r.origin) and inside(r.destination))
+        assert (masked is store) == (len(masked) == len(store))
+        assert_columns_match_records(masked)
+
+    @given(STORE_TRIPS, st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_split_children_have_the_columns_of_their_trips(self, trips, ratio, seed):
+        store = TripStore(trips)
+        train, test = store.train_test_split(ratio, seed)
+        want_train, want_test = set_based_split(store, ratio, seed)
+        assert train.records == tuple(want_train)
+        assert test.records == tuple(want_test)
+        assert_columns_match_records(train)
+        assert_columns_match_records(test)
+
+    def test_columns_are_built_once(self):
+        store = TripStore([make_trip(), make_trip(pickup="2013-01-05 09:00:00")])
+        assert store.columns is store.columns
+        assert store.columns.is_weekend.tolist() == [False, True]
+
+
 class TestTripRecord:
     def test_invariants(self):
         with pytest.raises(ValueError):
